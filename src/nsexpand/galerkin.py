@@ -6,10 +6,12 @@ w(s) = e^{(s - t) A} u(s) removes the stiff Stokes term exactly, and classical
 RK4 advances w. All exponential factors that appear are decaying, so the
 scheme is stable for any step; accuracy is the usual O(h^4).
 
-The convolution here is the same exact finite-support sum as
-`spectral.bilinear`, evaluated through a precomputed interaction table over a
-fixed representative basis (one entry per conjugate pair, so realness stays
-structural). No FFT, no dealiasing, no truncation beyond the mode ball.
+Coefficients live in a dense array over a fixed representative basis (one row
+per conjugate pair, so realness stays structural). The advection term is a
+pseudo-spectral product: B(u, v) = P div(u (x) v) is formed on a physical
+grid sized by the 3/2 rule, so no aliased mode reaches the ball and the result
+equals the exact finite-support sum of `spectral.bilinear` truncated to the
+ball, to rounding.
 """
 
 from __future__ import annotations
@@ -90,12 +92,32 @@ class Trajectory:
 class ModeTable:
     """Dense workspace over the representatives with |k|^2 <= cutoff.
 
-    Rows follow lexicographic order of the representative wavevectors. The
-    interaction table lists every ordered pair of full modes (both halves)
-    whose sum is a stored representative, grouped by output row so `convolve`
-    can reduce each group with one contiguous segmented sum; summation order
-    is fixed at construction, so runs are reproducible.
+    Rows follow lexicographic order of the representative wavevectors.
+    `convolve` evaluates the advection term on an `rfftn` grid of n points
+    per axis, the smallest size >= 3r + 1 with no prime factor above 5, where
+    r = floor(sqrt(cutoff)) (prime sizes such as 13 and 19 transform much
+    more slowly). Every stored mode has |k_i| <= r, so a product of two
+    fields has |k_i| <= 2r, and a product mode that wraps around the grid
+    lands at |k_i| >= n - 2r > r on some axis: outside the ball. This is the
+    3/2 rule of dealiased pseudo-spectral products.
+
+    Rows that no pair of live input modes m + l reaches are set to exact
+    zero (the support mask), so the output support is that of the exact
+    convolution and not a ball filled with rounding noise. The mask is the
+    indicator convolution of the two live-row patterns and is recomputed only
+    when a pattern changes.
+
+    Transforms run in buffers owned by the table, so one table must not be
+    used by two threads at once.
     """
+
+    # Component pairs (i, j) whose products u_i v_j are transformed, and the
+    # transformed product that holds each (i, j): six suffice when v is u.
+    _SYMMETRIC = (
+        ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)),
+        np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]]),
+    )
+    _GENERAL = (tuple((i, j) for i in range(3) for j in range(3)), np.arange(9).reshape(3, 3))
 
     def __init__(self, cutoff: int):
         cutoff = int(cutoff)
@@ -114,23 +136,26 @@ class ModeTable:
         self.size = len(reps)
         self.kvec = np.array(reps, dtype=float)            # (R, 3)
         self.lam = np.einsum("rc,rc->r", self.kvec, self.kvec)
-        full = reps + [(-a, -b, -c) for (a, b, c) in reps]
-        self._full_k = full
-        pi, pj, po = [], [], []
-        for i, m in enumerate(full):
-            for j, l in enumerate(full):
-                k = (m[0] + l[0], m[1] + l[1], m[2] + l[2])
-                out = self.index.get(k)
-                if out is not None:
-                    pi.append(i)
-                    pj.append(j)
-                    po.append(out)
-        order = np.argsort(np.array(po, dtype=np.intp), kind="stable")
-        self._pi = np.array(pi, dtype=np.intp)[order]
-        self._pj = np.array(pj, dtype=np.intp)[order]
-        self._lj = np.array([full[j] for j in pj], dtype=float)[order]   # (P, 3)
-        po_sorted = np.array(po, dtype=np.intp)[order]
-        self._targets, self._starts = np.unique(po_sorted, return_index=True)
+
+        n = _smooth_size(3 * r + 1)
+        shape = (n, n, n // 2 + 1)
+        k = np.array(reps, dtype=np.intp).reshape(-1, 3)
+        # rfftn keeps k_z >= 0: a row with k_z < 0 is read at -k, conjugated
+        self._flip = k[:, 2] < 0
+        half = np.where(self._flip[:, None], -k, k)
+        self._slot = np.ravel_multi_index(tuple((half % n).T), shape)
+        # Scatter over both pair halves (rows of [u; conj u]) that fall in the
+        # half spectrum; the k_z = 0 plane needs both for a real inverse.
+        full = np.concatenate([k, -k])
+        keep = full[:, 2] >= 0
+        self._scatter_src = np.nonzero(keep)[0]
+        self._scatter_dst = np.ravel_multi_index(tuple((full[keep] % n).T), shape)
+        self._spec = np.zeros((6,) + shape, dtype=np.complex128)
+        self._phys = np.empty((6, n, n, n))
+        self._prod = np.empty((9, n, n, n))
+        self._prod_spec = np.empty((9,) + shape, dtype=np.complex128)
+        self._pattern: tuple[np.ndarray, np.ndarray] | None = None
+        self._dead: np.ndarray | None = None
 
     def densify(self, u: SpectralField, *, strict: bool = True) -> np.ndarray:
         out = np.zeros((self.size, 3), dtype=np.complex128)
@@ -149,22 +174,78 @@ class ModeTable:
         live = np.nonzero(np.any(coeffs != 0, axis=1))[0]
         return SpectralField({self.reps[i]: coeffs[i] for i in live})
 
+    def _to_grid(self, coeffs: np.ndarray, spec: np.ndarray, phys: np.ndarray) -> None:
+        """Physical values of the (C, R) representative coefficients on the grid, into phys."""
+        flat = spec.reshape(len(spec), -1)
+        flat[:, self._scatter_dst] = np.concatenate([coeffs, np.conj(coeffs)], axis=1)[
+            :, self._scatter_src
+        ]
+        np.fft.irfftn(spec, s=phys.shape[1:], axes=(1, 2, 3), norm="forward", out=phys)
+
+    def _from_grid(self, phys: np.ndarray, spec: np.ndarray) -> np.ndarray:
+        """(C, R) representative coefficients of the physical values phys."""
+        np.fft.rfftn(phys, axes=(1, 2, 3), norm="forward", out=spec)
+        coeffs = spec.reshape(len(spec), -1)[:, self._slot]
+        coeffs[:, self._flip] = np.conj(coeffs[:, self._flip])
+        return coeffs
+
+    def _dead_rows(self, live_u: np.ndarray, live_v: np.ndarray) -> np.ndarray:
+        """Rows no pair of live modes reaches, from the indicator product of the two patterns."""
+        pattern = self._pattern
+        if pattern is None or not (
+            np.array_equal(pattern[0], live_u) and np.array_equal(pattern[1], live_v)
+        ):
+            phys = self._phys[:2]
+            self._to_grid(np.stack([live_u, live_v]).astype(np.complex128), self._spec[:2], phys)
+            np.multiply(phys[0], phys[1], out=self._prod[0])
+            pairs = self._from_grid(self._prod[:1], self._prod_spec[:1])[0]
+            self._dead = pairs.real < 0.5
+            self._pattern = (live_u, live_v)
+        return self._dead
+
     def convolve(self, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-        """Projected advection B(u, v) of dense coefficient arrays (v defaults to u)."""
+        """Projected advection B(u, v) of dense coefficient arrays (v defaults to u).
+
+        The product is taken in divergence form, div(u (x) v), which equals
+        (u . grad) v because u is divergence-free; pass only such u.
+        """
         if v is None:
             v = u
-        fu = np.concatenate([u, np.conj(u)], axis=0)
-        fv = fu if v is u else np.concatenate([v, np.conj(v)], axis=0)
-        dots = 1j * np.einsum("pc,pc->p", fu[self._pi], self._lj)
-        contrib = dots[:, None] * fv[self._pj]
-        out = np.zeros((self.size, 3), dtype=np.complex128)
-        out[self._targets] = np.add.reduceat(contrib, self._starts, axis=0)
+        live_u = np.any(u != 0, axis=1)
+        dead = self._dead_rows(live_u, live_u if v is u else np.any(v != 0, axis=1))
+        if v is u:
+            self._to_grid(u.T, self._spec[:3], self._phys[:3])
+            uu = vv = self._phys[:3]
+            pairs, slot = self._SYMMETRIC
+        else:
+            self._to_grid(np.concatenate([u.T, v.T]), self._spec, self._phys)
+            uu, vv = self._phys[:3], self._phys[3:]
+            pairs, slot = self._GENERAL
+        prod = self._prod[: len(pairs)]
+        for p, (i, j) in enumerate(pairs):
+            np.multiply(uu[i], vv[j], out=prod[p])
+        w = self._from_grid(prod, self._prod_spec[: len(pairs)])[slot]
+        # B_j(k) = i sum_i k_i (u_i v_j)^(k), then the Leray projection
+        out = 1j * np.einsum("ri,ijr->rj", self.kvec, w)
+        out[dead] = 0.0
         proj = np.einsum("rc,rc->r", out, self.kvec) / self.lam
         out -= proj[:, None] * self.kvec
         return out
 
     def h_norm(self, coeffs: np.ndarray) -> float:
         return math.sqrt(2.0 * float(np.vdot(coeffs, coeffs).real))
+
+
+def _smooth_size(n: int) -> int:
+    """Smallest size >= n whose prime factors are all 2, 3 or 5."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 _TABLES: dict[int, ModeTable] = {}

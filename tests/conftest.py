@@ -32,7 +32,7 @@ def brute_force_bilinear(u: SpectralField, v: SpectralField) -> dict:
     """Reference convolution: plain dict over every ordered full-mode pair.
 
     Returns a representative-keyed dict of numpy 3-vectors (Leray-projected),
-    built without using spectral.bilinear or the solver's interaction table.
+    built without using spectral.bilinear or the solver's FFT kernel.
     """
     full_u = {}
     for k, c in u.modes():

@@ -117,6 +117,24 @@ def test_simulate_writes_trajectory_and_norms(tmp_path, capsys):
     assert (run / "norms" / "norm_alpha0.5_sigma0.csv").exists()
 
 
+def test_simulate_on_cutoff_one_ball(tmp_path, capsys):
+    # On |k|^2 <= 1 no two modes add up to a mode of the ball: the advection
+    # term vanishes and the flow is pure forced heat flow.
+    phi = SpectralField({(1, 0, 0): [0, 0.1, 0.05j]})
+    doc = {
+        "name": "cutoff-one",
+        "force": {"terms": [{"n": 1, "poly": poly_to_literal(FieldPolynomial.constant(phi))}]},
+        "initial": [],
+        "expansion": {"N_max": 1, "norm_specs": [[0.5, 0.0]]},
+        "solver": {"mode_cutoff": 1, "step": 0.01, "t_end": 0.5, "sample_stride": 10},
+    }
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", write_doc(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+    assert "simulated 6 samples to t = 0.5" in capsys.readouterr().out
+    manifest = json.loads((out / "cutoff-one" / "trajectory_modes.json").read_text())
+    assert manifest["modes"] == [[1, 0, 0]]
+
+
 # -- verify -------------------------------------------------------------------------
 
 

@@ -1,11 +1,19 @@
-"""Truncated integrating-factor RK4 solver and its interaction table."""
+"""Truncated integrating-factor RK4 solver and its dealiased advection kernel."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import assert_fields_close, eval_physical, ladder_force, random_div_free_field
+from conftest import (
+    assert_fields_close,
+    eval_physical,
+    ladder_force,
+    ladder_phi,
+    random_div_free_field,
+)
 from nsexpand import (
     BlowupError,
     FieldPolynomial,
@@ -16,7 +24,9 @@ from nsexpand import (
     bilinear,
     energy_ledger,
     evaluate_force,
+    inner,
     integrate,
+    leray_project,
     norm,
     truncate,
 )
@@ -81,15 +91,100 @@ def test_h_norm_matches_field_norm():
     assert table.h_norm(table.densify(u)) == pytest.approx(norm(u), rel=1e-14)
 
 
-@pytest.mark.parametrize("cutoff", [4, 6])
+def ball_field(rng, table, picks):
+    """Divergence-free field with random coefficients on the given rows of a mode table."""
+    coeffs = {
+        table.reps[i]: rng.standard_normal(3) + 1j * rng.standard_normal(3) for i in picks
+    }
+    return leray_project(SpectralField(coeffs))
+
+
+def reachable_rows(table, u, v):
+    """Representatives of the table that some pair of live full modes m + l equals."""
+    sums = {
+        (m[0] + l[0], m[1] + l[1], m[2] + l[2])
+        for m, _ in u.full_modes()
+        for l, _ in v.full_modes()
+    }
+    return {k for k in table.reps if k in sums or (-k[0], -k[1], -k[2]) in sums}
+
+
+def product_bound(table, u, v):
+    """sqrt(M) sum|c_u| sum|c_v|: bounds every coefficient of B(u, v) on the ball."""
+    mu, mv = (sum(float(np.abs(c).sum()) for _, c in f.full_modes()) for f in (u, v))
+    return math.sqrt(table.cutoff) * mu * mv
+
+
+@pytest.mark.parametrize("cutoff", [4, 6, 12, 24])
 def test_convolve_matches_projected_truncated_product(cutoff):
     rng = np.random.default_rng(cutoff)
     table = ModeTable(cutoff)
-    u = random_div_free_field(rng, 1, 5)
-    v = random_div_free_field(rng, 1, 5)
-    got = table.to_field(table.convolve(table.densify(u), table.densify(v)))
+    n_modes = min(table.size, 12)
+    u = ball_field(rng, table, rng.choice(table.size, n_modes, replace=False))
+    v = ball_field(rng, table, rng.choice(table.size, n_modes, replace=False))
+    du, dv = table.densify(u), table.densify(v)
+    for a, b, got in ((u, u, table.convolve(du)), (u, v, table.convolve(du, dv))):
+        want = truncate(bilinear(a, b), cutoff)
+        assert_fields_close(table.to_field(got), want, rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cutoff=st.integers(2, 24),
+    seed=st.integers(0, 2**32 - 1),
+    n_u=st.integers(1, 8),
+    n_v=st.integers(1, 8),
+)
+def test_convolve_properties_on_random_supports(cutoff, seed, n_u, n_v):
+    table = mode_table(cutoff)
+    rng = np.random.default_rng(seed)
+    u = ball_field(rng, table, rng.choice(table.size, min(n_u, table.size), replace=False))
+    v = ball_field(rng, table, rng.choice(table.size, min(n_v, table.size), replace=False))
+    du, dv = table.densify(u), table.densify(v)
+    got = table.to_field(table.convolve(du, dv))
     want = truncate(bilinear(u, v), cutoff)
-    assert_fields_close(got, want, rtol=1e-12, atol=1e-15)
+    floor = 1e-14 * product_bound(table, u, v)   # rounding level of any output coefficient
+
+    assert_fields_close(got, want, rtol=1e-12, atol=floor)
+    # exact zeros off the pairs' reach; elsewhere the supports differ only
+    # where the exact sum cancels to rounding
+    assert set(got.support()) <= reachable_rows(table, u, v)
+    for k in set(got.support()) ^ set(want.support()):
+        assert max(np.abs(got.coeff(k)).max(), np.abs(want.coeff(k)).max()) <= floor
+    assert abs(inner(got, v)) <= floor * norm(v)
+    assert np.array_equal(table.convolve(du), table.convolve(du, du))
+
+
+def test_convolve_cutoff_one_is_zero():
+    # No sum of two modes with |k|^2 = 1 lies in the ball again.
+    table = ModeTable(1)
+    du = table.densify(SpectralField({(1, 0, 0): [0, 0.3, 0.1j], (0, 1, 0): [0.2, 0, -0.4]}))
+    out = table.convolve(du)
+    assert out.shape == (3, 3)
+    assert not out.any()
+
+
+def test_convolve_keeps_even_sublattice_exactly():
+    # Modes with an even coordinate sum are closed under addition, so the
+    # ladder force (on (1,1,0) and (1,0,1)) and its products never reach an
+    # odd row: those rows must be exact zeros, not rounding noise.
+    table = ModeTable(24)
+    odd = np.array([sum(k) % 2 == 1 for k in table.reps])
+    rng = np.random.default_rng(3)
+    phi = table.densify(ladder_phi())
+    picks = rng.choice(np.nonzero(~odd)[0], 10, replace=False)
+    for du in (phi, table.densify(ball_field(rng, table, picks))):
+        out = table.convolve(du)
+        assert np.any(out)
+        assert not np.any(out[odd])
+        assert not np.any(table.convolve(du, phi)[odd])
+
+
+def test_ladder_trajectory_stays_on_even_sublattice():
+    traj = integrate(SpectralField.zero(), ladder_force(), SolverConfig(12, 0.01, 0.5, 10))
+    assert traj.states[-1].n_modes > 2
+    for state in traj.states:
+        assert all(sum(k) % 2 == 0 for k in state.support())
 
 
 def test_convolve_default_second_argument():
