@@ -166,16 +166,21 @@ def solve_level(
         lams.update(eigenvalue(k) for k in c.support())
     if xi is not None and not xi.is_zero:
         lams.add(n)
-    q = FieldPolynomial.zero()
+    # the blocks' solutions have disjoint supports: merge their coefficients once
+    merged: list[dict] = []
     hit = False
     for lam in sorted(lams):
         block = p.map_coeffs(lambda c, lam=lam: eigenspace_project(c, lam))
         if lam == n:
-            q = q + resolvent_solve(block, 0.0, xi if xi is not None else SpectralField.zero())
+            part = resolvent_solve(block, 0.0, xi if xi is not None else SpectralField.zero())
             hit = True
         else:
-            q = q + resolvent_solve(block, float(lam - n))
-    return q, hit
+            part = resolvent_solve(block, float(lam - n))
+        for j, c in enumerate(part.coeffs()):
+            if j == len(merged):
+                merged.append({})
+            merged[j].update(c.modes())
+    return FieldPolynomial([SpectralField(c) for c in merged]), hit
 
 
 def build_expansion(

@@ -76,14 +76,15 @@ class SpectralField:
 
     The mapping passed to the constructor must key on representative
     wavevectors only; coefficients are complex 3-vectors. Exactly-zero
-    coefficients are dropped so the stored support is meaningful.
+    coefficients are dropped so the stored support is meaningful. The split
+    of the store by Stokes eigenvalue is built on first use and kept.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_blocks")
 
     def __init__(self, coeffs=()):
-        store = {}
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
+        keys, values = [], []
         for k, c in items:
             k = (int(k[0]), int(k[1]), int(k[2]))
             if k == _ZERO:
@@ -93,17 +94,30 @@ class SpectralField:
                     f"wavevector {k} is not the stored half of its pair; "
                     "pass the lexicographically positive one"
                 )
-            if k in store:
-                raise ValueError(f"duplicate wavevector {k}")
-            arr = np.array(c, dtype=np.complex128)
-            if arr.shape != (3,):
-                raise ValueError(f"coefficient at {k} must be a 3-vector")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite coefficient at {k}")
-            if arr.any():
-                arr.setflags(write=False)
-                store[k] = arr
+            keys.append(k)
+            values.append(c)
+        store = {}
+        if keys:
+            # one array for all coefficients; the per-entry pass only names the culprit
+            try:
+                arr = np.array(values, dtype=np.complex128)
+            except (TypeError, ValueError):
+                arr = None
+            if arr is None or arr.shape != (len(keys), 3):
+                for k, c in zip(keys, values):
+                    if np.array(c, dtype=np.complex128).shape != (3,):
+                        raise ValueError(f"coefficient at {k} must be a 3-vector")
+            finite = np.isfinite(arr).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"non-finite coefficient at {keys[int(np.argmin(finite))]}")
+            arr.setflags(write=False)
+            for k, row, keep in zip(keys, arr, arr.any(axis=1)):
+                if k in store:
+                    raise ValueError(f"duplicate wavevector {k}")
+                if keep:
+                    store[k] = row
         self._coeffs = dict(sorted(store.items()))
+        self._blocks = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -119,6 +133,7 @@ class SpectralField:
         """
         field = object.__new__(cls)
         field._coeffs = coeffs
+        field._blocks = None
         return field
 
     @classmethod
@@ -180,10 +195,19 @@ class SpectralField:
         """Largest coefficient-component magnitude; 0 for the zero field."""
         if not self._coeffs:
             return 0.0
-        return max(float(np.max(np.abs(c))) for c in self._coeffs.values())
+        return float(np.abs(np.array(list(self._coeffs.values()))).max())
 
     def max_eigenvalue(self) -> int:
         return max((eigenvalue(k) for k in self._coeffs), default=0)
+
+    def _eigen_blocks(self) -> dict:
+        """Stores of the restrictions to each eigenspace, keyed by |k|^2, in one pass."""
+        if self._blocks is None:
+            blocks: dict[int, dict] = {}
+            for k, c in self._coeffs.items():
+                blocks.setdefault(eigenvalue(k), {})[k] = c
+            self._blocks = blocks
+        return self._blocks
 
     # -- algebra (real-linear: complex scalars would break conjugate pairing) --
 
@@ -194,19 +218,22 @@ class SpectralField:
             return self
         if not self._coeffs:
             return other
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            prev = out.get(k)
-            if prev is None:
-                out[k] = c  # stored arrays are nonzero and locked already
-            else:
-                s = prev + c
-                if s[0] != 0 or s[1] != 0 or s[2] != 0:
-                    s.setflags(write=False)
+        mine, theirs = self._coeffs, other._coeffs
+        # stored arrays are nonzero and locked already; shared keys are redone below
+        out = {**mine, **theirs}
+        shared = mine.keys() & theirs.keys()
+        if shared:
+            shared = list(shared)
+            sums = np.array([mine[k] for k in shared]) + np.array([theirs[k] for k in shared])
+            sums.setflags(write=False)
+            for k, s, keep in zip(shared, sums, sums.any(axis=1)):
+                if keep:
                     out[k] = s
                 else:
                     del out[k]
-        return SpectralField._adopt(dict(sorted(out.items())))
+        if len(shared) < len(theirs):  # new keys went in at the end
+            out = dict(sorted(out.items()))
+        return SpectralField._adopt(out)
 
     def __sub__(self, other):
         if not isinstance(other, SpectralField):
@@ -222,7 +249,7 @@ class SpectralField:
             return SpectralField.zero()
         keys = list(self._coeffs)
         arr = np.array(list(self._coeffs.values())) * s
-        nz = np.any(arr != 0, axis=1)  # underflow can zero a row
+        nz = arr.any(axis=1)  # underflow can zero a row
         if not nz.all():
             keys = [k for k, keep in zip(keys, nz) if keep]
             arr = arr[nz]
@@ -334,16 +361,24 @@ def bilinear(u: SpectralField, v: SpectralField, *, check: bool = True) -> Spect
     lv, cv = _signed_mode_arrays(v)
     n, m = len(mu), len(lv)
     ks = (mu[:, None, :] + lv[None, :, :]).reshape(n * m, 3)
-    dots = (cu @ lv.T.astype(np.complex128)).reshape(n * m)
-    contrib = (1j * dots)[:, None] * np.tile(cv, (n, 1))
     # zero mode dropped; negative half implied by conjugation
-    keep = (ks[:, 0] > 0) | (
-        (ks[:, 0] == 0) & ((ks[:, 1] > 0) | ((ks[:, 1] == 0) & (ks[:, 2] > 0)))
+    keep = np.flatnonzero(
+        (ks[:, 0] > 0)
+        | ((ks[:, 0] == 0) & ((ks[:, 1] > 0) | ((ks[:, 1] == 0) & (ks[:, 2] > 0))))
     )
-    ks, contrib = ks[keep], contrib[keep]
-    uniq, inv = np.unique(ks, axis=0, return_inverse=True)
-    order = np.argsort(inv, kind="stable")
-    starts = np.searchsorted(inv[order], np.arange(len(uniq)))
+    ks = ks[keep]
+    dots = (cu @ lv.T.astype(np.complex128)).reshape(n * m)[keep]
+    contrib = (1j * dots)[:, None] * cv[keep % m]
+    # one int64 key per row, ordered like the tuples; a stable sort keeps each
+    # target's contributions in input order
+    lo = ks.min()
+    span = ks.max() - lo + 1
+    shifted = ks - lo
+    key = (shifted[:, 0] * span + shifted[:, 1]) * span + shifted[:, 2]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_key[1:] != sorted_key[:-1])))
+    uniq = ks[order[starts]]
     acc = np.add.reduceat(contrib[order], starts, axis=0)
     kf = uniq.astype(float)
     lam = np.einsum("ij,ij->i", kf, kf)
@@ -353,7 +388,7 @@ def bilinear(u: SpectralField, v: SpectralField, *, check: bool = True) -> Spect
     if not nz.all():
         uniq, acc = uniq[nz], acc[nz]
     acc.setflags(write=False)
-    # np.unique ordered the rows lexicographically, matching tuple order
+    # rows are in key order, which is lexicographic tuple order
     return SpectralField._adopt(dict(zip(map(tuple, uniq.tolist()), acc)))
 
 
@@ -384,7 +419,8 @@ def eigenspace_project(u: SpectralField, n: int) -> SpectralField:
     if n != int(n) or n < 1:
         raise ValueError(f"eigenspace index must be a positive integer, got {n}")
     n = int(n)
-    return SpectralField({k: c for k, c in u.modes() if eigenvalue(k) == n})
+    # a block of a valid store is a valid store, so no re-validation
+    return SpectralField._adopt(u._eigen_blocks().get(n, {}))
 
 
 def truncate(u: SpectralField, max_eigenvalue: int) -> SpectralField:

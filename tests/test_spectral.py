@@ -74,6 +74,28 @@ def test_field_rejects_bad_shapes_and_nonfinite():
         SpectralField({(1, 0, 0): [math.nan, 0, 0]})
 
 
+def test_field_rejects_duplicates_and_copies_its_input():
+    c = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="duplicate"):
+        SpectralField([((1, 0, 0), c), ((1, 0, 0), c)])
+    with pytest.raises(ValueError, match="3-vector"):
+        SpectralField([((1, 0, 0), c), ((0, 1, 0), [1, 0])])
+    u = SpectralField([((0, 1, 0), c), ((1, 0, 0), c)])
+    c[1] = 5.0
+    assert u.support() == ((0, 1, 0), (1, 0, 0))
+    assert np.array_equal(u.coeff((1, 0, 0)), [0, 1, 0])
+
+
+def test_field_addition_matches_modewise_sum():
+    rng = np.random.default_rng(7)
+    u, v = (random_div_free_field(rng, 2, 10) for _ in range(2))
+    w = u + v
+    assert list(w.support()) == sorted(w.support())
+    for k in set(u.support()) | set(v.support()):
+        assert np.array_equal(w.coeff(k), u.coeff(k) + v.coeff(k))
+    assert (u + (-1.0) * u).is_zero and w == v + u
+
+
 def test_field_drops_exact_zeros():
     u = SpectralField({(1, 0, 0): [0, 0, 0], (0, 1, 0): [0, 0, 1]})
     assert u.support() == ((0, 1, 0),)
@@ -313,6 +335,14 @@ def test_eigenspace_project():
     assert total == u
     with pytest.raises(ValueError):
         eigenspace_project(u, 0)
+
+
+def test_eigenspace_project_matches_filter_on_random_field():
+    u = random_div_free_field(np.random.default_rng(3), 3, 12)
+    for n in range(1, u.max_eigenvalue() + 2):
+        expected = SpectralField({k: c for k, c in u.modes() if eigenvalue(k) == n})
+        assert eigenspace_project(u, n) == expected
+        assert eigenspace_project(u, n) == expected  # from the kept split
 
 
 def test_truncate():
