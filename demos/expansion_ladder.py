@@ -42,11 +42,11 @@ def main():
     result = build_expansion(force, args.levels)
 
     print(f"force: level-1 constant profile on |k|^2 = 2, amplitude {args.amplitude}")
-    for term in result.terms:
-        lams = sorted({eigenvalue(k) for c in term.poly.coeffs() for k in c.support()})
+    for n, q in result.terms:
+        lams = sorted({eigenvalue(k) for c in q.coeffs() for k in c.support()})
         print(
-            f"level {term.n}: degree {term.poly.degree}, eigenvalues {lams}, "
-            f"residual {result.residuals[term.n]:.2e}"
+            f"level {n}: degree {q.degree}, eigenvalues {lams}, "
+            f"residual {result.residuals[n]:.2e}"
         )
     if result.resonance_log:
         hits = ", ".join(f"level {n} at lam = {lam}" for n, lam in result.resonance_log)

@@ -10,7 +10,6 @@ one unit until simulation error takes over.
 import argparse
 
 from nsexpand import (
-    ExpansionTerm,
     FieldPolynomial,
     ForceExpansion,
     NormSpec,
@@ -21,11 +20,9 @@ from nsexpand import (
     fit_resonant_constant,
     integrate,
     leray_project,
-    level_source,
     norm,
     rate_claim_passes,
     remainder_series,
-    solve_level,
 )
 
 
@@ -53,14 +50,18 @@ def main():
     traj = integrate(SpectralField.zero(), force, config)
     print(f"integrated {len(traj)} samples to t = {args.t_end:g}")
 
-    # level 1 is non-resonant here; level 2 needs its free constant fitted
-    q1 = build_expansion(force, 1).terms[0]
-    fit2 = fit_resonant_constant(traj, [q1], force, 2)
-    print(f"level-2 free constant: |xi_2| = {norm(fit2.constant):.6f} "
-          f"(stddev {fit2.stddev:.1e}, drift {fit2.drift:.1e}, "
-          f"contaminated: {fit2.contaminated})")
-    q2_poly, _ = solve_level(level_source([q1], force, 2), 2, fit2.constant)
-    terms = [q1, ExpansionTerm(2, q2_poly)]
+    # level 1 is non-resonant here; level 2 needs its free constant fitted,
+    # on the trajectory compensated by the level built below it
+    def fitted(n, below):
+        if n != 2:
+            return None
+        fit = fit_resonant_constant(traj, below, force, n)
+        print(f"level-2 free constant: |xi_2| = {norm(fit.constant):.6f} "
+              f"(stddev {fit.stddev:.1e}, drift {fit.drift:.1e}, "
+              f"contaminated: {fit.contaminated})")
+        return fit.constant
+
+    terms = build_expansion(force, 2, resonant=fitted).terms
 
     spec = NormSpec(0.5, 0.0)
     for n_levels in (0, 1, 2):

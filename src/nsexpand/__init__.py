@@ -25,6 +25,7 @@ from .analysis import (
 from .expansion import (
     ExpansionResult,
     ForceExpansion,
+    LevelEquationError,
     build_expansion,
     check_resonant_data,
     expansion_residual,
@@ -34,7 +35,6 @@ from .expansion import (
 )
 from .fieldpoly import (
     DegreeCapError,
-    ExpansionTerm,
     FieldPolynomial,
     MissingResonantDataError,
     assemble,

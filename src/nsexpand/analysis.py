@@ -185,7 +185,7 @@ def fit_resonant_constant(
         )
     n = int(n)
     terms_below = tuple(terms_below)
-    if any(term.n >= n for term in terms_below):
+    if any(k >= n for k, _ in terms_below):
         raise ValueError("terms_below must only contain levels < n")
     if window is None:
         window = tail_window(traj.t_end, 0.8, 0.95)
@@ -289,6 +289,7 @@ class CertificateReport:
     pointwise_margins: np.ndarray
     integral_times: np.ndarray
     integral_margins: np.ndarray
+    integral_skipped: bool = False  # sample spacing does not divide 1
 
     @property
     def applicable(self) -> bool:
@@ -319,7 +320,8 @@ def certificate_check(
     Hypothesis failure yields verdict "inapplicable" (the certificate says
     nothing); margins are still computed for inspection. Conclusions are
     checked at every sample past t_star, the integral one on unit windows
-    anchored at samples (sample spacing must divide 1).
+    anchored at samples; when the sample spacing does not divide 1 the
+    integral check is skipped and the report says so.
     """
     c0, c1, t_star = cert.C0, cert.C1, cert.t_star
     failures = []
@@ -354,7 +356,8 @@ def certificate_check(
     spacing = traj.spacing
     steps = int(round(1.0 / spacing))
     it_t, it_m = [], []
-    if steps >= 1 and abs(steps * spacing - 1.0) <= 1e-6:
+    skipped = not (steps >= 1 and abs(steps * spacing - 1.0) <= 1e-6)
+    if not skipped:
         vals = np.array([norm(s, NormSpec(cert.alpha + 0.5, cert.sigma)) ** 2 for s in traj.states])
         coef = 3.0 * c0 * c0 / (2.0 * rate)
         for i in range(len(traj) - steps):
@@ -371,4 +374,5 @@ def certificate_check(
         np.array(pw_m),
         np.array(it_t),
         np.array(it_m),
+        skipped,
     )

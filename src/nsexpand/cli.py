@@ -13,19 +13,15 @@ reuse files already present in the tree (an existing trajectory or expansion
 is loaded, not recomputed), so the subcommands compose into a pipeline.
 
 Exit codes: 0 all checks passed, 1 input or runtime error, 2 at least one
-check failed, 3 nothing failed but at least one check was inconclusive.
-
-NSE_EXPAND_THREADS caps the worker threads used for independent per-level,
-per-norm measurements (default 1; results are merged in fixed order, so the
-output bytes do not depend on the thread count).
+check failed (including built levels that violate their own equations), 3
+nothing failed but at least one check was inconclusive.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analysis, serialize
@@ -37,19 +33,13 @@ from .analysis import (
     rate_claim_passes,
     remainder_series,
 )
-from .expansion import (
-    build_expansion,
-    expansion_residual,
-    level_source,
-    solve_level,
-)
-from .fieldpoly import ExpansionTerm
+from .expansion import ExpansionResult, LevelEquationError, build_expansion
 from .galerkin import BlowupError, integrate
 from .scenario import Scenario, ScenarioError, load_scenario
 from .serialize import (
-    expansion_term_from_doc,
-    expansion_term_to_doc,
     format_float,
+    level_from_doc,
+    level_to_doc,
     read_trajectory,
     write_fit_tsv,
     write_json,
@@ -66,19 +56,6 @@ EXIT_INCONCLUSIVE = 3
 SNAP_FACTOR = 1e-8
 
 
-def worker_count() -> int:
-    raw = os.environ.get("NSE_EXPAND_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ScenarioError("NSE_EXPAND_THREADS", f"expected an integer, got {raw!r}") from None
-    if n < 1:
-        raise ScenarioError("NSE_EXPAND_THREADS", f"must be >= 1, got {n}")
-    return n
-
-
 def run_dir_for(scenario: Scenario, out: str | None) -> Path:
     base = Path(out) if out else Path(scenario.output_dir or "out")
     d = base / scenario.name
@@ -89,6 +66,12 @@ def run_dir_for(scenario: Scenario, out: str | None) -> Path:
 
 def _norm_tag(spec) -> str:
     return f"alpha{spec.alpha:g}_sigma{spec.sigma:g}"
+
+
+def _exit_code(verdicts, failed: str, undecided: str) -> int:
+    if failed in verdicts:
+        return EXIT_FAILED
+    return EXIT_INCONCLUSIVE if undecided in verdicts else EXIT_OK
 
 
 # -- trajectory / expansion reuse ----------------------------------------------
@@ -105,86 +88,24 @@ def ensure_trajectory(scenario: Scenario, run_dir: Path):
 
 
 def load_expansion_terms(run_dir: Path):
+    """(n, q_n) pairs from the tree's level documents, or None when there are none."""
     docs = sorted((run_dir / "expansion").glob("level_*.json"))
     if not docs:
         return None
-    return [
-        expansion_term_from_doc(serialize.load_json(p), str(p)) for p in docs
-    ]
+    return [level_from_doc(serialize.load_json(p), str(p)) for p in docs]
 
 
-def write_expansion_terms(run_dir: Path, terms, hits: set[int]):
-    for term in terms:
-        write_json(
-            run_dir / "expansion" / f"level_{term.n:02d}.json",
-            expansion_term_to_doc(term, term.n in hits),
-        )
+def write_expansion(scenario: Scenario, run_dir: Path, resonant) -> ExpansionResult:
+    """Build levels 1..N_max with the given free constants and write them with residuals.json.
 
-
-def build_terms_with_fitting(scenario: Scenario, traj, run_dir: Path):
-    """Construct levels 1..N_max, estimating any unsupplied free constant from the trajectory."""
-    req = scenario.expansion
-    spectrum = set(eigenvalues_up_to(req.n_max))
-    traj_scale = max((norm(s) for s in traj.states), default=0.0)
-    terms: list[ExpansionTerm] = []
-    hits: set[int] = set()
-    fit_log: dict[int, dict] = {}
-    for n in range(1, req.n_max + 1):
-        p = level_source(terms, scenario.force, n)
-        xi = req.resonant.get(n)
-        if xi is None and n in spectrum:
-            fit = fit_resonant_constant(
-                traj, terms, scenario.force, n, window=req.resonant_fit_window
-            )
-            xi = fit.constant
-            snapped = norm(xi) <= SNAP_FACTOR * traj_scale
-            if snapped:
-                xi = SpectralField.zero()
-            fit_log[n] = {
-                "stddev": fit.stddev,
-                "drift": fit.drift,
-                "contaminated": fit.contaminated,
-                "window": list(fit.window),
-                "n_samples": fit.n_samples,
-                "snapped_to_zero": snapped,
-            }
-        q, hit = solve_level(p, n, xi)
-        if hit:
-            hits.add(n)
-        terms.append(ExpansionTerm(n, q))
-    residuals = {n: expansion_residual(terms, scenario.force, n) for n in range(1, req.n_max + 1)}
-    write_expansion_terms(run_dir, terms, hits)
-    write_json(
-        run_dir / "expansion" / "residuals.json",
-        {
-            "levels": req.n_max,
-            "residuals": {str(n): residuals[n] for n in sorted(residuals)},
-            "resonance_log": [[n, n] for n in sorted(hits)],
-            "max_residual": max(residuals.values(), default=0.0),
-        },
-    )
-    if fit_log:
-        write_json(
-            run_dir / "expansion" / "resonant_fits.json",
-            {str(n): fit_log[n] for n in sorted(fit_log)},
-        )
-    return terms
-
-
-# -- subcommands -----------------------------------------------------------------
-
-
-def run_expand(scenario: Scenario, out: str | None) -> int:
-    run_dir = run_dir_for(scenario, out)
-    try:
-        result = build_expansion(
-            scenario.force, scenario.expansion.n_max, scenario.expansion.resonant
-        )
-    except RuntimeError as exc:
-        print(f"expand: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    `resonant` is anything `build_expansion` accepts: the scenario's mapping
+    (expand) or the provider from `fitted_constants` (verify).
+    """
+    result = build_expansion(scenario.force, scenario.expansion.n_max, resonant)
     hits = {n for n, _ in result.resonance_log}
-    write_expansion_terms(run_dir, result.terms, hits)
+    for n, poly in result.terms:
+        doc = level_to_doc(n, poly, n in hits)
+        write_json(run_dir / "expansion" / f"level_{n:02d}.json", doc)
     write_json(
         run_dir / "expansion" / "residuals.json",
         {
@@ -194,11 +115,50 @@ def run_expand(scenario: Scenario, out: str | None) -> int:
             "max_residual": result.max_residual(),
         },
     )
-    for term in result.terms:
-        marker = " (resonant)" if term.n in hits else ""
+    return result
+
+
+def fitted_constants(scenario: Scenario, traj, fit_log: dict):
+    """Free-constant provider for verify: the scenario's constant, else one fitted on `traj`.
+
+    Fits run on Stokes-eigenvalue levels only; a fitted constant no larger than
+    SNAP_FACTOR x the trajectory's peak norm is snapped to zero. Each fit is
+    recorded in `fit_log` under its level, in the resonant_fits.json format.
+    """
+    req = scenario.expansion
+    spectrum = set(eigenvalues_up_to(req.n_max))
+    traj_scale = max((norm(s) for s in traj.states), default=0.0)
+
+    def constant(n, below):
+        if n in req.resonant or n not in spectrum:
+            return req.resonant.get(n)
+        fit = fit_resonant_constant(traj, below, scenario.force, n, window=req.resonant_fit_window)
+        snapped = norm(fit.constant) <= SNAP_FACTOR * traj_scale
+        fit_log[n] = {
+            "stddev": fit.stddev,
+            "drift": fit.drift,
+            "contaminated": fit.contaminated,
+            "window": list(fit.window),
+            "n_samples": fit.n_samples,
+            "snapped_to_zero": snapped,
+        }
+        return SpectralField.zero() if snapped else fit.constant
+
+    return constant
+
+
+# -- subcommands -----------------------------------------------------------------
+
+
+def run_expand(scenario: Scenario, out: str | None) -> int:
+    run_dir = run_dir_for(scenario, out)
+    result = write_expansion(scenario, run_dir, scenario.expansion.resonant)
+    hits = {n for n, _ in result.resonance_log}
+    for n, poly in result.terms:
+        marker = " (resonant)" if n in hits else ""
         print(
-            f"level {term.n}: degree {term.poly.degree}, "
-            f"residual {format_float(result.residuals[term.n])}{marker}"
+            f"level {n}: degree {poly.degree}, "
+            f"residual {format_float(result.residuals[n])}{marker}"
         )
     print(f"expansion written to {run_dir / 'expansion'}")
     return EXIT_OK
@@ -221,7 +181,7 @@ def run_simulate(scenario: Scenario, out: str | None) -> int:
 
 
 def _verify_row(traj, terms, N, spec, eps, window):
-    terms_N = tuple(t for t in terms if t.n <= N)
+    terms_N = tuple((n, q) for n, q in terms if n <= N)
     series = remainder_series(traj, terms_N, spec, label=f"remainder_N{N}_{_norm_tag(spec)}")
     target = N + eps
     row = {
@@ -265,42 +225,38 @@ def _verify_row(traj, terms, N, spec, eps, window):
 def run_verify(scenario: Scenario, out: str | None) -> int:
     run_dir = run_dir_for(scenario, out)
     traj, fresh = ensure_trajectory(scenario, run_dir)
+    req = scenario.expansion
+    fits_path = run_dir / "expansion" / "resonant_fits.json"
     terms = load_expansion_terms(run_dir)
     if terms is None:
-        terms = build_terms_with_fitting(scenario, traj, run_dir)
+        fits_path.unlink(missing_ok=True)  # a fit log belongs to the levels beside it
+        fits: dict = {}
+        terms = write_expansion(scenario, run_dir, fitted_constants(scenario, traj, fits)).terms
+        if fits:
+            write_json(fits_path, {str(n): fits[n] for n in sorted(fits)})
     else:
-        terms = [t for t in terms if t.n <= scenario.expansion.n_max]
-        print(f"loaded expansion levels {[t.n for t in terms]} from {run_dir / 'expansion'}")
-    req = scenario.expansion
-    rungs = sorted(t.n for t in terms)
-    jobs = [(N, spec) for N in rungs for spec in req.norm_specs]
-    window = req.fit_window
-
-    def job(arg):
-        N, spec = arg
-        return _verify_row(traj, terms, N, spec, req.target_epsilon, window)
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, jobs))
-    else:
-        results = [job(j) for j in jobs]
+        terms = [(n, q) for n, q in terms if n <= req.n_max]
+        print(f"loaded expansion levels {[n for n, _ in terms]} from {run_dir / 'expansion'}")
+        fits = serialize.load_json(fits_path) if fits_path.exists() else {}
+    # a contaminated fit at level n (drift > 0.1; JSON stores an infinite one
+    # as null) leaves every row with N >= n undecided
+    tainted = [(int(n), f["drift"] or math.inf) for n, f in fits.items() if f["contaminated"]]
 
     rows = []
-    for (N, spec), (row, series, fit) in zip(jobs, results):
-        stem = f"remainder_N{N}_{_norm_tag(spec)}"
-        write_norm_csv(run_dir / "norms" / f"{stem}.csv", series)
-        write_fit_tsv(run_dir / "norms" / f"{stem}.tsv", series, fit, row["verdict"])
-        rows.append(row)
+    for N in sorted(n for n, _ in terms):
+        for spec in req.norm_specs:
+            row, series, fit = _verify_row(
+                traj, terms, N, spec, req.target_epsilon, req.fit_window
+            )
+            bad = ", ".join(f"level {n} (drift {d:.3g})" for n, d in tainted if n <= N)
+            if bad:
+                row.update(verdict="inconclusive", annotation=f"contaminated resonant fit: {bad}")
+            stem = f"remainder_N{N}_{_norm_tag(spec)}"
+            write_norm_csv(run_dir / "norms" / f"{stem}.csv", series)
+            write_fit_tsv(run_dir / "norms" / f"{stem}.tsv", series, fit, row["verdict"])
+            rows.append(row)
 
-    verdicts = [r["verdict"] for r in rows]
-    if "fail" in verdicts:
-        code = EXIT_FAILED
-    elif "inconclusive" in verdicts:
-        code = EXIT_INCONCLUSIVE
-    else:
-        code = EXIT_OK
+    code = _exit_code([r["verdict"] for r in rows], "fail", "inconclusive")
     report = {
         "scenario": scenario.name,
         "target_epsilon": req.target_epsilon,
@@ -335,15 +291,12 @@ def run_certify(scenario: Scenario, out: str | None) -> int:
         print("no certificates configured")
         return EXIT_OK
 
-    def job(cert):
-        return analysis.certificate_check(traj, cert, scenario.force)
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(job, scenario.certificates))
-    else:
-        reports = [job(c) for c in scenario.certificates]
+    reports = [analysis.certificate_check(traj, c, scenario.force) for c in scenario.certificates]
+    if any(rep.integral_skipped for rep in reports):
+        print(
+            f"certify: integral check skipped: sample spacing {traj.spacing:g} does not divide 1",
+            file=sys.stderr,
+        )
 
     rows = []
     for cert, rep in zip(scenario.certificates, reports):
@@ -370,13 +323,7 @@ def run_certify(scenario: Scenario, out: str | None) -> int:
                 },
             }
         )
-    verdicts = [r["verdict"] for r in rows]
-    if "violated" in verdicts:
-        code = EXIT_FAILED
-    elif "inapplicable" in verdicts:
-        code = EXIT_INCONCLUSIVE
-    else:
-        code = EXIT_OK
+    code = _exit_code([r["verdict"] for r in rows], "violated", "inapplicable")
     write_json(
         run_dir / "reports" / "certify.json",
         {"scenario": scenario.name, "rows": rows, "exit_code": code},
@@ -441,6 +388,9 @@ def main(argv=None) -> int:
     except BlowupError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except LevelEquationError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .fieldpoly import (
-    ExpansionTerm,
     FieldPolynomial,
     MissingResonantDataError,
     poly_bilinear,
@@ -34,6 +33,7 @@ from .spectral import SpectralField, eigenspace_project, eigenvalue
 __all__ = [
     "ForceExpansion",
     "ExpansionResult",
+    "LevelEquationError",
     "check_resonant_data",
     "level_source",
     "solve_level",
@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
+
+
+class LevelEquationError(RuntimeError):
+    """Built levels fail their own equations by more than RESIDUAL_TOL."""
 
 
 @dataclass(frozen=True)
@@ -77,10 +81,7 @@ class ForceExpansion:
         return cls(tuple(pairs), remainder)
 
     def level(self, n: int) -> FieldPolynomial:
-        for m, poly in self.terms:
-            if m == n:
-                return poly
-        return FieldPolynomial.zero()
+        return dict(self.terms).get(n, FieldPolynomial.zero())
 
     def max_level(self) -> int:
         return max((n for n, _ in self.terms), default=0)
@@ -97,20 +98,18 @@ class ForceExpansion:
 class ExpansionResult:
     """Computed levels plus the exactness bookkeeping.
 
-    residuals[n] is the max relative coefficient defect of the level-n
-    equation; resonance_log lists (level, eigenvalue) for every solve that
-    went through the free-constant branch.
+    `terms` holds (n, q_n) pairs in increasing n, the same decay-levels form
+    as `ForceExpansion.terms`. residuals[n] is the max relative coefficient
+    defect of the level-n equation; resonance_log lists (level, eigenvalue)
+    for every solve that went through the free-constant branch.
     """
 
-    terms: tuple[ExpansionTerm, ...]
+    terms: tuple[tuple[int, FieldPolynomial], ...]
     residuals: dict[int, float] = field(default_factory=dict)
     resonance_log: tuple[tuple[int, int], ...] = ()
 
     def polynomial(self, n: int) -> FieldPolynomial:
-        for term in self.terms:
-            if term.n == n:
-                return term.poly
-        return FieldPolynomial.zero()
+        return dict(self.terms).get(n, FieldPolynomial.zero())
 
     def max_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
@@ -119,9 +118,7 @@ class ExpansionResult:
 def check_resonant_data(resonant) -> dict[int, SpectralField]:
     """Validate a mapping n -> free constant: each field must live on |k|^2 = n exactly."""
     out: dict[int, SpectralField] = {}
-    if not resonant:
-        return out
-    for n, f in resonant.items():
+    for n, f in (resonant or {}).items():
         n = int(n)
         if n < 1:
             raise ValueError(f"resonant level must be a positive integer, got {n}")
@@ -139,8 +136,8 @@ def check_resonant_data(resonant) -> dict[int, SpectralField]:
 
 
 def level_source(prior_terms, force: ForceExpansion, n: int) -> FieldPolynomial:
-    """Driving polynomial p_n = f_n - sum_{k+m=n} B~(q_k, q_m) from already-built levels."""
-    qmap = {term.n: term.poly for term in prior_terms}
+    """Driving polynomial p_n = f_n - sum_{k+m=n} B~(q_k, q_m) from built (k, q_k) levels."""
+    qmap = dict(prior_terms)
     p = force.level(n)
     for k in range(1, n):
         m = n - k
@@ -190,28 +187,41 @@ def build_expansion(
 
     Levels are built in order; each one only needs the earlier ones through
     the quadratic interaction. Free constants for resonant levels come from
-    `resonant` (mapping n -> field on the |k|^2 = n eigenspace), defaulting
-    to zero. The result's level equations are re-checked independently and
-    must hold to RESIDUAL_TOL relative.
+    `resonant`: either a mapping n -> field on the |k|^2 = n eigenspace, or a
+    callable (n, levels_below) -> field or None, asked once per level with the
+    (k, q_k) pairs built so far. A missing constant is zero. Every constant
+    passes `check_resonant_data`, and the result's level equations are
+    re-checked independently and must hold to RESIDUAL_TOL relative
+    (LevelEquationError otherwise).
     """
     levels = int(levels)
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    res = check_resonant_data(resonant)
-    terms: list[ExpansionTerm] = []
+    if callable(resonant):
+        constant = resonant
+    else:
+        supplied = check_resonant_data(resonant)
+
+        def constant(n, below):
+            return supplied.get(n)
+
+    terms: list[tuple[int, FieldPolynomial]] = []
     log: list[tuple[int, int]] = []
     for n in range(1, levels + 1):
         p = level_source(terms, force, n)
-        q, hit = solve_level(p, n, res.get(n))
+        xi = constant(n, tuple(terms))
+        if xi is not None:
+            xi = check_resonant_data({n: xi})[n]
+        q, hit = solve_level(p, n, xi)
         if hit:
             log.append((n, n))
-        terms.append(ExpansionTerm(n, q))
+        terms.append((n, q))
     residuals = {
         n: expansion_residual(terms, force, n) for n in range(1, levels + 1)
     }
     worst = max(residuals.values(), default=0.0)
     if worst > RESIDUAL_TOL:
-        raise RuntimeError(
+        raise LevelEquationError(
             f"level equations violated: max relative residual {worst:.3e} "
             f"(construction should be exact; this indicates a bug)"
         )
@@ -229,9 +239,9 @@ def expansion_residual(terms, force: ForceExpansion, n: int) -> float:
     Forms q_n' + (A - n) q_n + sum_{k+m=n} B~(q_k, q_m) - f_n and compares
     its largest coefficient against the largest coefficient of the operands,
     so an exactly-solved level reports rounding-level numbers regardless of
-    the force's scale.
+    the force's scale. `terms` holds (k, q_k) pairs.
     """
-    qmap = {term.n: term.poly for term in terms}
+    qmap = dict(terms)
     qn = qmap.get(n, FieldPolynomial.zero())
     fn = force.level(n)
     interaction = FieldPolynomial.zero()

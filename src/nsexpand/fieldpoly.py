@@ -9,7 +9,6 @@ construction is exact linear algebra rather than numerics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .spectral import SpectralField, bilinear
 
@@ -18,7 +17,6 @@ __all__ = [
     "DegreeCapError",
     "MissingResonantDataError",
     "FieldPolynomial",
-    "ExpansionTerm",
     "poly_bilinear",
     "resolvent_solve",
     "assemble",
@@ -193,24 +191,9 @@ def resolvent_solve(
     return FieldPolynomial(out)
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
-    """One decay level: poly(t) e^{-n t}."""
-
-    n: int
-    poly: FieldPolynomial
-
-    def __post_init__(self):
-        if self.n != int(self.n) or self.n < 1:
-            raise ValueError(f"level index must be a positive integer, got {self.n}")
-
-    def evaluate(self, t: float):
-        return self.poly(t) * math.exp(-self.n * t)
-
-
 def assemble(terms, t: float) -> SpectralField:
-    """Evaluate sum_n q_n(t) e^{-n t} at one time."""
+    """Evaluate sum_n q_n(t) e^{-n t} at one time; `terms` holds (n, q_n) pairs."""
     acc = SpectralField.zero()
-    for term in terms:
-        acc = acc + term.poly(t) * math.exp(-term.n * t)
+    for n, poly in terms:
+        acc = acc + poly(t) * math.exp(-n * t)
     return acc

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansion import ForceExpansion
+from .fieldpoly import assemble
 from .spectral import NormSpec, SpectralField, eigenvalue, inner, is_representative, norm
 
 __all__ = [
@@ -260,9 +261,7 @@ def mode_table(cutoff: int) -> ModeTable:
 
 def evaluate_force(force: ForceExpansion, t: float) -> SpectralField:
     """Total force at time t: sum_n f_n(t) e^{-n t}, plus the unexpanded tail if any."""
-    acc = SpectralField.zero()
-    for n, poly in force.terms:
-        acc = acc + poly(t) * math.exp(-n * t)
+    acc = assemble(force.terms, t)
     if force.remainder is not None:
         acc = acc + force.remainder(t)
     return acc

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .fieldpoly import ExpansionTerm, FieldPolynomial
+from .fieldpoly import FieldPolynomial
 from .galerkin import SolverConfig, Trajectory
 from .spectral import SpectralField
 
@@ -34,6 +34,8 @@ __all__ = [
     "read_trajectory",
     "write_norm_csv",
     "write_fit_tsv",
+    "level_to_doc",
+    "level_from_doc",
 ]
 
 
@@ -275,15 +277,16 @@ def write_fit_tsv(path, series, fit=None, verdict: str = ""):
             fh.write(f"{format_float(t)}\t{format_float(v)}\n")
 
 
-def expansion_term_to_doc(term: ExpansionTerm, resonant_hit: bool) -> dict:
-    return {
-        "level": term.n,
-        "resonant_hit": bool(resonant_hit),
-        "poly": poly_to_literal(term.poly),
-    }
+def level_to_doc(n: int, poly: FieldPolynomial, resonant_hit: bool) -> dict:
+    """Document for one expansion level q_n(t) e^{-n t}."""
+    return {"level": n, "resonant_hit": bool(resonant_hit), "poly": poly_to_literal(poly)}
 
 
-def expansion_term_from_doc(doc, path: str = "level-doc") -> ExpansionTerm:
+def level_from_doc(doc, path: str = "level-doc") -> tuple[int, FieldPolynomial]:
+    """(n, q_n) from a level document; `path` names the document in errors."""
     if not isinstance(doc, dict) or "level" not in doc or "poly" not in doc:
         raise ScenarioError(path, 'expected an object with keys "level" and "poly"')
-    return ExpansionTerm(int(doc["level"]), poly_from_literal(doc["poly"], f"{path}.poly"))
+    n = doc["level"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ScenarioError(f"{path}.level", f"expected a positive integer, got {n!r}")
+    return n, poly_from_literal(doc["poly"], f"{path}.poly")

@@ -20,7 +20,7 @@ from nsexpand import (
     leray_project,
     norm,
 )
-from nsexpand.cli import build_terms_with_fitting
+from nsexpand.cli import fitted_constants, write_expansion
 from nsexpand.scenario import scenario_from_doc
 from nsexpand.serialize import field_to_literal, poly_to_literal
 
@@ -196,7 +196,7 @@ def ladder_run(tmp_path_factory):
     integrate_seconds = time.perf_counter() - t0
     run_dir = tmp_path_factory.mktemp("ladder")
     (run_dir / "expansion").mkdir()
-    terms = build_terms_with_fitting(scenario, traj, run_dir)
+    terms = write_expansion(scenario, run_dir, fitted_constants(scenario, traj, {})).terms
     return {
         "scenario": scenario,
         "traj": traj,

@@ -43,7 +43,7 @@ from nsexpand import (
     remainder_series,
     resolvent_solve,
 )
-from nsexpand.cli import build_terms_with_fitting
+from nsexpand.cli import fitted_constants, write_expansion
 from nsexpand.scenario import scenario_from_doc
 
 
@@ -60,7 +60,7 @@ def ladder_m24_run(tmp_path_factory):
     traj = integrate(scenario.initial, scenario.force, scenario.solver)
     run_dir = tmp_path_factory.mktemp("ladder24")
     (run_dir / "expansion").mkdir()
-    terms = build_terms_with_fitting(scenario, traj, run_dir)
+    terms = write_expansion(scenario, run_dir, fitted_constants(scenario, traj, {})).terms
     return {"traj": traj, "terms": terms}
 
 
@@ -68,7 +68,7 @@ def remainder_slopes(run, spec):
     traj, terms = run["traj"], run["terms"]
     out = {}
     for N in (1, 2):
-        series = remainder_series(traj, [t for t in terms if t.n <= N], spec)
+        series = remainder_series(traj, [(n, q) for n, q in terms if n <= N], spec)
         out[N] = fit_rate(series)
     return out
 

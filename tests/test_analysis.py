@@ -8,7 +8,6 @@ import pytest
 from conftest import assert_fields_close, ladder_force
 from nsexpand import (
     DecayCertificate,
-    ExpansionTerm,
     FieldPolynomial,
     ForceExpansion,
     NormSeries,
@@ -76,7 +75,7 @@ def test_remainder_series_empty_terms_is_plain_norm():
 
 def test_remainder_series_exact_term_hits_floor():
     u0, traj = heat_trajectory()
-    term = ExpansionTerm(1, FieldPolynomial.constant(u0))
+    term = (1, FieldPolynomial.constant(u0))
     series = remainder_series(traj, (term,), NormSpec(0.0, 0.0))
     assert series.peak() <= 1e-12 * norm(u0)
 
@@ -161,7 +160,7 @@ def manufactured_two_levels():
     q1 = SpectralField({(1, 0, 0): [0, 0.25, 0.25j], (0, 1, 0): [0.5, 0, -0.125]})
     f2 = 2.0 * bilinear(q1, q1)
     force = ForceExpansion(((2, FieldPolynomial.constant(f2)),))
-    term1 = ExpansionTerm(1, FieldPolynomial.constant(q1))
+    term1 = (1, FieldPolynomial.constant(q1))
     xi2 = leray_project(
         SpectralField({(1, 1, 0): [0.03, -0.03, 0.01], (1, -1, 0): [0.02, 0.02, 0.005j]})
     )
@@ -173,9 +172,10 @@ def manufactured_two_levels():
 
 def test_fit_resonant_constant_exact_recovery():
     force, term1, q2, xi2 = manufactured_two_levels()
+    q1 = term1[1]
 
     def state(t):
-        return math.exp(-t) * term1.poly(t) + math.exp(-2 * t) * q2(t)
+        return math.exp(-t) * q1(t) + math.exp(-2 * t) * q2(t)
 
     traj = fabricated_trajectory(state)
     fit = fit_resonant_constant(traj, [term1], force, 2)
@@ -188,10 +188,11 @@ def test_fit_resonant_constant_exact_recovery():
 
 def test_fit_resonant_constant_flags_contamination():
     force, term1, q2, xi2 = manufactured_two_levels()
+    q1 = term1[1]
     eta = xi2  # contaminant the same size as the constant itself
 
     def state(t):
-        clean = math.exp(-t) * term1.poly(t) + math.exp(-2 * t) * q2(t)
+        clean = math.exp(-t) * q1(t) + math.exp(-2 * t) * q2(t)
         return clean + math.exp(-3 * t) * eta
 
     traj = fabricated_trajectory(state)
@@ -203,7 +204,7 @@ def test_fit_resonant_constant_flags_contamination():
 def test_fit_resonant_constant_zero_excitation():
     # Single-mode level 1 self-advects to zero and nothing else drives level 2.
     q1 = SpectralField({(1, 0, 0): [0, 0.5, 0]})
-    term1 = ExpansionTerm(1, FieldPolynomial.constant(q1))
+    term1 = (1, FieldPolynomial.constant(q1))
     force = ForceExpansion(())
 
     def state(t):
@@ -225,16 +226,17 @@ def test_fit_resonant_constant_rejects_gap_level():
 
 def test_fit_resonant_constant_rejects_high_terms():
     _, traj = heat_trajectory()
-    term2 = ExpansionTerm(2, FieldPolynomial.zero())
+    term2 = (2, FieldPolynomial.zero())
     with pytest.raises(ValueError, match="levels < n"):
         fit_resonant_constant(traj, [term2], ForceExpansion(()), 2)
 
 
 def test_fit_resonant_constant_needs_samples():
     force, term1, q2, _ = manufactured_two_levels()
+    q1 = term1[1]
 
     def state(t):
-        return math.exp(-t) * term1.poly(t) + math.exp(-2 * t) * q2(t)
+        return math.exp(-t) * q1(t) + math.exp(-2 * t) * q2(t)
 
     traj = fabricated_trajectory(state)
     with pytest.raises(FitError, match="fewer than 2"):
@@ -287,6 +289,7 @@ def test_certificate_verified_on_small_heat_flow():
     assert report.min_margin() > 0
     assert report.pointwise_times[0] == 0.0  # t_star = 0, all samples gated
     assert len(report.integral_times) > 0    # spacing 0.2 divides 1
+    assert not report.integral_skipped
     # sanity: the flow actually beats the certified rate
     vals = norm_series(traj, NormSpec(0.5, 0.0)).values
     assert np.all(vals <= vals[0] * np.exp(-traj.times) * (1 + 1e-9))
@@ -334,6 +337,7 @@ def test_certificate_skips_integral_when_spacing_does_not_divide():
     traj = integrate(u0, ForceExpansion(()), cfg)
     report = certificate_check(traj, cert, ForceExpansion(()))
     assert len(report.integral_times) == 0
+    assert report.integral_skipped  # the report says the check did not run
     assert report.verdict == "verified"  # pointwise margins still checked
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import ladder_scenario_doc
-from nsexpand import SpectralField, bilinear, eigenvalues_up_to
+from nsexpand import SpectralField, bilinear, eigenvalues_up_to, expansion
 from nsexpand.cli import EXIT_ERROR, EXIT_FAILED, EXIT_INCONCLUSIVE, EXIT_OK, main
 from nsexpand.fieldpoly import FieldPolynomial
 from nsexpand.serialize import field_to_literal, poly_to_literal
@@ -205,6 +205,68 @@ def test_verify_error_when_fit_window_cannot_estimate_constant(tmp_path, capsys)
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["expand", "verify"])
+def test_level_equation_gate_exits_failed(tmp_path, capsys, monkeypatch, command):
+    # This ladder's levels solve their equations with residual exactly 0, so
+    # only a negative tolerance trips the gate, on the supplied and the fitted path alike.
+    monkeypatch.setattr(expansion, "RESIDUAL_TOL", -1.0)
+    sp = write_doc(tmp_path, mini_ladder_doc(name="gate"))
+    assert main([command, "--scenario", sp, "--out", str(tmp_path / "o")]) == EXIT_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: level equations violated")
+    assert "Traceback" not in err
+    assert not list((tmp_path / "o" / "gate" / "expansion").iterdir())  # nothing to reuse
+
+
+def test_verify_contaminated_fit_makes_rows_inconclusive(tmp_path, capsys):
+    # A level-3 force on |k|^2 = 2 adds an e^{-3t} term to the eigenspace of the
+    # level-2 constant; fitted early, where e^{-t} is not yet small, that
+    # constant drifts by far more than 10%.
+    doc = mini_ladder_doc(name="early")
+    f3 = SpectralField({(1, 1, 0): [0.05, -0.05, 0]})
+    doc["force"]["terms"].append({"n": 3, "poly": poly_to_literal(FieldPolynomial.constant(f3))})
+    doc["expansion"]["resonant_fit_window"] = [0.2, 1.2]
+    sp = write_doc(tmp_path, doc)
+    out = tmp_path / "o"
+    for reused in (False, True):  # the reused tree keeps the verdicts via resonant_fits.json
+        assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_INCONCLUSIVE
+        assert ("loaded expansion levels" in capsys.readouterr().out) is reused
+        fits = json.loads((out / "early" / "expansion" / "resonant_fits.json").read_text())
+        assert fits["2"]["contaminated"] is True
+        rows = json.loads((out / "early" / "reports" / "verify.json").read_text())["rows"]
+        assert rows[0]["level"] == 1 and rows[0]["verdict"] == "pass"
+        assert rows[1]["level"] == 2 and rows[1]["verdict"] == "inconclusive"
+        assert rows[1]["annotation"] == (
+            f"contaminated resonant fit: level 2 (drift {fits['2']['drift']:.3g})"
+        )
+    # levels rebuilt from supplied constants fit nothing: the old fit log goes with the old levels
+    for lvl in (out / "early" / "expansion").glob("level_*.json"):
+        lvl.unlink()
+    doc["expansion"]["resonant"] = {"1": [], "2": []}
+    sp = write_doc(tmp_path, doc)
+    for _ in range(2):
+        main(["verify", "--scenario", sp, "--out", str(out)])
+        assert not (out / "early" / "expansion" / "resonant_fits.json").exists()
+        rows = json.loads((out / "early" / "reports" / "verify.json").read_text())["rows"]
+        assert not any("contaminated" in r["annotation"] for r in rows)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("level", [0, "x"])
+def test_verify_rejects_bad_level_document(tmp_path, capsys, level):
+    sp = write_doc(tmp_path, mini_ladder_doc())
+    out = tmp_path / "out"
+    assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    lvl = out / "mini" / "expansion" / "level_01.json"
+    doc = json.loads(lvl.read_text())
+    doc["level"] = level
+    lvl.write_text(json.dumps(doc))
+    assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {lvl}.level: expected a positive integer")
+
+
 def test_verify_floor_annotation_on_null_flow(tmp_path, capsys):
     doc = mini_ladder_doc(name="null-flow", mode_cutoff=4, n_max=1, norm_specs=((0.0, 0.0),))
     doc["force"]["terms"] = []
@@ -224,31 +286,17 @@ def tree_bytes(run_dir: Path) -> dict:
     }
 
 
-def test_verify_outputs_are_byte_deterministic(tmp_path, capsys, monkeypatch):
+def test_verify_outputs_are_byte_deterministic(tmp_path, capsys):
     sp = write_doc(tmp_path, mini_ladder_doc())
     trees = []
     for sub in ("a", "b"):
         out = tmp_path / sub
         assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_OK
         trees.append(tree_bytes(out / "mini"))
-    monkeypatch.setenv("NSE_EXPAND_THREADS", "4")
-    out = tmp_path / "c"
-    assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_OK
-    trees.append(tree_bytes(out / "mini"))
     capsys.readouterr()
-    assert trees[0].keys() == trees[1].keys() == trees[2].keys()
+    assert trees[0].keys() == trees[1].keys()
     for key in trees[0]:
         assert trees[0][key] == trees[1][key], f"{key} differs between runs"
-        assert trees[0][key] == trees[2][key], f"{key} differs under threading"
-
-
-def test_thread_env_validation(tmp_path, capsys, monkeypatch):
-    sp = write_doc(tmp_path, mini_ladder_doc(name="threads", t_end=1.0))
-    for bad in ("abc", "0"):
-        monkeypatch.setenv("NSE_EXPAND_THREADS", bad)
-        code = main(["verify", "--scenario", sp, "--out", str(tmp_path / "o")])
-        assert code == EXIT_ERROR
-        assert "NSE_EXPAND_THREADS" in capsys.readouterr().err
 
 
 # -- certify ------------------------------------------------------------------------
@@ -259,13 +307,27 @@ def test_certify_verified(tmp_path, capsys):
     sp = write_doc(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["certify", "--scenario", sp, "--out", str(out)]) == EXIT_OK
-    assert "verified" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "verified" in captured.out
+    assert "skipped" not in captured.err
     rep = json.loads((out / "cert" / "reports" / "certify.json").read_text())
     row = rep["rows"][0]
     assert row["verdict"] == "verified"
     assert row["min_margin"] > 0
     assert row["t_star"] == 0.0
     assert len(row["integral"]["times"]) > 0
+
+
+def test_certify_reports_skipped_integral_check(tmp_path, capsys):
+    doc = mini_ladder_doc(name="coarse", t_end=3.0, sample_stride=30, certificates=True)
+    sp = write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["certify", "--scenario", sp, "--out", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "integral check skipped: sample spacing 0.3 does not divide 1" in err
+    row = json.loads((out / "coarse" / "reports" / "certify.json").read_text())["rows"][0]
+    assert row["integral"] == {"times": [], "margins": []}
+    assert "integral_skipped" not in row  # the output tree stays as it was
 
 
 def test_certify_inapplicable_on_large_data(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import ladder_force, ladder_phi, random_div_free_field
 from nsexpand import (
-    ExpansionTerm,
     FieldPolynomial,
     ForceExpansion,
     SpectralField,
@@ -110,7 +109,7 @@ def test_level_one_resonant_default_grows_linearly():
 
 def test_zero_force_zero_expansion():
     result = build_expansion(ForceExpansion(()), 3)
-    assert all(term.poly.is_zero for term in result.terms)
+    assert all(q.is_zero for _, q in result.terms)
     assert result.max_residual() == 0.0
     assert result.resonance_log == ()
 
@@ -150,7 +149,7 @@ def test_level_source_composition():
     q = two_mode_unit_field()
     f2 = poly_bilinear(FieldPolynomial.constant(q), FieldPolynomial.constant(q))
     force = ForceExpansion(((2, f2),))
-    terms = [ExpansionTerm(1, FieldPolynomial.constant(q))]
+    terms = [(1, FieldPolynomial.constant(q))]
     assert level_source([], force, 1).is_zero
     p2 = level_source(terms, force, 2)
     assert p2.is_zero  # f_2 - B~(q_1, q_1) cancels exactly
@@ -175,7 +174,7 @@ def test_expansion_residual_detects_perturbation():
     result = build_expansion(force, 1)
     good = expansion_residual(result.terms, force, 1)
     assert good <= 1e-15
-    tampered = [ExpansionTerm(1, 1.0001 * result.polynomial(1))]
+    tampered = [(1, 1.0001 * result.polynomial(1))]
     assert expansion_residual(tampered, force, 1) >= 5e-5
 
 
@@ -192,11 +191,11 @@ def test_ladder_support_closure():
     result = build_expansion(ladder_force(), 3)
     assert result.polynomial(1) == FieldPolynomial.constant(ladder_phi())
     lams_by_level = {}
-    for term in result.terms:
+    for n, q in result.terms:
         lams = set()
-        for c in term.poly.coeffs():
+        for c in q.coeffs():
             lams.update(eigenvalue(k) for k in c.support())
-        lams_by_level[term.n] = lams
+        lams_by_level[n] = lams
     assert all(1 not in lams for lams in lams_by_level.values())
     assert 2 in lams_by_level[2]
     assert result.resonance_log == ((2, 2),)

@@ -8,7 +8,6 @@ import pytest
 from conftest import random_div_free_field, resolvent_oracle
 from nsexpand import (
     DegreeCapError,
-    ExpansionTerm,
     FieldPolynomial,
     MissingResonantDataError,
     SpectralField,
@@ -18,6 +17,7 @@ from nsexpand import (
     resolvent_solve,
 )
 from nsexpand.fieldpoly import DEGREE_CAP
+from nsexpand.serialize import ScenarioError, level_from_doc
 
 
 def const_field(c2=1.0):
@@ -193,21 +193,20 @@ def test_resolvent_degree_cap_via_bump():
 
 
 def test_expansion_term_validation():
-    with pytest.raises(ValueError):
-        ExpansionTerm(0, FieldPolynomial.zero())
-    term = ExpansionTerm(2, FieldPolynomial.constant(const_field()))
-    assert term.evaluate(0.0) == const_field()
-    assert term.evaluate(1.0).allclose(math.exp(-2.0) * const_field(), rtol=1e-15)
+    # one decay level is a plain (n, q_n) pair: the level-document reader
+    # checks n, and `assemble` evaluates the pair
+    with pytest.raises(ScenarioError, match="positive integer"):
+        level_from_doc({"level": 0, "poly": {"degree_coeffs": []}})
+    term = (2, FieldPolynomial.constant(const_field()))
+    assert assemble([term], 0.0) == const_field()
+    assert assemble([term], 1.0).allclose(math.exp(-2.0) * const_field(), rtol=1e-15)
 
 
 def test_assemble_examples():
     assert assemble([], 3.0).is_zero
     q1 = const_field()
     q2 = const_field(-0.5)
-    terms = [
-        ExpansionTerm(1, FieldPolynomial.constant(q1)),
-        ExpansionTerm(2, FieldPolynomial.constant(q2)),
-    ]
+    terms = [(1, FieldPolynomial.constant(q1)), (2, FieldPolynomial.constant(q2))]
     assert assemble(terms[:1], 0.0) == q1
     t = math.log(2.0)
     expect = 0.5 * q1 + 0.25 * q2

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ladder_scenario_doc, random_div_free_field
 from nsexpand import (
@@ -15,18 +17,18 @@ from nsexpand import (
     SolverConfig,
     SpectralField,
     integrate,
+    is_representative,
     load_scenario,
 )
 from nsexpand.analysis import RateFit
-from nsexpand.fieldpoly import ExpansionTerm
 from nsexpand.scenario import scenario_from_doc
 from nsexpand.serialize import (
     dumps_json,
-    expansion_term_from_doc,
-    expansion_term_to_doc,
     field_from_literal,
     field_to_literal,
     format_float,
+    level_from_doc,
+    level_to_doc,
     poly_from_literal,
     poly_to_literal,
     read_trajectory,
@@ -117,13 +119,59 @@ def test_poly_literal_round_trip_and_errors():
 
 def test_expansion_term_doc_round_trip():
     poly = FieldPolynomial([random_div_free_field(np.random.default_rng(9), 1, 2)])
-    term = ExpansionTerm(2, poly)
-    doc = expansion_term_to_doc(term, resonant_hit=True)
+    doc = level_to_doc(2, poly, resonant_hit=True)
     assert doc["level"] == 2
     assert doc["resonant_hit"] is True
-    assert expansion_term_from_doc(doc) == term
+    assert level_from_doc(doc) == (2, poly)
     with pytest.raises(ScenarioError):
-        expansion_term_from_doc({"level": 1})
+        level_from_doc({"level": 1})
+
+
+@pytest.mark.parametrize("level", [0, -1, "x", "2", 1.5, 2.0, True, None])
+def test_level_doc_rejects_non_positive_integer_level(level):
+    doc = {"level": level, "poly": {"degree_coeffs": []}}
+    with pytest.raises(ScenarioError, match="positive integer") as err:
+        level_from_doc(doc, "out/expansion/level_01.json")
+    assert err.value.path == "out/expansion/level_01.json.level"
+
+
+# -- literal round trips (property tests) ----------------------------------------------
+
+# Any finite double, subnormals included, must survive the text format. The
+# one bit that does not: -0.0 is written "-0", which JSON reads as the integer
+# 0, so a zero comes back unsigned (== treats the two zeros as equal).
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_wavevector = st.tuples(*[st.integers(-3, 3)] * 3).filter(is_representative)
+_fields = st.dictionaries(_wavevector, st.lists(_finite, min_size=6, max_size=6), max_size=5).map(
+    lambda d: SpectralField({k: np.array(v[:3]) + 1j * np.array(v[3:]) for k, v in d.items()})
+)
+
+
+def _through_text(literal):
+    """The literal as a file holds it: emitted by dumps_json, parsed by json."""
+    return json.loads(dumps_json(literal))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fields)
+def test_field_literal_round_trip_is_exact(field):
+    assert field_from_literal(_through_text(field_to_literal(field))) == field
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_fields, max_size=4))
+def test_poly_literal_round_trip_is_exact(coeffs):
+    poly = FieldPolynomial(coeffs)
+    assert poly_from_literal(_through_text(poly_to_literal(poly))) == poly
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 64), st.lists(_fields, max_size=3), st.booleans())
+def test_level_doc_round_trip_is_exact(n, coeffs, hit):
+    poly = FieldPolynomial(coeffs)
+    doc = _through_text(level_to_doc(n, poly, hit))
+    assert level_from_doc(doc) == (n, poly)
+    assert doc["resonant_hit"] is hit
 
 
 # -- trajectory files ---------------------------------------------------------------
