@@ -4,8 +4,8 @@ for forced, zero-average periodic flows.
 The pieces, bottom to top: `spectral` (fields and mode-wise operators),
 `fieldpoly` (field-valued time polynomials and the resolvent solve),
 `expansion` (the level recursion), `galerkin` (integrating-factor RK4 on a
-mode ball), `analysis` (norm series, rate fits, certificates), `scenario` +
-`cli` (scenario files and the nse-expand driver).
+mode ball), `analysis` (norm series, energy ledger, rate fits, certificates),
+`scenario` + `cli` (scenario files and the nse-expand driver).
 """
 
 from .analysis import (
@@ -15,6 +15,7 @@ from .analysis import (
     RateFit,
     ResonantConstantFit,
     certificate_check,
+    energy_ledger,
     fit_rate,
     fit_resonant_constant,
     norm_series,
@@ -45,7 +46,6 @@ from .galerkin import (
     BlowupError,
     SolverConfig,
     Trajectory,
-    energy_ledger,
     evaluate_force,
     integrate,
 )

@@ -46,7 +46,7 @@ from .serialize import (
     write_norm_csv,
     write_trajectory,
 )
-from .spectral import SpectralField, eigenvalues_up_to, norm
+from .spectral import NormSpec, SpectralField, eigenvalues_up_to, norm
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -127,7 +127,7 @@ def fitted_constants(scenario: Scenario, traj, fit_log: dict):
     """
     req = scenario.expansion
     spectrum = set(eigenvalues_up_to(req.n_max))
-    traj_scale = max((norm(s) for s in traj.states), default=0.0)
+    traj_scale = norm_series(traj, NormSpec(0.0, 0.0)).peak()
 
     def constant(n, below):
         if n in req.resonant or n not in spectrum:
@@ -240,7 +240,12 @@ def run_verify(scenario: Scenario, out: str | None) -> int:
         fits = serialize.load_json(fits_path) if fits_path.exists() else {}
     # a contaminated fit at level n (drift > 0.1; JSON stores an infinite one
     # as null) leaves every row with N >= n undecided
-    tainted = [(int(n), f["drift"] or math.inf) for n, f in fits.items() if f["contaminated"]]
+    try:
+        tainted = [
+            (int(n), float(f["drift"] or math.inf)) for n, f in fits.items() if f["contaminated"]
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(str(fits_path), f"malformed fit log: {exc!r}") from None
 
     rows = []
     for N in sorted(n for n, _ in terms):

@@ -135,15 +135,18 @@ def check_resonant_data(resonant) -> dict[int, SpectralField]:
     return out
 
 
+def _coupling_pairs(qmap: dict, n: int):
+    """Nonzero (q_k, q_m) with k + m = n, by increasing k; callers form one product at a time."""
+    for k in range(1, n):
+        qk, qm = qmap.get(k), qmap.get(n - k)
+        if qk is not None and qm is not None and not (qk.is_zero or qm.is_zero):
+            yield qk, qm
+
+
 def level_source(prior_terms, force: ForceExpansion, n: int) -> FieldPolynomial:
     """Driving polynomial p_n = f_n - sum_{k+m=n} B~(q_k, q_m) from built (k, q_k) levels."""
-    qmap = dict(prior_terms)
     p = force.level(n)
-    for k in range(1, n):
-        m = n - k
-        qk, qm = qmap.get(k), qmap.get(m)
-        if qk is None or qm is None or qk.is_zero or qm.is_zero:
-            continue
+    for qk, qm in _coupling_pairs(dict(prior_terms), n):
         p = p - poly_bilinear(qk, qm)
     return p
 
@@ -245,11 +248,7 @@ def expansion_residual(terms, force: ForceExpansion, n: int) -> float:
     qn = qmap.get(n, FieldPolynomial.zero())
     fn = force.level(n)
     interaction = FieldPolynomial.zero()
-    for k in range(1, n):
-        m = n - k
-        qk, qm = qmap.get(k), qmap.get(m)
-        if qk is None or qm is None or qk.is_zero or qm.is_zero:
-            continue
+    for qk, qm in _coupling_pairs(qmap, n):
         interaction = interaction + poly_bilinear(qk, qm)
     shifted = qn.map_coeffs(lambda c: _stokes_shift(c, n))
     r = qn.derivative() + shifted + interaction - fn

@@ -8,7 +8,7 @@ scheme is stable for any step; accuracy is the usual O(h^4).
 
 Coefficients live in a dense array over a fixed representative basis (one row
 per conjugate pair, so realness stays structural). The advection term is a
-pseudo-spectral product: B(u, v) = P div(u (x) v) is formed on a physical
+pseudo-spectral product: B(u, u) = P div(u (x) u) is formed on a physical
 grid sized by the 3/2 rule, so no aliased mode reaches the ball and the result
 equals the exact finite-support sum of `spectral.bilinear` truncated to the
 ball, to rounding.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .expansion import ForceExpansion
 from .fieldpoly import assemble
-from .spectral import NormSpec, SpectralField, eigenvalue, inner, is_representative, norm
+from .spectral import SpectralField, eigenvalue, is_representative
 
 __all__ = [
     "SolverConfig",
@@ -33,7 +33,6 @@ __all__ = [
     "mode_table",
     "evaluate_force",
     "integrate",
-    "energy_ledger",
 ]
 
 BLOWUP_NORM = 1e6
@@ -105,20 +104,19 @@ class ModeTable:
     Rows that no pair of live input modes m + l reaches are set to exact
     zero (the support mask), so the output support is that of the exact
     convolution and not a ball filled with rounding noise. The mask is the
-    indicator convolution of the two live-row patterns and is recomputed only
-    when a pattern changes.
+    square of the live-row indicator and is recomputed only when the pattern
+    changes.
 
     Transforms run in buffers owned by the table, so one table must not be
     used by two threads at once.
     """
 
-    # Component pairs (i, j) whose products u_i v_j are transformed, and the
-    # transformed product that holds each (i, j): six suffice when v is u.
+    # Component pairs (i, j) whose products u_i u_j are transformed, and the
+    # transformed product that holds each (i, j): by symmetry six suffice.
     _SYMMETRIC = (
         ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)),
         np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]]),
     )
-    _GENERAL = (tuple((i, j) for i in range(3) for j in range(3)), np.arange(9).reshape(3, 3))
 
     def __init__(self, cutoff: int):
         cutoff = int(cutoff)
@@ -151,24 +149,20 @@ class ModeTable:
         keep = full[:, 2] >= 0
         self._scatter_src = np.nonzero(keep)[0]
         self._scatter_dst = np.ravel_multi_index(tuple((full[keep] % n).T), shape)
-        self._spec = np.zeros((6,) + shape, dtype=np.complex128)
-        self._phys = np.empty((6, n, n, n))
-        self._prod = np.empty((9, n, n, n))
-        self._prod_spec = np.empty((9,) + shape, dtype=np.complex128)
-        self._pattern: tuple[np.ndarray, np.ndarray] | None = None
+        self._spec = np.zeros((3,) + shape, dtype=np.complex128)
+        self._phys = np.empty((3, n, n, n))
+        self._prod = np.empty((6, n, n, n))
+        self._prod_spec = np.empty((6,) + shape, dtype=np.complex128)
+        self._pattern: np.ndarray | None = None
         self._dead: np.ndarray | None = None
 
-    def densify(self, u: SpectralField, *, strict: bool = True) -> np.ndarray:
+    def densify(self, u: SpectralField) -> np.ndarray:
+        """Coefficients of P_M u over the rows: modes outside the ball are dropped."""
         out = np.zeros((self.size, 3), dtype=np.complex128)
         for k, c in u.modes():
             i = self.index.get(k)
-            if i is None:
-                if strict:
-                    raise ValueError(
-                        f"mode {k} (|k|^2 = {eigenvalue(k)}) lies outside cutoff {self.cutoff}"
-                    )
-                continue
-            out[i] = c
+            if i is not None:
+                out[i] = c
         return out
 
     def to_field(self, coeffs: np.ndarray) -> SpectralField:
@@ -190,51 +184,36 @@ class ModeTable:
         coeffs[:, self._flip] = np.conj(coeffs[:, self._flip])
         return coeffs
 
-    def _dead_rows(self, live_u: np.ndarray, live_v: np.ndarray) -> np.ndarray:
-        """Rows no pair of live modes reaches, from the indicator product of the two patterns."""
-        pattern = self._pattern
-        if pattern is None or not (
-            np.array_equal(pattern[0], live_u) and np.array_equal(pattern[1], live_v)
-        ):
-            phys = self._phys[:2]
-            self._to_grid(np.stack([live_u, live_v]).astype(np.complex128), self._spec[:2], phys)
-            np.multiply(phys[0], phys[1], out=self._prod[0])
+    def _dead_rows(self, live: np.ndarray) -> np.ndarray:
+        """Rows no pair of live modes reaches, from the square of the live-row indicator."""
+        if self._pattern is None or not np.array_equal(self._pattern, live):
+            phys = self._phys[:1]
+            self._to_grid(live[None].astype(np.complex128), self._spec[:1], phys)
+            np.multiply(phys[0], phys[0], out=self._prod[0])
             pairs = self._from_grid(self._prod[:1], self._prod_spec[:1])[0]
             self._dead = pairs.real < 0.5
-            self._pattern = (live_u, live_v)
+            self._pattern = live
         return self._dead
 
-    def convolve(self, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-        """Projected advection B(u, v) of dense coefficient arrays (v defaults to u).
+    def convolve(self, u: np.ndarray) -> np.ndarray:
+        """Projected advection B(u, u) of a dense coefficient array.
 
-        The product is taken in divergence form, div(u (x) v), which equals
-        (u . grad) v because u is divergence-free; pass only such u.
+        The product is taken in divergence form, div(u (x) u), which equals
+        (u . grad) u because u is divergence-free; pass only such u.
         """
-        if v is None:
-            v = u
-        live_u = np.any(u != 0, axis=1)
-        dead = self._dead_rows(live_u, live_u if v is u else np.any(v != 0, axis=1))
-        if v is u:
-            self._to_grid(u.T, self._spec[:3], self._phys[:3])
-            uu = vv = self._phys[:3]
-            pairs, slot = self._SYMMETRIC
-        else:
-            self._to_grid(np.concatenate([u.T, v.T]), self._spec, self._phys)
-            uu, vv = self._phys[:3], self._phys[3:]
-            pairs, slot = self._GENERAL
-        prod = self._prod[: len(pairs)]
+        dead = self._dead_rows(np.any(u != 0, axis=1))
+        phys = self._phys
+        self._to_grid(u.T, self._spec, phys)
+        pairs, slot = self._SYMMETRIC
         for p, (i, j) in enumerate(pairs):
-            np.multiply(uu[i], vv[j], out=prod[p])
-        w = self._from_grid(prod, self._prod_spec[: len(pairs)])[slot]
-        # B_j(k) = i sum_i k_i (u_i v_j)^(k), then the Leray projection
+            np.multiply(phys[i], phys[j], out=self._prod[p])
+        w = self._from_grid(self._prod, self._prod_spec)[slot]
+        # B_j(k) = i sum_i k_i (u_i u_j)^(k), then the Leray projection
         out = 1j * np.einsum("ri,ijr->rj", self.kvec, w)
         out[dead] = 0.0
         proj = np.einsum("rc,rc->r", out, self.kvec) / self.lam
         out -= proj[:, None] * self.kvec
         return out
-
-    def h_norm(self, coeffs: np.ndarray) -> float:
-        return math.sqrt(2.0 * float(np.vdot(coeffs, coeffs).real))
 
 
 def _smooth_size(n: int) -> int:
@@ -277,32 +256,12 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
     """
     table = mode_table(config.mode_cutoff)
     u0.require_divergence_free(1e-10)
-    fmax = force.max_support_eigenvalue()
-    if fmax > config.mode_cutoff:
+    reach = max(u0.max_eigenvalue(), force.max_support_eigenvalue())
+    if reach > config.mode_cutoff:
         raise ValueError(
-            f"force reaches eigenvalue {fmax} beyond mode_cutoff {config.mode_cutoff}"
+            f"initial state or force reaches eigenvalue {reach} beyond mode_cutoff {config.mode_cutoff}"
         )
-    u = table.densify(u0, strict=True)
-
-    # densified force levels: per level, Horner-ready list of (R,3) arrays
-    dense_levels = [
-        (n, [table.densify(c, strict=True) for c in poly.coeffs()])
-        for n, poly in force.terms
-    ]
-    remainder = force.remainder
-
-    def dense_force(t: float) -> np.ndarray:
-        out = np.zeros((table.size, 3), dtype=np.complex128)
-        for n, coeffs in dense_levels:
-            if not coeffs:
-                continue
-            acc = coeffs[-1]
-            for c in coeffs[-2::-1]:
-                acc = acc * t + c
-            out += acc * math.exp(-n * t)
-        if remainder is not None:
-            out += table.densify(remainder(t), strict=False)
-        return out
+    u = table.densify(u0)
 
     h = config.step
     nsteps = int(round(config.t_end / h))
@@ -316,15 +275,16 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
     states = [table.to_field(u)]
     for step in range(1, nsteps + 1):
         t = (step - 1) * h
-        n1 = dense_force(t) - table.convolve(u)
+        f_mid = table.densify(evaluate_force(force, t + h / 2.0))
+        n1 = table.densify(evaluate_force(force, t)) - table.convolve(u)
         a2 = half * (u + (h / 2.0) * n1)
-        n2 = dense_force(t + h / 2.0) - table.convolve(a2)
+        n2 = f_mid - table.convolve(a2)
         a3 = half * u + (h / 2.0) * n2
-        n3 = dense_force(t + h / 2.0) - table.convolve(a3)
+        n3 = f_mid - table.convolve(a3)
         a4 = full * u + h * (half * n3)
-        n4 = dense_force(t + h) - table.convolve(a4)
+        n4 = table.densify(evaluate_force(force, t + h)) - table.convolve(a4)
         u = full * u + (h / 6.0) * (full * n1 + 2.0 * (half * (n2 + n3)) + n4)
-        value = table.h_norm(u)
+        value = math.sqrt(2.0 * float(np.vdot(u, u).real))
         if not (value <= BLOWUP_NORM):
             raise BlowupError(step * h, value)
         if step % stride == 0:
@@ -332,27 +292,3 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
             states.append(table.to_field(u))
     return Trajectory(np.array(times), tuple(states), config)
 
-
-def energy_ledger(traj: Trajectory, force: ForceExpansion) -> np.ndarray:
-    """Per-interval defect of the energy balance on the sample grid.
-
-    Interval i reports
-        1/2|u_{i+1}|^2 - 1/2|u_i|^2 + int ||u||^2 - int <F, u>
-    with both integrals by the trapezoid rule, so the defect of an exact
-    trajectory is pure quadrature error: O(spacing^2) per unit time.
-    """
-    half_h1 = NormSpec(0.5, 0.0)
-    t = traj.times
-    energy = np.array([0.5 * norm(s) ** 2 for s in traj.states])
-    enstrophy = np.array([norm(s, half_h1) ** 2 for s in traj.states])
-    work = np.array(
-        [inner(evaluate_force(force, float(ti)), s) for ti, s in zip(t, traj.states)]
-    )
-    dt = np.diff(t)
-    defects = (
-        energy[1:]
-        - energy[:-1]
-        + 0.5 * dt * (enstrophy[1:] + enstrophy[:-1])
-        - 0.5 * dt * (work[1:] + work[:-1])
-    )
-    return defects

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 from .analysis import DecayCertificate
 from .expansion import ForceExpansion, check_resonant_data
 from .galerkin import SolverConfig
-from .serialize import ScenarioError, field_from_literal, poly_from_literal
+from .serialize import ScenarioError, _number, field_from_literal, poly_from_literal
 from .spectral import NormSpec, SpectralField
 
 __all__ = ["ExpansionRequest", "Scenario", "load_scenario", "scenario_from_doc"]
@@ -83,12 +83,6 @@ def _get(doc: dict, key: str, path: str, required=True, default=None):
             raise ScenarioError(f"{path}.{key}" if path else key, "missing required key")
         return default
     return doc[key]
-
-
-def _number(value, path, cls=float):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(path, "expected a number")
-    return cls(value)
 
 
 def _window(value, path):
@@ -244,6 +238,6 @@ def load_scenario(path) -> Scenario:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ScenarioError(str(path), "scenario file not found") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, bad UTF-8, an integer too long to read
         raise ScenarioError(str(path), f"invalid JSON: {exc}") from None
     return scenario_from_doc(doc)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -104,8 +105,11 @@ def write_json(path, obj):
 
 
 def load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # bad syntax, bad UTF-8, an integer too long to read
+        raise ScenarioError(str(path), f"invalid JSON: {exc}") from None
 
 
 # -- field / polynomial literals ----------------------------------------------
@@ -128,13 +132,21 @@ def _need(entry: dict, key: str, path: str):
     return entry[key]
 
 
+def _number(value, path: str, kind=float):
+    """A finite JSON number as `kind`; an int field also takes integral floats such as 12.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(path, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity or beyond any double
+        raise ScenarioError(path, f"expected a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ScenarioError(path, f"expected an integer, got {value!r}")
+    return kind(value)
+
+
 def _triple(value, path: str, kind):
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ScenarioError(path, "expected a list of 3 values")
-    try:
-        return [kind(v) for v in value]
-    except (TypeError, ValueError):
-        raise ScenarioError(path, f"entries must be {kind.__name__}s") from None
+    return [_number(v, path, kind) for v in value]
 
 
 def field_from_literal(lit, path: str = "field") -> SpectralField:
@@ -213,15 +225,22 @@ def write_trajectory(csv_path, manifest_path, traj: Trajectory):
 
 
 def read_trajectory(csv_path, manifest_path) -> Trajectory:
+    """Trajectory from its CSV and manifest; a malformed file is a ScenarioError naming it."""
     manifest = load_json(manifest_path)
-    modes = [tuple(int(x) for x in k) for k in manifest["modes"]]
-    sv = manifest["solver"]
-    config = SolverConfig(
-        mode_cutoff=int(sv["mode_cutoff"]),
-        step=float(sv["step"]),
-        t_end=float(sv["t_end"]),
-        sample_stride=int(sv["sample_stride"]),
-    )
+    mpath = str(manifest_path)
+    try:
+        modes = [tuple(int(x) for x in k) for k in _need(manifest, "modes", mpath)]
+        sv = _need(manifest, "solver", mpath)
+        config = SolverConfig(
+            mode_cutoff=int(_need(sv, "mode_cutoff", f"{mpath}.solver")),
+            step=float(_need(sv, "step", f"{mpath}.solver")),
+            t_end=float(_need(sv, "t_end", f"{mpath}.solver")),
+            sample_stride=int(_need(sv, "sample_stride", f"{mpath}.solver")),
+        )
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(mpath, f"malformed manifest: {exc}") from None
     times = []
     states = []
     with open(csv_path) as fh:
@@ -229,20 +248,25 @@ def read_trajectory(csv_path, manifest_path) -> Trajectory:
         expected = 1 + 6 * len(modes)
         if len(header.split(",")) != expected:
             raise ScenarioError(csv_path, "column count does not match manifest")
-        for line in fh:
-            vals = [float(x) for x in line.split(",")]
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                vals = [float(x) for x in line.split(",")]
+                if len(vals) != expected:
+                    raise ValueError(f"expected {expected} values, got {len(vals)}")
+                coeffs = {}
+                for i, k in enumerate(modes):
+                    base = 1 + 6 * i
+                    coeffs[k] = np.array(
+                        [
+                            vals[base] + 1j * vals[base + 1],
+                            vals[base + 2] + 1j * vals[base + 3],
+                            vals[base + 4] + 1j * vals[base + 5],
+                        ]
+                    )
+                states.append(SpectralField(coeffs))
+            except ValueError as exc:
+                raise ScenarioError(f"{csv_path}:{lineno}", str(exc)) from None
             times.append(vals[0])
-            coeffs = {}
-            for i, k in enumerate(modes):
-                base = 1 + 6 * i
-                coeffs[k] = np.array(
-                    [
-                        vals[base] + 1j * vals[base + 1],
-                        vals[base + 2] + 1j * vals[base + 3],
-                        vals[base + 4] + 1j * vals[base + 5],
-                    ]
-                )
-            states.append(SpectralField(coeffs))
     return Trajectory(np.array(times), tuple(states), config)
 
 

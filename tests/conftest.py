@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nsexpand import (
     FieldPolynomial,
@@ -23,6 +24,12 @@ from nsexpand import (
 from nsexpand.cli import fitted_constants, write_expansion
 from nsexpand.scenario import scenario_from_doc
 from nsexpand.serialize import field_to_literal, poly_to_literal
+
+# One profile for every property test: the same examples on every run, so two
+# runs of the suite (say, before and after a change) test the same inputs, and
+# no per-example deadline, since the first example pays for numpy and table setup.
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 # -- independent oracles -------------------------------------------------------

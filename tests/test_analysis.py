@@ -377,7 +377,7 @@ def test_gevrey_and_advection_decay_rates_along_ladder(ladder_run):
     btimes, bvals = [], []
     spec = NormSpec(0.5, 0.0)
     for i in idx:
-        dense = table.densify(traj.states[i], strict=True)
+        dense = table.densify(traj.states[i])
         b = table.to_field(table.convolve(dense))
         btimes.append(float(traj.times[i]))
         bvals.append(norm(b, spec))

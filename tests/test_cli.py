@@ -1,6 +1,7 @@
 """End-to-end driver tests: subcommands, exit codes, file tree, determinism."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,72 @@ def test_verify_rejects_bad_level_document(tmp_path, capsys, level):
     assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith(f"error: {lvl}.level: expected a positive integer")
+
+
+@pytest.fixture(scope="module")
+def mini_tree(tmp_path_factory):
+    """Scenario file and output root of one passing mini-ladder verify run."""
+    root = tmp_path_factory.mktemp("mini-tree")
+    sp = write_doc(root, mini_ladder_doc())
+    assert main(["verify", "--scenario", sp, "--out", str(root / "out")]) == EXIT_OK
+    return sp, root / "out"
+
+
+def edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def edit_cells(path, lineno, edit):
+    lines = path.read_text().splitlines()
+    cells = lines[lineno - 1].split(",")
+    edit(cells)
+    lines[lineno - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+# case: (subcommand, file in the run directory, corruption, what follows the file in the message)
+BAD_DOCUMENTS = {
+    "manifest-without-solver": (
+        "verify", "trajectory_modes.json", lambda p: edit_json(p, lambda d: d.pop("solver")),
+        ".solver: missing required key",
+    ),
+    "short-csv-row-verify": (
+        "verify", "trajectory.csv", lambda p: edit_cells(p, 5, list.pop), ":5: expected",
+    ),
+    "short-csv-row-certify": (
+        "certify", "trajectory.csv", lambda p: edit_cells(p, 5, list.pop), ":5: expected",
+    ),
+    "non-numeric-csv-cell": (
+        "verify", "trajectory.csv", lambda p: edit_cells(p, 3, lambda c: c.__setitem__(2, "x")),
+        ":3: could not convert",
+    ),
+    "fit-without-contaminated": (
+        "verify", "expansion/resonant_fits.json",
+        lambda p: edit_json(p, lambda d: d["2"].pop("contaminated")),
+        ": malformed fit log: KeyError('contaminated')",
+    ),
+    "invalid-json-level": (
+        "verify", "expansion/level_01.json", lambda p: p.write_text("{ nope"), ": invalid JSON",
+    ),
+    "invalid-json-manifest": (
+        "certify", "trajectory_modes.json", lambda p: p.write_text("{ nope"), ": invalid JSON",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+def test_reused_tree_rejects_bad_document(tmp_path, capsys, mini_tree, case):
+    command, name, corrupt, message = BAD_DOCUMENTS[case]
+    sp, tree = mini_tree
+    out = tmp_path / "out"
+    shutil.copytree(tree, out)
+    corrupt(out / "mini" / name)
+    capsys.readouterr()
+    assert main([command, "--scenario", sp, "--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'mini' / name}{message}"), err
 
 
 def test_verify_floor_annotation_on_null_flow(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Literal formats, deterministic writers, and scenario-document parsing."""
 
+import copy
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ladder_scenario_doc, random_div_free_field
+from conftest import ladder_phi, ladder_scenario_doc, random_div_free_field
 from nsexpand import (
     FieldPolynomial,
     ForceExpansion,
@@ -152,20 +153,20 @@ def _through_text(literal):
     return json.loads(dumps_json(literal))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(_fields)
 def test_field_literal_round_trip_is_exact(field):
     assert field_from_literal(_through_text(field_to_literal(field))) == field
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.lists(_fields, max_size=4))
 def test_poly_literal_round_trip_is_exact(coeffs):
     poly = FieldPolynomial(coeffs)
     assert poly_from_literal(_through_text(poly_to_literal(poly))) == poly
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.integers(1, 64), st.lists(_fields, max_size=3), st.booleans())
 def test_level_doc_round_trip_is_exact(n, coeffs, hit):
     poly = FieldPolynomial(coeffs)
@@ -364,14 +365,79 @@ def test_scenario_error_paths():
     bad["output_dir"] = 7
     assert scenario_error_path(bad) == "output_dir"
 
+    # numbers: finite everywhere, integral where an integer is meant
+    lit = ("force", "terms", 0, "poly", "degree_coeffs", 0, 0)
+    lit_path = "force.terms[0].poly.degree_coeffs[0][0]"
+    for where, value, path in [
+        (("expansion", "N_max"), 2.7, "expansion.N_max"),
+        (("expansion", "N_max"), math.nan, "expansion.N_max"),
+        (("solver", "mode_cutoff"), 6.9, "solver.mode_cutoff"),
+        (("solver", "mode_cutoff"), math.inf, "solver.mode_cutoff"),
+        (("solver", "t_end"), math.inf, "solver.t_end"),
+        (("solver", "step"), -math.inf, "solver.step"),
+        (("force", "terms", 0, "n"), 1.5, "force.terms[0].n"),
+        (lit + ("k", 0), 1.5, f"{lit_path}.k"),
+        (lit + ("k", 2), math.inf, f"{lit_path}.k"),
+        (lit + ("re", 1), math.nan, f"{lit_path}.re"),
+    ]:
+        bad = json.loads(json.dumps(base))
+        leaf = bad
+        for key in where[:-1]:
+            leaf = leaf[key]
+        leaf[where[-1]] = value
+        assert scenario_error_path(bad) == path, (where, value)
+
+    good = json.loads(json.dumps(base))
+    good["solver"]["mode_cutoff"] = 12.0
+    good["expansion"]["N_max"] = 2.0
+    sc = scenario_from_doc(good)
+    assert (sc.solver.mode_cutoff, sc.expansion.n_max) == (12, 2)
+
+
+def _leaf_paths(doc, prefix=()):
+    """Key paths of every scalar and every empty container in a JSON document."""
+    if isinstance(doc, (dict, list)) and doc:
+        keys = doc.keys() if isinstance(doc, dict) else range(len(doc))
+        return [path for key in keys for path in _leaf_paths(doc[key], prefix + (key,))]
+    return [prefix]
+
+
+_FUZZ_DOC = ladder_scenario_doc(resonant={2: ladder_phi()})
+_FUZZ_DOC["expansion"].update(fit_window=[6.0, 11.0], resonant_fit_window=[8.0, 11.0])
+_FUZZ_DOC["output_dir"] = "runs"
+# JSON text can carry NaN and +-Infinity; floats() draws them too, but rarely
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([math.nan, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(_leaf_paths(_FUZZ_DOC)), _json_values)
+def test_scenario_parser_fuzz_raises_only_scenario_errors(path, value):
+    scenario_from_doc(_FUZZ_DOC)  # the document before the change is valid
+    doc = copy.deepcopy(_FUZZ_DOC)
+    leaf = doc
+    for key in path[:-1]:
+        leaf = leaf[key]
+    leaf[path[-1]] = value
+    try:
+        scenario_from_doc(doc)
+    except ScenarioError:
+        pass
+
 
 def test_load_scenario_file_errors(tmp_path):
     with pytest.raises(ScenarioError, match="not found"):
         load_scenario(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{ not json")
-    with pytest.raises(ScenarioError, match="invalid JSON"):
-        load_scenario(bad)
+    for text in (b"{ not json", b"\xff\xfe{}", b"[" + b"1" * 5000 + b"]"):
+        bad.write_bytes(text)
+        with pytest.raises(ScenarioError, match="invalid JSON") as err:
+            load_scenario(bad)
+        assert err.value.path == str(bad)
 
 
 def test_load_scenario_round_trip(tmp_path):
