@@ -60,7 +60,6 @@ class FitError(ValueError):
 class NormSeries:
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         if len(self.times) != len(self.values):
@@ -107,9 +106,9 @@ def tail_window(t_end: float, lo: float = 0.6, hi: float = 0.95) -> tuple[float,
     return (lo * t_end, hi * t_end)
 
 
-def norm_series(traj: Trajectory, spec: NormSpec, label: str = "") -> NormSeries:
+def norm_series(traj: Trajectory, spec: NormSpec) -> NormSeries:
     values = np.array([norm(s, spec) for s in traj.states])
-    return NormSeries(traj.times.copy(), values, label)
+    return NormSeries(traj.times.copy(), values)
 
 
 def energy_ledger(traj: Trajectory, force: ForceExpansion) -> np.ndarray:
@@ -135,7 +134,7 @@ def energy_ledger(traj: Trajectory, force: ForceExpansion) -> np.ndarray:
     )
 
 
-def remainder_series(traj, terms, spec: NormSpec, label: str = "") -> NormSeries:
+def remainder_series(traj, terms, spec: NormSpec) -> NormSeries:
     """|u(t_i) - sum_n q_n(t_i) e^{-n t_i}| in the given norm; empty terms = plain norm."""
     terms = tuple(terms)
     values = np.array(
@@ -144,7 +143,7 @@ def remainder_series(traj, terms, spec: NormSpec, label: str = "") -> NormSeries
             for t, s in zip(traj.times, traj.states)
         ]
     )
-    return NormSeries(traj.times.copy(), values, label)
+    return NormSeries(traj.times.copy(), values)
 
 
 def fit_rate(series: NormSeries, window: tuple[float, float] | None = None) -> RateFit:

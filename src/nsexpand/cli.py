@@ -169,7 +169,7 @@ def run_simulate(scenario: Scenario, out: str | None) -> int:
     traj = integrate(scenario.initial, scenario.force, scenario.solver)
     write_trajectory(run_dir / "trajectory.csv", run_dir / "trajectory_modes.json", traj)
     for spec in scenario.expansion.norm_specs:
-        series = norm_series(traj, spec, label=f"norm_{_norm_tag(spec)}")
+        series = norm_series(traj, spec)
         write_norm_csv(run_dir / "norms" / f"norm_{_norm_tag(spec)}.csv", series)
     print(
         f"simulated {len(traj)} samples to t = {format_float(traj.t_end)} "
@@ -182,7 +182,7 @@ def run_simulate(scenario: Scenario, out: str | None) -> int:
 
 def _verify_row(traj, terms, N, spec, eps, window):
     terms_N = tuple((n, q) for n, q in terms if n <= N)
-    series = remainder_series(traj, terms_N, spec, label=f"remainder_N{N}_{_norm_tag(spec)}")
+    series = remainder_series(traj, terms_N, spec)
     target = N + eps
     row = {
         "level": N,

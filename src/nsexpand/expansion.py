@@ -71,7 +71,7 @@ class ForceExpansion:
                 raise ValueError("force levels must be strictly increasing")
             seen = n
             for c in poly.coeffs():
-                c.require_divergence_free(1e-10)
+                c.require_divergence_free()
 
     @classmethod
     def from_levels(cls, levels, remainder=None) -> "ForceExpansion":
@@ -130,7 +130,7 @@ def check_resonant_data(resonant) -> dict[int, SpectralField]:
                 f"resonant constant for level {n} has support off the eigenspace: "
                 f"mode {bad[0]} has |k|^2 = {eigenvalue(bad[0])}"
             )
-        f.require_divergence_free(1e-10)
+        f.require_divergence_free()
         out[n] = f
     return out
 

@@ -141,9 +141,9 @@ def poly_bilinear(p: FieldPolynomial, q: FieldPolynomial) -> FieldPolynomial:
         return FieldPolynomial.zero()
     pc, qc = p.coeffs(), q.coeffs()
     for c in pc:
-        c.require_divergence_free(1e-10)
+        c.require_divergence_free()
     for c in qc:
-        c.require_divergence_free(1e-10)
+        c.require_divergence_free()
     out = [SpectralField.zero()] * (len(pc) + len(qc) - 1)
     for i, a in enumerate(pc):
         if a.is_zero:

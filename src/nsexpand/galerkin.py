@@ -255,7 +255,7 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
     ball, which is exactly what the Galerkin right side prescribes.
     """
     table = mode_table(config.mode_cutoff)
-    u0.require_divergence_free(1e-10)
+    u0.require_divergence_free()
     reach = max(u0.max_eigenvalue(), force.max_support_eigenvalue())
     if reach > config.mode_cutoff:
         raise ValueError(

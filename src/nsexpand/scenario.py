@@ -20,19 +20,31 @@ Schema (all field/polynomial values use the literal formats in `serialize`):
       "output_dir": "runs"                               # optional
     }
 
-Violations are reported with the path of the offending field.
+This module is the schema only: the checked readers in `serialize` turn each
+value into its type, and every violation is a `ScenarioError` naming the path
+of the offending field.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field as dc_field
 
 from .analysis import DecayCertificate
 from .expansion import ForceExpansion, check_resonant_data
 from .galerkin import SolverConfig
-from .serialize import ScenarioError, _number, field_from_literal, poly_from_literal
+from .serialize import (
+    ScenarioError,
+    _at,
+    _list,
+    _need,
+    _number,
+    _object,
+    field_from_literal,
+    load_json,
+    poly_from_literal,
+    solver_from_doc,
+)
 from .spectral import NormSpec, SpectralField
 
 __all__ = ["ExpansionRequest", "Scenario", "load_scenario", "scenario_from_doc"]
@@ -71,173 +83,102 @@ class Scenario:
     output_dir: str | None = None
 
 
-def _expect_dict(obj, path):
-    if not isinstance(obj, dict):
-        raise ScenarioError(path, "expected an object")
-    return obj
-
-
-def _get(doc: dict, key: str, path: str, required=True, default=None):
-    if key not in doc:
-        if required:
-            raise ScenarioError(f"{path}.{key}" if path else key, "missing required key")
-        return default
-    return doc[key]
-
-
-def _window(value, path):
+def _pair(value, path, what):
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ScenarioError(path, "expected [start, end]")
-    a = _number(value[0], f"{path}[0]")
-    b = _number(value[1], f"{path}[1]")
+        raise ScenarioError(path, f"expected {what}")
+    return _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
+
+
+def _window(doc, key, path):
+    value = _need(doc, key, path, None)
+    if value is None:
+        return None
+    a, b = _pair(value, f"{path}.{key}", "[start, end]")
     if not (a < b):
-        raise ScenarioError(path, f"window start must precede end, got [{a}, {b}]")
+        raise ScenarioError(f"{path}.{key}", f"window start must precede end, got [{a}, {b}]")
     return (a, b)
 
 
 def _parse_force(doc, path) -> ForceExpansion:
-    doc = _expect_dict(doc, path)
-    terms_doc = _get(doc, "terms", path)
-    if not isinstance(terms_doc, list):
-        raise ScenarioError(f"{path}.terms", "expected a list")
+    terms = _list(_need(_object(doc, path), "terms", path), f"{path}.terms")
     pairs = []
-    for i, entry in enumerate(terms_doc):
+    for i, entry in enumerate(terms):
         epath = f"{path}.terms[{i}]"
-        entry = _expect_dict(entry, epath)
-        n = _number(_get(entry, "n", epath), f"{epath}.n", int)
-        poly = poly_from_literal(_get(entry, "poly", epath), f"{epath}.poly")
-        pairs.append((n, poly))
-    try:
+        entry = _object(entry, epath)
+        n = _number(_need(entry, "n", epath), f"{epath}.n", int)
+        pairs.append((n, poly_from_literal(_need(entry, "poly", epath), f"{epath}.poly")))
+    with _at(f"{path}.terms"):
         return ForceExpansion(tuple(pairs))
-    except ValueError as exc:
-        raise ScenarioError(f"{path}.terms", str(exc)) from None
 
 
 def _parse_expansion(doc, path) -> ExpansionRequest:
-    doc = _expect_dict(doc, path)
-    n_max = _number(_get(doc, "N_max", path), f"{path}.N_max", int)
+    doc = _object(doc, path)
+    n_max = _number(_need(doc, "N_max", path), f"{path}.N_max", int)
     resonant = {}
-    rdoc = _get(doc, "resonant", path, required=False, default={})
-    rdoc = _expect_dict(rdoc, f"{path}.resonant")
-    for key, lit in rdoc.items():
-        try:
-            n = int(key)
-        except ValueError:
-            raise ScenarioError(
-                f"{path}.resonant.{key}", "keys must be integer level indices"
-            ) from None
-        resonant[n] = field_from_literal(lit, f"{path}.resonant.{key}")
-    try:
+    for key, lit in _object(_need(doc, "resonant", path, {}), f"{path}.resonant").items():
+        with _at(f"{path}.resonant.{key}"):  # keys are integer level indices
+            resonant[int(key)] = field_from_literal(lit, f"{path}.resonant.{key}")
+    with _at(f"{path}.resonant"):
         check_resonant_data(resonant)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}.resonant", str(exc)) from None
-    eps = _get(doc, "target_epsilon", path, required=False, default=0.5)
-    eps = _number(eps, f"{path}.target_epsilon")
-    specs_doc = _get(doc, "norm_specs", path, required=False, default=[[0.0, 0.0]])
+    eps = _number(_need(doc, "target_epsilon", path, 0.5), f"{path}.target_epsilon")
+    specs_doc = _need(doc, "norm_specs", path, [[0.0, 0.0]])
     if not isinstance(specs_doc, list) or not specs_doc:
         raise ScenarioError(f"{path}.norm_specs", "expected a non-empty list")
     specs = []
     for i, pair in enumerate(specs_doc):
         spath = f"{path}.norm_specs[{i}]"
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ScenarioError(spath, "expected [alpha, sigma]")
-        try:
-            specs.append(NormSpec(_number(pair[0], spath), _number(pair[1], spath)))
-        except ValueError as exc:
-            raise ScenarioError(spath, str(exc)) from None
-    fit_window = _get(doc, "fit_window", path, required=False)
-    if fit_window is not None:
-        fit_window = _window(fit_window, f"{path}.fit_window")
-    rwin = _get(doc, "resonant_fit_window", path, required=False)
-    if rwin is not None:
-        rwin = _window(rwin, f"{path}.resonant_fit_window")
-    try:
-        return ExpansionRequest(n_max, resonant, eps, tuple(specs), fit_window, rwin)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
-
-
-def _parse_solver(doc, path) -> SolverConfig:
-    doc = _expect_dict(doc, path)
-    try:
-        return SolverConfig(
-            mode_cutoff=_number(_get(doc, "mode_cutoff", path), f"{path}.mode_cutoff", int),
-            step=_number(_get(doc, "step", path), f"{path}.step"),
-            t_end=_number(_get(doc, "t_end", path), f"{path}.t_end"),
-            sample_stride=_number(
-                _get(doc, "sample_stride", path, required=False, default=1),
-                f"{path}.sample_stride",
-                int,
-            ),
+        with _at(spath):
+            specs.append(NormSpec(*_pair(pair, spath, "[alpha, sigma]")))
+    with _at(path):
+        return ExpansionRequest(
+            n_max,
+            resonant,
+            eps,
+            tuple(specs),
+            _window(doc, "fit_window", path),
+            _window(doc, "resonant_fit_window", path),
         )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
 
 
 def _parse_certificates(doc, path) -> tuple[DecayCertificate, ...]:
     if doc is None:
         return ()
-    if not isinstance(doc, list):
-        raise ScenarioError(path, "expected a list")
     certs = []
-    for i, entry in enumerate(doc):
+    for i, entry in enumerate(_list(doc, path)):
         epath = f"{path}[{i}]"
-        entry = _expect_dict(entry, epath)
-        try:
+        entry = _object(entry, epath)
+        with _at(epath):
             certs.append(
                 DecayCertificate(
-                    alpha=_number(_get(entry, "alpha", epath), f"{epath}.alpha"),
-                    delta=_number(_get(entry, "delta", epath), f"{epath}.delta"),
-                    lam=_number(_get(entry, "lambda", epath), f"{epath}.lambda"),
-                    sigma=_number(
-                        _get(entry, "sigma", epath, required=False, default=0.0),
-                        f"{epath}.sigma",
-                    ),
-                    K=_number(
-                        _get(entry, "K", epath, required=False, default=2.0),
-                        f"{epath}.K",
-                    ),
+                    alpha=_number(_need(entry, "alpha", epath), f"{epath}.alpha"),
+                    delta=_number(_need(entry, "delta", epath), f"{epath}.delta"),
+                    lam=_number(_need(entry, "lambda", epath), f"{epath}.lambda"),
+                    sigma=_number(_need(entry, "sigma", epath, 0.0), f"{epath}.sigma"),
+                    K=_number(_need(entry, "K", epath, 2.0), f"{epath}.K"),
                 )
             )
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(epath, str(exc)) from None
     return tuple(certs)
 
 
-def scenario_from_doc(doc, path: str = "") -> Scenario:
-    doc = _expect_dict(doc, path or "scenario")
-    name = _get(doc, "name", path)
+def scenario_from_doc(doc) -> Scenario:
+    doc = _object(doc, "scenario")
+    name = _need(doc, "name", "")
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise ScenarioError(
             "name", "must be a nonempty string of letters, digits, dot, dash, underscore"
         )
-    force = _parse_force(_get(doc, "force", path), "force")
-    initial = field_from_literal(_get(doc, "initial", path), "initial")
-    try:
-        initial.require_divergence_free(1e-10)
-    except ValueError as exc:
-        raise ScenarioError("initial", str(exc)) from None
-    expansion = _parse_expansion(_get(doc, "expansion", path), "expansion")
-    solver = _parse_solver(_get(doc, "solver", path), "solver")
-    certificates = _parse_certificates(
-        _get(doc, "certificates", path, required=False), "certificates"
-    )
-    output_dir = _get(doc, "output_dir", path, required=False)
+    force = _parse_force(_need(doc, "force", ""), "force")
+    initial = field_from_literal(_need(doc, "initial", ""), "initial")
+    with _at("initial"):
+        initial.require_divergence_free()
+    expansion = _parse_expansion(_need(doc, "expansion", ""), "expansion")
+    solver = solver_from_doc(_need(doc, "solver", ""), "solver")
+    certificates = _parse_certificates(_need(doc, "certificates", "", None), "certificates")
+    output_dir = _need(doc, "output_dir", "", None)
     if output_dir is not None and not isinstance(output_dir, str):
         raise ScenarioError("output_dir", "expected a string")
     return Scenario(name, force, initial, expansion, solver, certificates, output_dir)
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ScenarioError(str(path), "scenario file not found") from None
-    except ValueError as exc:  # bad syntax, bad UTF-8, an integer too long to read
-        raise ScenarioError(str(path), f"invalid JSON: {exc}") from None
-    return scenario_from_doc(doc)
+    return scenario_from_doc(load_json(path))

@@ -1,8 +1,12 @@
-"""Literal formats and deterministic file writers.
+"""Literal formats, the checked readers of input documents, and deterministic writers.
 
 Field literal: list of mode entries {"k": [k1,k2,k3], "re": [...], "im": [...]},
 one entry per conjugate pair, keyed by the stored representative.
 Polynomial literal: {"degree_coeffs": [field-literal, ...]} by power of t.
+
+Every reader here turns a JSON document (a scenario, a trajectory manifest, a
+level document) into typed values or raises a `ScenarioError` whose `path`
+names the offending key; `scenario` holds only the scenario schema on top.
 
 Every float is printed with 17 significant digits so files round-trip to the
 exact same doubles; writers emit keys and rows in fixed orders and carry no
@@ -14,12 +18,13 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from .fieldpoly import FieldPolynomial
 from .galerkin import SolverConfig, Trajectory
-from .spectral import SpectralField
+from .spectral import SpectralField, is_representative
 
 __all__ = [
     "ScenarioError",
@@ -31,6 +36,7 @@ __all__ = [
     "field_from_literal",
     "poly_to_literal",
     "poly_from_literal",
+    "solver_from_doc",
     "write_trajectory",
     "read_trajectory",
     "write_norm_csv",
@@ -108,6 +114,8 @@ def load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
+    except FileNotFoundError:
+        raise ScenarioError(str(path), "file not found") from None
     except ValueError as exc:  # bad syntax, bad UTF-8, an integer too long to read
         raise ScenarioError(str(path), f"invalid JSON: {exc}") from None
 
@@ -126,10 +134,39 @@ def field_to_literal(field: SpectralField) -> list[dict]:
     ]
 
 
-def _need(entry: dict, key: str, path: str):
-    if key not in entry:
-        raise ScenarioError(f"{path}.{key}", "missing required key")
-    return entry[key]
+@contextmanager
+def _at(path: str):
+    """Report a constructor's own ValueError as a ScenarioError at `path`."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from None
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(path, "expected an object")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(path, "expected a list")
+    return value
+
+
+_REQUIRED = object()
+
+
+def _need(doc: dict, key: str, path: str, default=_REQUIRED):
+    """doc[key]; a missing key is an error at `path.key` unless a default is given."""
+    if key in doc:
+        return doc[key]
+    if default is _REQUIRED:
+        raise ScenarioError(f"{path}.{key}" if path else key, "missing required key")
+    return default
 
 
 def _number(value, path: str, kind=float):
@@ -150,23 +187,18 @@ def _triple(value, path: str, kind):
 
 
 def field_from_literal(lit, path: str = "field") -> SpectralField:
-    if not isinstance(lit, list):
-        raise ScenarioError(path, "expected a list of mode entries")
     coeffs = {}
-    for i, entry in enumerate(lit):
+    for i, entry in enumerate(_list(lit, path)):
         epath = f"{path}[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(epath, "expected an object with keys k, re, im")
+        entry = _object(entry, epath)
         k = tuple(_triple(_need(entry, "k", epath), f"{epath}.k", int))
         re = _triple(_need(entry, "re", epath), f"{epath}.re", float)
         im = _triple(_need(entry, "im", epath), f"{epath}.im", float)
         if k in coeffs:
             raise ScenarioError(f"{epath}.k", f"duplicate wavevector {list(k)}")
         coeffs[k] = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
-    try:
+    with _at(path):
         return SpectralField(coeffs)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
 
 
 def poly_to_literal(poly: FieldPolynomial) -> dict:
@@ -174,17 +206,24 @@ def poly_to_literal(poly: FieldPolynomial) -> dict:
 
 
 def poly_from_literal(lit, path: str = "poly") -> FieldPolynomial:
-    if not isinstance(lit, dict) or "degree_coeffs" not in lit:
-        raise ScenarioError(path, 'expected an object with key "degree_coeffs"')
-    coeffs = lit["degree_coeffs"]
-    if not isinstance(coeffs, list):
-        raise ScenarioError(f"{path}.degree_coeffs", "expected a list of field literals")
+    coeffs = _list(_need(_object(lit, path), "degree_coeffs", path), f"{path}.degree_coeffs")
     return FieldPolynomial(
-        [
-            field_from_literal(c, f"{path}.degree_coeffs[{j}]")
-            for j, c in enumerate(coeffs)
-        ]
+        [field_from_literal(c, f"{path}.degree_coeffs[{j}]") for j, c in enumerate(coeffs)]
     )
+
+
+def solver_from_doc(doc, path: str) -> SolverConfig:
+    """The solver block of a scenario and of a trajectory manifest."""
+    doc = _object(doc, path)
+    with _at(path):
+        return SolverConfig(
+            mode_cutoff=_number(_need(doc, "mode_cutoff", path), f"{path}.mode_cutoff", int),
+            step=_number(_need(doc, "step", path), f"{path}.step"),
+            t_end=_number(_need(doc, "t_end", path), f"{path}.t_end"),
+            sample_stride=_number(
+                _need(doc, "sample_stride", path, 1), f"{path}.sample_stride", int
+            ),
+        )
 
 
 # -- trajectory CSV + sidecar manifest ----------------------------------------
@@ -226,46 +265,28 @@ def write_trajectory(csv_path, manifest_path, traj: Trajectory):
 
 def read_trajectory(csv_path, manifest_path) -> Trajectory:
     """Trajectory from its CSV and manifest; a malformed file is a ScenarioError naming it."""
-    manifest = load_json(manifest_path)
     mpath = str(manifest_path)
-    try:
-        modes = [tuple(int(x) for x in k) for k in _need(manifest, "modes", mpath)]
-        sv = _need(manifest, "solver", mpath)
-        config = SolverConfig(
-            mode_cutoff=int(_need(sv, "mode_cutoff", f"{mpath}.solver")),
-            step=float(_need(sv, "step", f"{mpath}.solver")),
-            t_end=float(_need(sv, "t_end", f"{mpath}.solver")),
-            sample_stride=int(_need(sv, "sample_stride", f"{mpath}.solver")),
-        )
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(mpath, f"malformed manifest: {exc}") from None
+    manifest = _object(load_json(manifest_path), mpath)
+    modes = []
+    for i, k in enumerate(_list(_need(manifest, "modes", mpath), f"{mpath}.modes")):
+        k = tuple(_triple(k, f"{mpath}.modes[{i}]", int))
+        if not is_representative(k):
+            raise ScenarioError(f"{mpath}.modes[{i}]", f"{list(k)} is not a stored wavevector")
+        modes.append(k)
+    config = solver_from_doc(_need(manifest, "solver", mpath), f"{mpath}.solver")
     times = []
     states = []
+    expected = 1 + 6 * len(modes)
     with open(csv_path) as fh:
-        header = fh.readline()
-        expected = 1 + 6 * len(modes)
-        if len(header.split(",")) != expected:
+        if len(fh.readline().split(",")) != expected:
             raise ScenarioError(csv_path, "column count does not match manifest")
         for lineno, line in enumerate(fh, start=2):
-            try:
-                vals = [float(x) for x in line.split(",")]
+            with _at(f"{csv_path}:{lineno}"):
+                vals = np.array(line.split(","), dtype=float)
                 if len(vals) != expected:
                     raise ValueError(f"expected {expected} values, got {len(vals)}")
-                coeffs = {}
-                for i, k in enumerate(modes):
-                    base = 1 + 6 * i
-                    coeffs[k] = np.array(
-                        [
-                            vals[base] + 1j * vals[base + 1],
-                            vals[base + 2] + 1j * vals[base + 3],
-                            vals[base + 4] + 1j * vals[base + 5],
-                        ]
-                    )
-                states.append(SpectralField(coeffs))
-            except ValueError as exc:
-                raise ScenarioError(f"{csv_path}:{lineno}", str(exc)) from None
+                # t, then (re, im) per component: the tail is the (L, 3) complex block
+                states.append(SpectralField(zip(modes, vals[1:].view(complex).reshape(-1, 3))))
             times.append(vals[0])
     return Trajectory(np.array(times), tuple(states), config)
 
@@ -308,9 +329,8 @@ def level_to_doc(n: int, poly: FieldPolynomial, resonant_hit: bool) -> dict:
 
 def level_from_doc(doc, path: str = "level-doc") -> tuple[int, FieldPolynomial]:
     """(n, q_n) from a level document; `path` names the document in errors."""
-    if not isinstance(doc, dict) or "level" not in doc or "poly" not in doc:
-        raise ScenarioError(path, 'expected an object with keys "level" and "poly"')
-    n = doc["level"]
+    doc = _object(doc, path)
+    n = _need(doc, "level", path)
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ScenarioError(f"{path}.level", f"expected a positive integer, got {n!r}")
-    return n, poly_from_literal(doc["poly"], f"{path}.poly")
+    return n, poly_from_literal(_need(doc, "poly", path), f"{path}.poly")

@@ -40,6 +40,7 @@ __all__ = [
 Wavevector = tuple[int, int, int]
 
 _ZERO = (0, 0, 0)
+DIVERGENCE_TOL = 1e-10  # relative to max_abs(), the scale that cannot overflow
 
 
 def eigenvalue(k: Wavevector) -> int:
@@ -287,13 +288,13 @@ class SpectralField:
             worst = max(worst, abs(np.dot(c, kv)) / math.sqrt(eigenvalue(k)))
         return worst
 
-    def require_divergence_free(self, tol: float = 1e-12):
-        """Raise unless the divergence defect is <= tol relative to the field norm."""
+    def require_divergence_free(self):
+        """Raise unless the divergence defect is <= DIVERGENCE_TOL x the largest coefficient."""
         defect = self.divergence_defect()
-        if defect > tol * max(norm(self, _H0), 1e-300):
+        if defect > DIVERGENCE_TOL * self.max_abs():
             raise ValueError(
                 f"field is not divergence-free: defect {defect:.3e} "
-                f"exceeds {tol:g} x norm"
+                f"exceeds {DIVERGENCE_TOL:g} x max |coefficient|"
             )
 
 
@@ -353,8 +354,8 @@ def bilinear(u: SpectralField, v: SpectralField, *, check: bool = True) -> Spect
     inner(bilinear(u, v), v) vanishes to rounding.
     """
     if check:
-        u.require_divergence_free(1e-10)
-        v.require_divergence_free(1e-10)
+        u.require_divergence_free()
+        v.require_divergence_free()
     if u.is_zero or v.is_zero:
         return SpectralField.zero()
     mu, cu = _signed_mode_arrays(u)

@@ -57,8 +57,7 @@ def test_tail_window_defaults():
 def test_norm_series_heat_closed_form():
     u0, traj = heat_trajectory()
     n0 = norm(u0)
-    series = norm_series(traj, NormSpec(0.0, 0.0), label="flat")
-    assert series.label == "flat"
+    series = norm_series(traj, NormSpec(0.0, 0.0))
     for t, v in zip(series.times, series.values):
         assert v == pytest.approx(n0 * math.exp(-float(t)), rel=1e-11)
     # |k|^2 = 1 modes: every weighted norm coincides with the flat one

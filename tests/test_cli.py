@@ -297,6 +297,31 @@ BAD_DOCUMENTS = {
         "verify", "trajectory_modes.json", lambda p: edit_json(p, lambda d: d.pop("solver")),
         ".solver: missing required key",
     ),
+    "manifest-fractional-cutoff": (
+        "verify", "trajectory_modes.json",
+        lambda p: edit_json(p, lambda d: d["solver"].update(mode_cutoff=12.7)),
+        ".solver.mode_cutoff: expected an integer",
+    ),
+    "manifest-string-cutoff": (
+        "certify", "trajectory_modes.json",
+        lambda p: edit_json(p, lambda d: d["solver"].update(mode_cutoff="12")),
+        ".solver.mode_cutoff: expected a number",
+    ),
+    "manifest-boolean-stride": (
+        "verify", "trajectory_modes.json",
+        lambda p: edit_json(p, lambda d: d["solver"].update(sample_stride=True)),
+        ".solver.sample_stride: expected a number",
+    ),
+    "manifest-fractional-mode": (
+        "verify", "trajectory_modes.json",
+        lambda p: edit_json(p, lambda d: d["modes"].__setitem__(1, [1.5, 0, 1])),
+        ".modes[1]: expected an integer",
+    ),
+    "manifest-non-representative-mode": (
+        "verify", "trajectory_modes.json",
+        lambda p: edit_json(p, lambda d: d["modes"].__setitem__(1, [0, -1, 1])),
+        ".modes[1]: [0, -1, 1] is not a stored wavevector",
+    ),
     "short-csv-row-verify": (
         "verify", "trajectory.csv", lambda p: edit_cells(p, 5, list.pop), ":5: expected",
     ),

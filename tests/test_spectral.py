@@ -138,6 +138,9 @@ def test_divergence_defect():
     assert bad.divergence_defect() > 0
     with pytest.raises(ValueError, match="not divergence-free"):
         bad.require_divergence_free()
+    huge = single((1, 0, 0), [1e200, 0, 0])  # a pure gradient whose norm overflows
+    with pytest.raises(ValueError, match="not divergence-free"):
+        huge.require_divergence_free()
 
 
 # -- Leray projection --------------------------------------------------------------
