@@ -244,12 +244,10 @@ def fit_resonant_constant(
     var = float(tc @ tc)
     drift_norm = 0.0
     if support and var > 0:
-        stacked = np.array([[w.coeff(k) for k in support] for w in samples])
+        rows = np.array(support)
+        stacked = np.array([w._rows(rows) for w in samples])
         slopes = np.einsum("s,skc->kc", tc, stacked) / var
-        drift_field = SpectralField(
-            {k: slopes[j] * (b - a) for j, k in enumerate(support)}
-        )
-        drift_norm = norm(drift_field)
+        drift_norm = norm(SpectralField(zip(support, slopes * (b - a))))
     base = norm(mean)
     drift = drift_norm / base if base > 0 else (math.inf if drift_norm > 0 else 0.0)
     return ResonantConstantFit(mean, stddev, drift, drift > 0.1, (a, b), m)

@@ -166,8 +166,8 @@ def solve_level(
         lams.update(eigenvalue(k) for k in c.support())
     if xi is not None and not xi.is_zero:
         lams.add(n)
-    # the blocks' solutions have disjoint supports: merge their coefficients once
-    merged: list[dict] = []
+    # the blocks' solutions have disjoint supports, so summing them is exact
+    q = FieldPolynomial.zero()
     hit = False
     for lam in sorted(lams):
         block = p.map_coeffs(lambda c, lam=lam: eigenspace_project(c, lam))
@@ -176,11 +176,8 @@ def solve_level(
             hit = True
         else:
             part = resolvent_solve(block, float(lam - n))
-        for j, c in enumerate(part.coeffs()):
-            if j == len(merged):
-                merged.append({})
-            merged[j].update(c.modes())
-    return FieldPolynomial([SpectralField(c) for c in merged]), hit
+        q = q + part
+    return q, hit
 
 
 def build_expansion(

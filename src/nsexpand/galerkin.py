@@ -131,14 +131,14 @@ class ModeTable:
         reps.sort()
         self.cutoff = cutoff
         self.reps: list[tuple[int, int, int]] = reps
-        self.index = {k: i for i, k in enumerate(reps)}
         self.size = len(reps)
         self.kvec = np.array(reps, dtype=float)            # (R, 3)
         self.lam = np.einsum("rc,rc->r", self.kvec, self.kvec)
 
         n = _smooth_size(3 * r + 1)
         shape = (n, n, n // 2 + 1)
-        k = np.array(reps, dtype=np.intp).reshape(-1, 3)
+        self._k = k = np.array(reps, dtype=np.intp).reshape(-1, 3)
+        self._basis = SpectralField(zip(reps, np.ones((self.size, 3))))  # the rows as a field
         # rfftn keeps k_z >= 0: a row with k_z < 0 is read at -k, conjugated
         self._flip = k[:, 2] < 0
         half = np.where(self._flip[:, None], -k, k)
@@ -158,16 +158,10 @@ class ModeTable:
 
     def densify(self, u: SpectralField) -> np.ndarray:
         """Coefficients of P_M u over the rows: modes outside the ball are dropped."""
-        out = np.zeros((self.size, 3), dtype=np.complex128)
-        for k, c in u.modes():
-            i = self.index.get(k)
-            if i is not None:
-                out[i] = c
-        return out
+        return u._rows(self._k)
 
     def to_field(self, coeffs: np.ndarray) -> SpectralField:
-        live = np.nonzero(np.any(coeffs != 0, axis=1))[0]
-        return SpectralField({self.reps[i]: coeffs[i] for i in live})
+        return self._basis._reweighted(np.array(coeffs, dtype=np.complex128))
 
     def _to_grid(self, coeffs: np.ndarray, spec: np.ndarray, phys: np.ndarray) -> None:
         """Physical values of the (C, R) representative coefficients on the grid, into phys."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from .fieldpoly import FieldPolynomial
 from .galerkin import SolverConfig, Trajectory
-from .spectral import SpectralField, is_representative
+from .spectral import SpectralField, _wavevectors, is_representative
 
 __all__ = [
     "ScenarioError",
@@ -232,21 +232,15 @@ def solver_from_doc(doc, path: str) -> SolverConfig:
 def write_trajectory(csv_path, manifest_path, traj: Trajectory):
     """CSV columns: t, then re/im per stored mode component; sidecar maps them back."""
     support = sorted(set().union(*(s.support() for s in traj.states)) or set())
-    columns = ["t"]
-    for i in range(len(support)):
-        for c in range(3):
-            columns.append(f"re(k{i + 1} u{c + 1})")
-            columns.append(f"im(k{i + 1} u{c + 1})")
+    cells = [(i + 1, c + 1) for i in range(len(support)) for c in range(3)]
+    columns = ["t", *(f"{part}(k{i} u{c})" for i, c in cells for part in ("re", "im"))]
+    rows = np.array(support, dtype=np.int64).reshape(-1, 3)
     with open(csv_path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for t, state in zip(traj.times, traj.states):
-            row = [format_float(t)]
-            for k in support:
-                coef = state.coeff(k)
-                for c in range(3):
-                    row.append(format_float(coef[c].real))
-                    row.append(format_float(coef[c].imag))
-            fh.write(",".join(row) + "\n")
+            # (L, 3) complex viewed as floats is re, im per component, mode by mode
+            values = [t, *state._rows(rows).view(float).ravel().tolist()]
+            fh.write(",".join(map(format_float, values)) + "\n")
     cfg = traj.config
     write_json(
         manifest_path,
@@ -264,30 +258,39 @@ def write_trajectory(csv_path, manifest_path, traj: Trajectory):
 
 
 def read_trajectory(csv_path, manifest_path) -> Trajectory:
-    """Trajectory from its CSV and manifest; a malformed file is a ScenarioError naming it."""
+    """Trajectory from its CSV and manifest: exactly the samples `integrate` writes under the
+    manifest's solver block, or a ScenarioError naming the file."""
     mpath = str(manifest_path)
     manifest = _object(load_json(manifest_path), mpath)
     modes = []
     for i, k in enumerate(_list(_need(manifest, "modes", mpath), f"{mpath}.modes")):
         k = tuple(_triple(k, f"{mpath}.modes[{i}]", int))
+        with _at(f"{mpath}.modes[{i}]"):
+            _wavevectors([k])
         if not is_representative(k):
             raise ScenarioError(f"{mpath}.modes[{i}]", f"{list(k)} is not a stored wavevector")
         modes.append(k)
     config = solver_from_doc(_need(manifest, "solver", mpath), f"{mpath}.solver")
+    stride = config.sample_stride
+    samples = round(config.t_end / config.step) // stride + 1
     times = []
     states = []
     expected = 1 + 6 * len(modes)
     with open(csv_path) as fh:
         if len(fh.readline().split(",")) != expected:
             raise ScenarioError(csv_path, "column count does not match manifest")
-        for lineno, line in enumerate(fh, start=2):
-            with _at(f"{csv_path}:{lineno}"):
+        for i, line in enumerate(fh):
+            with _at(f"{csv_path}:{i + 2}"):
                 vals = np.array(line.split(","), dtype=float)
                 if len(vals) != expected:
                     raise ValueError(f"expected {expected} values, got {len(vals)}")
+                if vals[0] != (t := i * stride * config.step):
+                    raise ValueError(f"expected t = {format_float(t)}, got {format_float(vals[0])}")
                 # t, then (re, im) per component: the tail is the (L, 3) complex block
                 states.append(SpectralField(zip(modes, vals[1:].view(complex).reshape(-1, 3))))
             times.append(vals[0])
+    if len(states) != samples:
+        raise ScenarioError(csv_path, f"expected {samples} samples, got {len(states)}")
     return Trajectory(np.array(times), tuple(states), config)
 
 

@@ -7,6 +7,10 @@ mode is excluded throughout (zero spatial average), so the Stokes operator
 acts mode-wise as multiplication by |k|^2 >= 1 and every fractional power of
 it is bounded on the fields we store.
 
+A field is stored as row-aligned arrays in lexicographic wavevector order: the
+wavevectors, an int64 key for each (components offset by 2**20 into 21 bits, so
+key order is tuple order) and the coefficients. Hence |k_i| < 2**20 throughout.
+
 Norms follow the Parseval convention without the volume factor: |u|^2 is the
 plain sum of |c(k)|^2 over all modes, conjugate halves included.
 """
@@ -41,6 +45,26 @@ Wavevector = tuple[int, int, int]
 
 _ZERO = (0, 0, 0)
 DIVERGENCE_TOL = 1e-10  # relative to max_abs(), the scale that cannot overflow
+_K_BOUND = 2**20  # |k_i| < _K_BOUND: a component offset by it fits 21 bits of a packed key
+_PACK = np.array([1 << 42, 1 << 21, 1])  # 21 bits per component, derived from the bound
+_KEY0 = _K_BOUND * int(_PACK.sum())  # the key of k = 0; packing is linear: key(k) = k @ _PACK + _KEY0
+_NO_K, _NO_KEY, _NO_C = np.empty((0, 3), np.int64), np.empty(0, np.int64), np.empty((0, 3), complex)
+
+
+def _pack(k: np.ndarray) -> np.ndarray:
+    """One int64 per wavevector (last axis of k), ordered like the tuples."""
+    return k @ _PACK + _KEY0
+
+
+def _wavevectors(keys) -> np.ndarray:
+    """The wavevectors as an (n, 3) int64 array; ValueError past the component bound."""
+    if any(abs(x) >= _K_BOUND for k in keys for x in k):
+        raise ValueError("wavevector components must lie strictly between -2**20 and 2**20")
+    return np.array(keys, dtype=np.int64).reshape(-1, 3)
+
+
+def _eigenvalues(k: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", k, k)
 
 
 def eigenvalue(k: Wavevector) -> int:
@@ -68,8 +92,7 @@ class NormSpec:
 
     def weight(self, lam: float) -> float:
         """Coefficient weight at Stokes eigenvalue lam = |k|^2."""
-        root = math.sqrt(lam)
-        return lam**self.alpha * math.exp(self.sigma * root)
+        return lam**self.alpha * math.exp(self.sigma * math.sqrt(lam))
 
 
 class SpectralField:
@@ -77,11 +100,12 @@ class SpectralField:
 
     The mapping passed to the constructor must key on representative
     wavevectors only; coefficients are complex 3-vectors. Exactly-zero
-    coefficients are dropped so the stored support is meaningful. The split
-    of the store by Stokes eigenvalue is built on first use and kept.
+    coefficients are dropped so the stored support is meaningful. The store
+    is the wavevectors ((n, 3) int64), their packed keys ((n,) int64) and the
+    read-only coefficients ((n, 3) complex128); |k_i| >= 2**20 is rejected.
     """
 
-    __slots__ = ("_coeffs", "_blocks")
+    __slots__ = ("_k", "_key", "_c")
 
     def __init__(self, coeffs=()):
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
@@ -97,45 +121,68 @@ class SpectralField:
                 )
             keys.append(k)
             values.append(c)
-        store = {}
-        if keys:
-            # one array for all coefficients; the per-entry pass only names the culprit
-            try:
-                arr = np.array(values, dtype=np.complex128)
-            except (TypeError, ValueError):
-                arr = None
-            if arr is None or arr.shape != (len(keys), 3):
-                for k, c in zip(keys, values):
-                    if np.array(c, dtype=np.complex128).shape != (3,):
-                        raise ValueError(f"coefficient at {k} must be a 3-vector")
-            finite = np.isfinite(arr).all(axis=1)
-            if not finite.all():
-                raise ValueError(f"non-finite coefficient at {keys[int(np.argmin(finite))]}")
-            arr.setflags(write=False)
-            for k, row, keep in zip(keys, arr, arr.any(axis=1)):
-                if k in store:
-                    raise ValueError(f"duplicate wavevector {k}")
-                if keep:
-                    store[k] = row
-        self._coeffs = dict(sorted(store.items()))
-        self._blocks = None
+        if not keys:
+            self._k, self._key, self._c = _NO_K, _NO_KEY, _NO_C
+            return
+        k = _wavevectors(keys)
+        # one array for all coefficients; the per-entry pass only names the culprit
+        try:
+            arr = np.array(values, dtype=np.complex128)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.shape != (len(keys), 3):
+            for key, c in zip(keys, values):
+                if np.array(c, dtype=np.complex128).shape != (3,):
+                    raise ValueError(f"coefficient at {key} must be a 3-vector")
+        finite = np.isfinite(arr).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite coefficient at {keys[int(np.argmin(finite))]}")
+        key = _pack(k)
+        order = np.argsort(key, kind="stable")
+        repeat = key[order[1:]] == key[order[:-1]]
+        if repeat.any():
+            raise ValueError(f"duplicate wavevector {keys[int(order[1:][repeat].min())]}")
+        order = order[arr[order].any(axis=1)]
+        self._k, self._key, self._c = k[order], key[order], arr[order]
+        self._c.setflags(write=False)
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "SpectralField":
-        return cls({})
+        return cls._adopt(_NO_K, _NO_KEY, _NO_C)
 
     @classmethod
-    def _adopt(cls, coeffs: dict) -> "SpectralField":
-        """Internal fast path: adopt a store whose invariants the caller has
-        already established (representative integer keys in lexicographic
-        order, locked finite complex128 3-vectors, no exact-zero entries).
-        """
+    def _adopt(cls, k: np.ndarray, key: np.ndarray, c: np.ndarray) -> "SpectralField":
+        """Internal fast path: adopt key-ordered rows whose invariants the caller
+        has established (bounded representatives, finite nonzero coefficients)."""
         field = object.__new__(cls)
-        field._coeffs = coeffs
-        field._blocks = None
+        c.setflags(write=False)
+        field._k, field._key, field._c = k, key, c
         return field
+
+    def _select(self, rows: np.ndarray) -> "SpectralField":
+        """The field restricted to the rows where the boolean mask holds."""
+        if rows.all():
+            return self
+        return SpectralField._adopt(self._k[rows], self._key[rows], self._c[rows])
+
+    def _reweighted(self, c: np.ndarray) -> "SpectralField":
+        """These wavevectors with new coefficient rows: non-finite is an error, zero rows drop."""
+        if not np.isfinite(c).all():
+            bad = int(np.argmin(np.isfinite(c).all(axis=1)))
+            raise ValueError(f"non-finite coefficient at {tuple(self._k[bad].tolist())}")
+        return SpectralField._adopt(self._k, self._key, c)._select(c.any(axis=1))
+
+    def _rows(self, k: np.ndarray) -> np.ndarray:
+        """Coefficients at the sorted representative wavevectors k ((n, 3)), zero where unstored."""
+        out = np.zeros((len(k), 3), dtype=np.complex128)
+        if len(k):
+            key = _pack(k)
+            i = np.searchsorted(key, self._key)
+            hit = key.take(i, mode="clip") == self._key
+            out[i[hit]] = self._c[hit]
+        return out
 
     @classmethod
     def from_modes(cls, items) -> "SpectralField":
@@ -148,93 +195,75 @@ class SpectralField:
         acc: dict[Wavevector, np.ndarray] = {}
         for k, c in items:
             k = (int(k[0]), int(k[1]), int(k[2]))
-            arr = np.asarray(c, dtype=np.complex128)
+            c = np.asarray(c, dtype=np.complex128)
             if not is_representative(k):
                 if k == _ZERO:
                     raise ValueError("k = 0 is excluded (zero-average fields)")
-                k = (-k[0], -k[1], -k[2])
-                arr = np.conj(arr)
-            if k in acc:
-                acc[k] = acc[k] + arr
-            else:
-                acc[k] = arr.copy()
+                k, c = (-k[0], -k[1], -k[2]), np.conj(c)
+            acc[k] = acc[k] + c if k in acc else c  # the constructor copies
         return cls(acc)
 
     # -- inspection -----------------------------------------------------------
 
     def modes(self):
         """Iterate (k, coefficient) over stored representatives, lexicographic order."""
-        return iter(self._coeffs.items())
+        return zip(self.support(), self._c)
 
     def full_modes(self):
         """Iterate (k, coefficient) over both halves of every pair."""
-        for k, c in self._coeffs.items():
+        for k, c in self.modes():
             yield k, c
             yield (-k[0], -k[1], -k[2]), np.conj(c)
 
     def support(self) -> tuple[Wavevector, ...]:
-        return tuple(self._coeffs.keys())
+        return tuple(map(tuple, self._k.tolist()))
 
     def coeff(self, k) -> np.ndarray:
         """Coefficient at any wavevector, conjugating across the pair as needed."""
         k = (int(k[0]), int(k[1]), int(k[2]))
-        if is_representative(k):
-            c = self._coeffs.get(k)
-            return c.copy() if c is not None else np.zeros(3, dtype=np.complex128)
-        c = self._coeffs.get((-k[0], -k[1], -k[2]))
-        return np.conj(c) if c is not None else np.zeros(3, dtype=np.complex128)
+        rep = is_representative(k)
+        k = k if rep else (-k[0], -k[1], -k[2])
+        if max(map(abs, k)) < _K_BOUND:
+            c = self._rows(np.array([k]))[0]
+            if c.any():  # stored rows are never zero
+                return c if rep else np.conj(c)
+        return np.zeros(3, dtype=np.complex128)
 
     @property
     def n_modes(self) -> int:
-        return len(self._coeffs)
+        return self._key.size
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._key.size
 
     def max_abs(self) -> float:
         """Largest coefficient-component magnitude; 0 for the zero field."""
-        if not self._coeffs:
-            return 0.0
-        return float(np.abs(np.array(list(self._coeffs.values()))).max())
+        return float(np.abs(self._c).max(initial=0.0))
 
     def max_eigenvalue(self) -> int:
-        return max((eigenvalue(k) for k in self._coeffs), default=0)
-
-    def _eigen_blocks(self) -> dict:
-        """Stores of the restrictions to each eigenspace, keyed by |k|^2, in one pass."""
-        if self._blocks is None:
-            blocks: dict[int, dict] = {}
-            for k, c in self._coeffs.items():
-                blocks.setdefault(eigenvalue(k), {})[k] = c
-            self._blocks = blocks
-        return self._blocks
+        return int(_eigenvalues(self._k).max(initial=0))
 
     # -- algebra (real-linear: complex scalars would break conjugate pairing) --
 
     def __add__(self, other):
         if not isinstance(other, SpectralField):
             return NotImplemented
-        if not other._coeffs:
+        if not other._key.size:
             return self
-        if not self._coeffs:
+        if not self._key.size:
             return other
-        mine, theirs = self._coeffs, other._coeffs
-        # stored arrays are nonzero and locked already; shared keys are redone below
-        out = {**mine, **theirs}
-        shared = mine.keys() & theirs.keys()
-        if shared:
-            shared = list(shared)
-            sums = np.array([mine[k] for k in shared]) + np.array([theirs[k] for k in shared])
-            sums.setflags(write=False)
-            for k, s, keep in zip(shared, sums, sums.any(axis=1)):
-                if keep:
-                    out[k] = s
-                else:
-                    del out[k]
-        if len(shared) < len(theirs):  # new keys went in at the end
-            out = dict(sorted(out.items()))
-        return SpectralField._adopt(out)
+        if self._key.size == other._key.size and np.array_equal(self._key, other._key):
+            k, key, c = self._k, self._key, self._c + other._c
+        else:
+            # a stable sort puts self's row first, so a shared key sums as self + other
+            key = np.concatenate((self._key, other._key))
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            c = np.add.reduceat(np.concatenate((self._c, other._c))[order], starts, axis=0)
+            k, key = np.concatenate((self._k, other._k))[order[starts]], key[starts]
+        return SpectralField._adopt(k, key, c)._select(c.any(axis=1))
 
     def __sub__(self, other):
         if not isinstance(other, SpectralField):
@@ -243,19 +272,12 @@ class SpectralField:
 
     def __mul__(self, s):
         s = float(s)
-        if not math.isfinite(s):
-            # validating path preserves the non-finite-coefficient error
-            return SpectralField({k: c * s for k, c in self._coeffs.items()})
-        if s == 0.0 or not self._coeffs:
+        if s == 0.0:
             return SpectralField.zero()
-        keys = list(self._coeffs)
-        arr = np.array(list(self._coeffs.values())) * s
-        nz = arr.any(axis=1)  # underflow can zero a row
-        if not nz.all():
-            keys = [k for k, keep in zip(keys, nz) if keep]
-            arr = arr[nz]
-        arr.setflags(write=False)
-        return SpectralField._adopt(dict(zip(keys, arr)))
+        c = self._c * s
+        if not math.isfinite(s):
+            return self._reweighted(c)  # the non-finite-coefficient error
+        return SpectralField._adopt(self._k, self._key, c)._select(c.any(axis=1))  # underflow
 
     __rmul__ = __mul__
 
@@ -265,9 +287,7 @@ class SpectralField:
     def __eq__(self, other):
         if not isinstance(other, SpectralField):
             return NotImplemented
-        if self._coeffs.keys() != other._coeffs.keys():
-            return False
-        return all(np.array_equal(c, other._coeffs[k]) for k, c in self._coeffs.items())
+        return np.array_equal(self._key, other._key) and np.array_equal(self._c, other._c)
 
     __hash__ = None
 
@@ -282,11 +302,9 @@ class SpectralField:
 
     def divergence_defect(self) -> float:
         """max_k |c(k).k| / |k|; zero exactly when the field is divergence-free."""
-        worst = 0.0
-        for k, c in self._coeffs.items():
-            kv = np.array(k, dtype=float)
-            worst = max(worst, abs(np.dot(c, kv)) / math.sqrt(eigenvalue(k)))
-        return worst
+        dots = np.matmul(self._c[:, None, :], self._k.astype(float)[:, :, None])[:, 0, 0]
+        defects = np.hypot(dots.real, dots.imag) / np.sqrt(_eigenvalues(self._k))
+        return float(defects.max(initial=0.0))
 
     def require_divergence_free(self):
         """Raise unless the divergence defect is <= DIVERGENCE_TOL x the largest coefficient."""
@@ -309,41 +327,38 @@ def leray_project(u: SpectralField) -> SpectralField:
 
     Idempotent; annihilates gradient fields and fixes divergence-free ones.
     """
-    out = {}
-    for k, c in u.modes():
-        kv = np.array(k, dtype=float)
-        out[k] = c - (np.dot(c, kv) / eigenvalue(k)) * kv
-    return SpectralField(out)
+    kf = u._k.astype(float)
+    dots = np.matmul(u._c[:, None, :], kf[:, :, None])[:, 0, 0]  # each row rounded as np.dot
+    return u._reweighted(u._c - (dots / _eigenvalues(u._k))[:, None] * kf)
+
+
+def _weights(u: SpectralField, weight) -> np.ndarray:
+    """weight(|k|^2) per row, evaluated in Python floats as a per-mode loop would."""
+    return np.array([weight(lam) for lam in _eigenvalues(u._k).tolist()])
 
 
 def stokes_power(u: SpectralField, alpha: float) -> SpectralField:
     """Apply A^alpha: scale the coefficient at k by |k|^{2 alpha}. Support unchanged."""
-    return SpectralField({k: c * eigenvalue(k) ** float(alpha) for k, c in u.modes()})
+    return u._reweighted(u._c * _weights(u, lambda lam, a=float(alpha): lam**a)[:, None])
 
 
 def gevrey_weight(u: SpectralField, spec: NormSpec) -> SpectralField:
     """Apply A^alpha e^{sigma A^{1/2}}: scale the coefficient at k by |k|^{2 alpha} e^{sigma |k|}."""
-    return SpectralField({k: c * spec.weight(eigenvalue(k)) for k, c in u.modes()})
+    return u._reweighted(u._c * _weights(u, spec.weight)[:, None])
 
 
 def norm(u: SpectralField, spec: NormSpec = _H0) -> float:
     """Weighted l2 norm over all modes (both pair halves), compensated summation."""
-    terms = []
-    for k, c in u.modes():
-        w = spec.weight(eigenvalue(k))
-        mag2 = float(c.real @ c.real + c.imag @ c.imag)
-        terms.append(2.0 * w * w * mag2)
-    return math.sqrt(math.fsum(terms))
+    w = _weights(u, spec.weight)
+    mag2 = np.vecdot(u._c.real, u._c.real) + np.vecdot(u._c.imag, u._c.imag)
+    return math.sqrt(math.fsum((2.0 * w * w * mag2).tolist()))
 
 
 def inner(u: SpectralField, v: SpectralField) -> float:
     """L2 pairing of two real fields: 2 sum_k Re(c_u(k) . conj(c_v(k))) over representatives."""
-    terms = []
-    for k, cu in u.modes():
-        cv = v._coeffs.get(k)
-        if cv is not None:
-            terms.append(2.0 * float(np.real(np.dot(cu, np.conj(cv)))))
-    return math.fsum(terms)
+    # rounded as np.dot rounds one row; modes u has and v lacks add exact zeros
+    dots = np.matmul(u._c[:, None, :], np.conj(v._rows(u._k))[:, :, None])[:, 0, 0].real
+    return math.fsum((2.0 * dots).tolist())
 
 
 def bilinear(u: SpectralField, v: SpectralField, *, check: bool = True) -> SpectralField:
@@ -358,47 +373,29 @@ def bilinear(u: SpectralField, v: SpectralField, *, check: bool = True) -> Spect
         v.require_divergence_free()
     if u.is_zero or v.is_zero:
         return SpectralField.zero()
-    mu, cu = _signed_mode_arrays(u)
-    lv, cv = _signed_mode_arrays(v)
+    # the largest |component| of a pair sum is the sum of the factors' largest
+    _wavevectors([np.abs(u._k).max(axis=0) + np.abs(v._k).max(axis=0)])
+    # both halves of every pair
+    mu, cu = np.concatenate((u._k, -u._k)), np.concatenate((u._c, np.conj(u._c)))
+    lv, cv = np.concatenate((v._k, -v._k)), np.concatenate((v._c, np.conj(v._c)))
     n, m = len(mu), len(lv)
-    ks = (mu[:, None, :] + lv[None, :, :]).reshape(n * m, 3)
-    # zero mode dropped; negative half implied by conjugation
-    keep = np.flatnonzero(
-        (ks[:, 0] > 0)
-        | ((ks[:, 0] == 0) & ((ks[:, 1] > 0) | ((ks[:, 1] == 0) & (ks[:, 2] > 0))))
-    )
-    ks = ks[keep]
-    dots = (cu @ lv.T.astype(np.complex128)).reshape(n * m)[keep]
-    contrib = (1j * dots)[:, None] * cv[keep % m]
-    # one int64 key per row, ordered like the tuples; a stable sort keeps each
-    # target's contributions in input order
-    lo = ks.min()
-    span = ks.max() - lo + 1
-    shifted = ks - lo
-    key = (shifted[:, 0] * span + shifted[:, 1]) * span + shifted[:, 2]
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_key[1:] != sorted_key[:-1])))
-    uniq = ks[order[starts]]
-    acc = np.add.reduceat(contrib[order], starts, axis=0)
+    # the key of each pair sum m + l, without forming the (n m, 3) sums
+    key = (_pack(mu)[:, None] + (_pack(lv) - _KEY0)[None, :]).reshape(n * m)
+    # representatives sort above k = 0: the zero mode is dropped and the negative half implied
+    pair = np.flatnonzero(key > _KEY0)
+    # a stable sort keeps each target's contributions in input order
+    pair = pair[np.argsort(key[pair], kind="stable")]
+    key = key[pair]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    dots = np.multiply(1j, (cu @ lv.T.astype(np.complex128)).reshape(n * m)[pair])
+    contrib = cv[pair % m]
+    acc = np.add.reduceat(np.multiply(dots[:, None], contrib, out=contrib), starts, axis=0)
+    pair, key = pair[starts], key[starts]
+    uniq = mu[pair // m] + lv[pair % m]
     kf = uniq.astype(float)
-    lam = np.einsum("ij,ij->i", kf, kf)
     shear = np.einsum("ij,ij->i", acc, kf.astype(np.complex128))
-    acc = acc - (shear / lam)[:, None] * kf
-    nz = np.any(acc != 0, axis=1)
-    if not nz.all():
-        uniq, acc = uniq[nz], acc[nz]
-    acc.setflags(write=False)
-    # rows are in key order, which is lexicographic tuple order
-    return SpectralField._adopt(dict(zip(map(tuple, uniq.tolist()), acc)))
-
-
-def _signed_mode_arrays(u: SpectralField):
-    """Wavevectors and coefficients over both halves of every pair, as arrays."""
-    reps = list(u.modes())
-    k = np.array([p[0] for p in reps], dtype=np.int64)
-    c = np.array([p[1] for p in reps])
-    return np.concatenate([k, -k]), np.concatenate([c, np.conj(c)])
+    acc = acc - (shear / _eigenvalues(uniq))[:, None] * kf
+    return SpectralField._adopt(uniq, key, acc)._select(np.any(acc != 0, axis=1))
 
 
 def bilinear_norm_ratio(u: SpectralField, v: SpectralField, spec: NormSpec) -> float:
@@ -419,14 +416,12 @@ def eigenspace_project(u: SpectralField, n: int) -> SpectralField:
     """Restrict to the Stokes eigenspace |k|^2 = n; zero field when n is not an eigenvalue."""
     if n != int(n) or n < 1:
         raise ValueError(f"eigenspace index must be a positive integer, got {n}")
-    n = int(n)
-    # a block of a valid store is a valid store, so no re-validation
-    return SpectralField._adopt(u._eigen_blocks().get(n, {}))
+    return u._select(_eigenvalues(u._k) == int(n))
 
 
 def truncate(u: SpectralField, max_eigenvalue: int) -> SpectralField:
     """Drop every mode with |k|^2 > max_eigenvalue (Galerkin low-mode projection)."""
-    return SpectralField({k: c for k, c in u.modes() if eigenvalue(k) <= max_eigenvalue})
+    return u._select(_eigenvalues(u._k) <= max_eigenvalue)
 
 
 def eigenvalues_up_to(nmax: int) -> list[int]:

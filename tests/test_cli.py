@@ -283,6 +283,12 @@ def edit_json(path, edit):
     path.write_text(json.dumps(doc))
 
 
+def edit_lines(path, edit):
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
 def edit_cells(path, lineno, edit):
     lines = path.read_text().splitlines()
     cells = lines[lineno - 1].split(",")
@@ -327,6 +333,24 @@ BAD_DOCUMENTS = {
     ),
     "short-csv-row-certify": (
         "certify", "trajectory.csv", lambda p: edit_cells(p, 5, list.pop), ":5: expected",
+    ),
+    "manifest-huge-mode": (
+        "verify", "trajectory_modes.json",
+        lambda p: edit_json(p, lambda d: d["modes"].__setitem__(1, [1e300, 0, 0])),
+        ".modes[1]: wavevector components must lie strictly between -2**20 and 2**20",
+    ),
+    # the mini tree holds 61 samples, t = 0, 0.1, ..., 6 on CSV lines 2..62
+    "csv-dropped-last-row": (
+        "verify", "trajectory.csv", lambda p: edit_lines(p, list.pop),
+        ": expected 61 samples, got 60",
+    ),
+    "csv-repeated-last-row": (
+        "certify", "trajectory.csv", lambda p: edit_lines(p, lambda ls: ls.append(ls[-1])),
+        ":63: expected t = 6.1000000000000005, got 6",
+    ),
+    "csv-shifted-time": (
+        "verify", "trajectory.csv", lambda p: edit_cells(p, 10, lambda c: c.__setitem__(0, "0.81")),
+        ":10: expected t = 0.80000000000000004, got 0.81000000000000005",
     ),
     "non-numeric-csv-cell": (
         "verify", "trajectory.csv", lambda p: edit_cells(p, 3, lambda c: c.__setitem__(2, "x")),

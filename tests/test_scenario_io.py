@@ -379,6 +379,9 @@ def test_scenario_error_paths():
         (lit + ("k", 0), 1.5, f"{lit_path}.k"),
         (lit + ("k", 2), math.inf, f"{lit_path}.k"),
         (lit + ("re", 1), math.nan, f"{lit_path}.re"),
+        # an integral float too large for the wavevector store: the field literal is blamed
+        (lit + ("k", 0), 1e300, "force.terms[0].poly.degree_coeffs[0]"),
+        (("initial",), [{"k": [1e300, 0, 0], "re": [0.0, 1.0, 0.0], "im": [0.0] * 3}], "initial"),
     ]:
         bad = json.loads(json.dumps(base))
         leaf = bad

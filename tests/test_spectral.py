@@ -376,3 +376,156 @@ def test_eigenvalues_up_to_matches_three_square_oracle():
     assert got == expect
     missing = sorted(set(range(1, 101)) - set(got))
     assert missing == [7, 15, 23, 28, 31, 39, 47, 55, 60, 63, 71, 79, 87, 92, 95]
+
+
+# -- the array store against the former dict store -------------------------------------
+#
+# Reference implementations over plain dicts {k: complex 3-vector}, as the field
+# operations were written before the store became arrays. Results must match them
+# exactly, bit for bit, wherever the store only changes how rows are kept.
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in sorted(out.items()) if c.any()}
+
+
+def ref_mul(a: dict, s: float) -> dict:
+    return {} if s == 0.0 else {k: c * s for k, c in a.items() if (c * s).any()}
+
+
+def ref_norm(a: dict, spec: NormSpec) -> float:
+    terms = []
+    for k, c in sorted(a.items()):
+        w = spec.weight(eigenvalue(k))
+        terms.append(2.0 * w * w * float(c.real @ c.real + c.imag @ c.imag))
+    return math.sqrt(math.fsum(terms))
+
+
+def ref_inner(a: dict, b: dict) -> float:
+    return math.fsum(2.0 * float(np.real(np.dot(c, np.conj(b[k])))) for k, c in a.items() if k in b)
+
+
+def ref_leray(a: dict) -> dict:
+    out = {}
+    for k, c in sorted(a.items()):
+        kv = np.array(k, dtype=float)
+        out[k] = c - (np.dot(c, kv) / eigenvalue(k)) * kv
+    return {k: c for k, c in out.items() if c.any()}
+
+
+def ref_divergence_defect(a: dict) -> float:
+    return max(
+        (abs(np.dot(c, np.array(k, dtype=float))) / math.sqrt(eigenvalue(k)) for k, c in a.items()),
+        default=0.0,
+    )
+
+
+def ref_bilinear(a: dict, b: dict) -> dict:
+    def signed(d):
+        k = np.array(sorted(d), dtype=np.int64)
+        c = np.array([d[key] for key in sorted(d)])
+        return np.concatenate([k, -k]), np.concatenate([c, np.conj(c)])
+
+    mu, cu = signed(a)
+    lv, cv = signed(b)
+    n, m = len(mu), len(lv)
+    ks = (mu[:, None, :] + lv[None, :, :]).reshape(n * m, 3)
+    keep = np.flatnonzero(
+        (ks[:, 0] > 0) | ((ks[:, 0] == 0) & ((ks[:, 1] > 0) | ((ks[:, 1] == 0) & (ks[:, 2] > 0))))
+    )
+    ks = ks[keep]
+    dots = (cu @ lv.T.astype(np.complex128)).reshape(n * m)[keep]
+    contrib = (1j * dots)[:, None] * cv[keep % m]
+    lo = ks.min()
+    span = ks.max() - lo + 1
+    shifted = ks - lo
+    key = (shifted[:, 0] * span + shifted[:, 1]) * span + shifted[:, 2]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_key[1:] != sorted_key[:-1])))
+    uniq = ks[order[starts]]
+    acc = np.add.reduceat(contrib[order], starts, axis=0)
+    kf = uniq.astype(float)
+    lam = np.einsum("ij,ij->i", kf, kf)
+    shear = np.einsum("ij,ij->i", acc, kf.astype(np.complex128))
+    acc = acc - (shear / lam)[:, None] * kf
+    return {tuple(k): c for k, c in zip(uniq.tolist(), acc) if c.any()}
+
+
+def assert_same(field: SpectralField, ref: dict):
+    assert field.support() == tuple(sorted(ref))
+    assert field == SpectralField(ref)
+    for k, c in field.modes():
+        assert np.array_equal(np.signbit(c.view(float)), np.signbit(ref[k].view(float)))
+
+
+def _store_pair(support_a, support_b, seed):
+    """Two coefficient dicts; about a third of the shared modes cancel exactly in a + b."""
+    rng = np.random.default_rng(seed)
+
+    def draw(support):
+        c = rng.standard_normal((len(support), 3)) + 1j * rng.standard_normal((len(support), 3))
+        c[rng.random((len(support), 3)) < 0.2] = 0.0  # exact zero components
+        return {k: row for k, row in zip(support, c) if row.any()}
+
+    a, b = draw(support_a), draw(support_b)
+    for k in set(a) & set(b):
+        if rng.random() < 0.35:
+            b[k] = -a[k]
+    return a, b
+
+
+_store_supports = st.lists(
+    st.tuples(*[st.integers(-3, 3)] * 3).filter(is_representative), min_size=1, max_size=12,
+    unique=True,
+)
+
+
+@settings(max_examples=150)
+@given(_store_supports, _store_supports, st.integers(0, 2**32 - 1), st.floats(-4.0, 4.0))
+def test_array_store_matches_dict_reference(support_a, support_b, seed, s):
+    a, b = _store_pair(support_a, support_b, seed)
+    u, v = SpectralField(a), SpectralField(b)
+    assert_same(u + v, ref_add(a, b))
+    assert_same(v + u, ref_add(b, a))
+    assert_same(u - v, ref_add(a, ref_mul(b, -1.0)))
+    assert_same(u - u, {})
+    assert_same(s * u, ref_mul(a, s))
+    for spec in (NormSpec(0.0), NormSpec(0.5, 0.1), NormSpec(1.75, 2.0)):
+        assert norm(u, spec) == ref_norm(a, spec)
+    for n in range(1, 28):
+        assert_same(eigenspace_project(u, n), {k: c for k, c in a.items() if eigenvalue(k) == n})
+        assert_same(truncate(u, n), {k: c for k, c in a.items() if eigenvalue(k) <= n})
+    pa, pb = ref_leray(a), ref_leray(b)
+    assert leray_project(u).allclose(SpectralField(pa), rtol=1e-15)
+    assert math.isclose(inner(u, v), ref_inner(a, b), rel_tol=1e-12, abs_tol=1e-12)
+    assert math.isclose(u.divergence_defect(), ref_divergence_defect(a), rel_tol=1e-15)
+    if pa and pb:  # a projection can leave rounding-level rows that the divergence gate refuses
+        got = bilinear(SpectralField(pa), SpectralField(pb), check=False)
+        assert_same(got, ref_bilinear(pa, pb))
+
+
+def test_rows_from_modes_are_read_only():
+    u = SpectralField({(1, 0, 0): [0, 1, 0], (0, 1, 1): [1j, 0, 0]})
+    for _, c in u.modes():
+        with pytest.raises(ValueError, match="read-only"):
+            c[0] = 5.0
+    c = u.coeff((1, 0, 0))
+    c[0] = 5.0  # coeff returns a copy
+    assert u.coeff((1, 0, 0))[0] == 0
+
+
+def test_field_component_bound():
+    edge = 2**20 - 1
+    u = SpectralField({(edge, 0, 0): [0, 1, 0], (0, 1, -edge): [1, 0, 0]})
+    assert u.support() == ((0, 1, -edge), (edge, 0, 0))
+    assert np.array_equal(u.coeff((-edge, 0, 0)), [0, 1, 0])
+    assert np.array_equal(u.coeff((2**21, 0, 0)), np.zeros(3))
+    for k in [(2**20, 0, 0), (1, -(2**20), 0), (10**300, 0, 1)]:
+        with pytest.raises(ValueError, match="strictly between -2\\*\\*20 and 2\\*\\*20"):
+            SpectralField({k: [0, 1, 0]})
+    with pytest.raises(ValueError, match="strictly between"):
+        bilinear(u, u)  # (edge, 0, 0) + (edge, 0, 0) leaves the store's range
