@@ -9,9 +9,10 @@ scheme is stable for any step; accuracy is the usual O(h^4).
 Coefficients live in a dense array over a fixed representative basis (one row
 per conjugate pair, so realness stays structural). The advection term is a
 pseudo-spectral product: B(u, u) = P div(u (x) u) is formed on a physical
-grid sized by the 3/2 rule, so no aliased mode reaches the ball and the result
-equals the exact finite-support sum of `spectral.bilinear` truncated to the
-ball, to rounding.
+grid of n = 3 floor(sqrt(M)) + 1 points per axis (the 3/2 rule), so no aliased
+mode reaches the ball and the result equals the exact finite-support sum of
+`spectral.bilinear` truncated to the ball, to rounding. The grid transforms
+are pruned DFTs, one small matmul per axis, not FFTs.
 """
 
 from __future__ import annotations
@@ -93,13 +94,18 @@ class ModeTable:
     """Dense workspace over the representatives with |k|^2 <= cutoff.
 
     Rows follow lexicographic order of the representative wavevectors.
-    `convolve` evaluates the advection term on an `rfftn` grid of n points
-    per axis, the smallest size >= 3r + 1 with no prime factor above 5, where
-    r = floor(sqrt(cutoff)) (prime sizes such as 13 and 19 transform much
-    more slowly). Every stored mode has |k_i| <= r, so a product of two
-    fields has |k_i| <= 2r, and a product mode that wraps around the grid
-    lands at |k_i| >= n - 2r > r on some axis: outside the ball. This is the
-    3/2 rule of dealiased pseudo-spectral products.
+    `convolve` evaluates the advection term on a grid of n = 3r + 1 points
+    per axis, where r = floor(sqrt(cutoff)). Every stored mode has
+    |k_i| <= r, so a product of two fields has |k_i| <= 2r, and a product
+    mode that wraps around the grid lands at |k_i| >= n - 2r > r on some
+    axis: outside the ball. This is the 3/2 rule of dealiased pseudo-spectral
+    products.
+
+    The ball fills only the frequencies |k_i| <= r of each axis, so the
+    transforms are pruned separable DFTs on a (2r+1, r+1, 2r+1) cube (k_z >= 0;
+    the rest follows by realness): one matmul per axis against a matrix built
+    here, n x (2r+1) complex on x and y, and on z a real one over interleaved
+    (re, im) columns, weight 2 off k_z = 0. Forward uses conjugates over n.
 
     Rows that no pair of live input modes m + l reaches are set to exact
     zero (the support mask), so the output support is that of the exact
@@ -134,25 +140,38 @@ class ModeTable:
         self.size = len(reps)
         self.kvec = np.array(reps, dtype=float)            # (R, 3)
         self.lam = np.einsum("rc,rc->r", self.kvec, self.kvec)
-
-        n = _smooth_size(3 * r + 1)
-        shape = (n, n, n // 2 + 1)
+        # B_j(k) = i sum_i k_i (u_i u_j)^(k), then the Leray projection: one (3, 6) map per row
+        leray = np.eye(3)[:, :, None] - self.kvec.T[:, None] * self.kvec.T / self.lam
+        div = np.einsum("ijp,ri->jpr", np.eye(6)[self._SYMMETRIC[1]], self.kvec)
+        self._advect = 1j * np.einsum("jlr,lpr->jpr", leray, div)
+        self._n = n = 3 * r + 1
+        shape = (2 * r + 1, r + 1, 2 * r + 1)   # the spectral cube, axes (k_x, k_z, k_y)
+        cube_at = lambda v: np.ravel_multi_index(tuple((v[:, [0, 2, 1]] + (r, 0, r)).T), shape)
         self._k = k = np.array(reps, dtype=np.intp).reshape(-1, 3)
         self._basis = SpectralField(zip(reps, np.ones((self.size, 3))))  # the rows as a field
-        # rfftn keeps k_z >= 0: a row with k_z < 0 is read at -k, conjugated
+        # The cube keeps k_z >= 0: a row with k_z < 0 is read at -k, conjugated
         self._flip = k[:, 2] < 0
-        half = np.where(self._flip[:, None], -k, k)
-        self._slot = np.ravel_multi_index(tuple((half % n).T), shape)
+        self._slot = cube_at(np.where(self._flip[:, None], -k, k))
         # Scatter over both pair halves (rows of [u; conj u]) that fall in the
         # half spectrum; the k_z = 0 plane needs both for a real inverse.
         full = np.concatenate([k, -k])
-        keep = full[:, 2] >= 0
-        self._scatter_src = np.nonzero(keep)[0]
-        self._scatter_dst = np.ravel_multi_index(tuple((full[keep] % n).T), shape)
-        self._spec = np.zeros((3,) + shape, dtype=np.complex128)
-        self._phys = np.empty((3, n, n, n))
+        self._scatter_src = np.nonzero(full[:, 2] >= 0)[0]
+        self._scatter_dst = cube_at(full[self._scatter_src])
+        # e^{2 pi i j k / n} for grid points j and frequencies k, from the roots of
+        # unity (np.exp on complex pulls in resident code); z weighs 2 off k_z = 0
+        grid = np.arange(n)
+        root = np.array([complex(math.cos(a), math.sin(a)) for a in 2 * math.pi * grid / n])
+        self._inv = root[np.outer(grid, np.arange(-r, r + 1)) % n]
+        self._fwd = self._inv.conj().T / n
+        ez = root[np.outer(np.arange(r + 1), grid) % n]
+        ez = np.stack([ez.real, -ez.imag], axis=1).reshape(2 * r + 2, n)   # (re, im) rows
+        self._inv_z, self._fwd_z = np.concatenate([ez[:2], 2.0 * ez[2:]]), ez.T / n
+        self._cube = np.zeros((3,) + shape, dtype=np.complex128)   # scatter target only
+        self._cube_out = np.empty((6,) + shape, dtype=np.complex128)
+        self._mid = np.empty((6, n) + shape[1:], dtype=np.complex128)    # (x, k_z, k_y)
+        self._plane = np.empty((6, n, n, r + 1), dtype=np.complex128)   # (y, x, k_z)
+        self._phys = np.empty((3, n, n, n))                            # (y, x, z)
         self._prod = np.empty((6, n, n, n))
-        self._prod_spec = np.empty((6,) + shape, dtype=np.complex128)
         self._pattern: np.ndarray | None = None
         self._dead: np.ndarray | None = None
 
@@ -163,29 +182,36 @@ class ModeTable:
     def to_field(self, coeffs: np.ndarray) -> SpectralField:
         return self._basis._reweighted(np.array(coeffs, dtype=np.complex128))
 
-    def _to_grid(self, coeffs: np.ndarray, spec: np.ndarray, phys: np.ndarray) -> None:
-        """Physical values of the (C, R) representative coefficients on the grid, into phys."""
-        flat = spec.reshape(len(spec), -1)
-        flat[:, self._scatter_dst] = np.concatenate([coeffs, np.conj(coeffs)], axis=1)[
-            :, self._scatter_src
-        ]
-        np.fft.irfftn(spec, s=phys.shape[1:], axes=(1, 2, 3), norm="forward", out=phys)
+    def _to_grid(self, coeffs: np.ndarray) -> np.ndarray:
+        """Physical values of the (C, R) representative coefficients, C <= 3, in a table buffer."""
+        c, n, w = len(coeffs), self._n, len(self._fwd)
+        cube, mid, plane, phys = self._cube[:c], self._mid[:c], self._plane[:c], self._phys[:c]
+        both = np.concatenate([coeffs, np.conj(coeffs)], axis=1)
+        cube.reshape(c, -1)[:, self._scatter_dst] = both[:, self._scatter_src]
+        np.matmul(self._inv, cube.reshape(c, w, -1), out=mid.reshape(c, n, -1))
+        np.matmul(self._inv, mid.reshape(c, -1, w).transpose(0, 2, 1), out=plane.reshape(c, n, -1))
+        np.matmul(plane.view(np.float64).reshape(-1, len(self._inv_z)), self._inv_z,
+                  out=phys.reshape(-1, n))
+        return phys
 
-    def _from_grid(self, phys: np.ndarray, spec: np.ndarray) -> np.ndarray:
-        """(C, R) representative coefficients of the physical values phys."""
-        np.fft.rfftn(phys, axes=(1, 2, 3), norm="forward", out=spec)
-        coeffs = spec.reshape(len(spec), -1)[:, self._slot]
+    def _from_grid(self, phys: np.ndarray) -> np.ndarray:
+        """(C, R) representative coefficients of the physical values phys, C <= 6."""
+        c, n, w = len(phys), self._n, len(self._fwd)
+        cube, mid, plane = self._cube_out[:c], self._mid[:c], self._plane[:c]
+        np.matmul(phys.reshape(-1, n), self._fwd_z,
+                  out=plane.view(np.float64).reshape(-1, len(self._inv_z)))
+        np.matmul(plane.reshape(c, n, -1).transpose(0, 2, 1), self._fwd.T, out=mid.reshape(c, -1, w))
+        np.matmul(self._fwd, mid.reshape(c, n, -1), out=cube.reshape(c, w, -1))
+        coeffs = cube.reshape(c, -1)[:, self._slot]
         coeffs[:, self._flip] = np.conj(coeffs[:, self._flip])
         return coeffs
 
     def _dead_rows(self, live: np.ndarray) -> np.ndarray:
         """Rows no pair of live modes reaches, from the square of the live-row indicator."""
         if self._pattern is None or not np.array_equal(self._pattern, live):
-            phys = self._phys[:1]
-            self._to_grid(live[None].astype(np.complex128), self._spec[:1], phys)
+            phys = self._to_grid(live[None].astype(np.complex128))
             np.multiply(phys[0], phys[0], out=self._prod[0])
-            pairs = self._from_grid(self._prod[:1], self._prod_spec[:1])[0]
-            self._dead = pairs.real < 0.5
+            self._dead = self._from_grid(self._prod[:1])[0].real < 0.5
             self._pattern = live
         return self._dead
 
@@ -196,30 +222,12 @@ class ModeTable:
         (u . grad) u because u is divergence-free; pass only such u.
         """
         dead = self._dead_rows(np.any(u != 0, axis=1))
-        phys = self._phys
-        self._to_grid(u.T, self._spec, phys)
-        pairs, slot = self._SYMMETRIC
-        for p, (i, j) in enumerate(pairs):
+        phys = self._to_grid(u.T)
+        for p, (i, j) in enumerate(self._SYMMETRIC[0]):
             np.multiply(phys[i], phys[j], out=self._prod[p])
-        w = self._from_grid(self._prod, self._prod_spec)[slot]
-        # B_j(k) = i sum_i k_i (u_i u_j)^(k), then the Leray projection
-        out = 1j * np.einsum("ri,ijr->rj", self.kvec, w)
-        out[dead] = 0.0
-        proj = np.einsum("rc,rc->r", out, self.kvec) / self.lam
-        out -= proj[:, None] * self.kvec
-        return out
-
-
-def _smooth_size(n: int) -> int:
-    """Smallest size >= n whose prime factors are all 2, 3 or 5."""
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
+        out = np.einsum("jpr,pr->jr", self._advect, self._from_grid(self._prod))
+        out[:, dead] = 0.0
+        return out.T
 
 
 _TABLES: dict[int, ModeTable] = {}
@@ -267,16 +275,18 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
 
     times = [0.0]
     states = [table.to_field(u)]
+    f_start = table.densify(evaluate_force(force, 0.0))
     for step in range(1, nsteps + 1):
-        t = (step - 1) * h
-        f_mid = table.densify(evaluate_force(force, t + h / 2.0))
-        n1 = table.densify(evaluate_force(force, t)) - table.convolve(u)
+        f_mid = table.densify(evaluate_force(force, (step - 1) * h + h / 2.0))
+        f_end = table.densify(evaluate_force(force, step * h))
+        n1 = f_start - table.convolve(u)
         a2 = half * (u + (h / 2.0) * n1)
         n2 = f_mid - table.convolve(a2)
         a3 = half * u + (h / 2.0) * n2
         n3 = f_mid - table.convolve(a3)
         a4 = full * u + h * (half * n3)
-        n4 = table.densify(evaluate_force(force, t + h)) - table.convolve(a4)
+        n4 = f_end - table.convolve(a4)
+        f_start = f_end   # each force time is evaluated once
         u = full * u + (h / 6.0) * (full * n1 + 2.0 * (half * (n2 + n3)) + n4)
         value = math.sqrt(2.0 * float(np.vdot(u, u).real))
         if not (value <= BLOWUP_NORM):

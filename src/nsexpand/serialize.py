@@ -55,7 +55,8 @@ class ScenarioError(ValueError):
 
 
 def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text   # "-0" would read back as the integer 0
 
 
 # -- JSON with controlled float formatting ------------------------------------

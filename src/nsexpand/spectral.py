@@ -309,7 +309,7 @@ class SpectralField:
     def require_divergence_free(self):
         """Raise unless the divergence defect is <= DIVERGENCE_TOL x the largest coefficient."""
         defect = self.divergence_defect()
-        if defect > DIVERGENCE_TOL * self.max_abs():
+        if not defect <= DIVERGENCE_TOL * self.max_abs():   # a NaN defect fails too
             raise ValueError(
                 f"field is not divergence-free: defect {defect:.3e} "
                 f"exceeds {DIVERGENCE_TOL:g} x max |coefficient|"

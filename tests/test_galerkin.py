@@ -115,7 +115,8 @@ def product_bound(table, u):
     return math.sqrt(table.cutoff) * mu * mu
 
 
-@pytest.mark.parametrize("cutoff", [4, 6, 12, 24])
+# Grids n = 3 floor(sqrt(M)) + 1: 4, 4, 7, 7, 7, 10, 13 and 19 points per axis.
+@pytest.mark.parametrize("cutoff", [1, 2, 4, 6, 8, 12, 24, 48])
 def test_convolve_matches_projected_truncated_product(cutoff):
     rng = np.random.default_rng(cutoff)
     table = ModeTable(cutoff)
@@ -123,6 +124,16 @@ def test_convolve_matches_projected_truncated_product(cutoff):
         u = ball_field(rng, table, rng.choice(table.size, n_modes, replace=False))
         want = truncate(bilinear(u, u), cutoff)
         assert_fields_close(table.to_field(table.convolve(table.densify(u))), want, atol=1e-15)
+
+
+@pytest.mark.parametrize("cutoff", [6, 12, 48])
+def test_grid_transforms_invert_each_other_on_the_ball(cutoff):
+    # The pruned forward and inverse DFT matrices are mutual inverses on the ball.
+    table = ModeTable(cutoff)
+    rng = np.random.default_rng(cutoff)
+    coeffs = table.densify(ball_field(rng, table, range(table.size))).T
+    back = table._from_grid(table._to_grid(coeffs))
+    assert np.abs(back - coeffs).max() <= 1e-14 * np.abs(coeffs).max()
 
 
 @settings(max_examples=60)

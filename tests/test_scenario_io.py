@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ladder_phi, ladder_scenario_doc, random_div_free_field
@@ -45,6 +45,7 @@ from nsexpand.serialize import (
 def test_format_float_round_trips():
     for x in (1 / 3, 0.1, -1e-300, 6.02214076e23, math.pi, 2.0, -0.0, 5e-324):
         assert float(format_float(x)) == x
+    assert math.copysign(1.0, json.loads(format_float(-0.0))) == -1.0
 
 
 def test_dumps_json_frozen_layout():
@@ -138,9 +139,9 @@ def test_level_doc_rejects_non_positive_integer_level(level):
 
 # -- literal round trips (property tests) ----------------------------------------------
 
-# Any finite double, subnormals included, must survive the text format. The
-# one bit that does not: -0.0 is written "-0", which JSON reads as the integer
-# 0, so a zero comes back unsigned (== treats the two zeros as equal).
+# Any finite double, subnormals included, must survive the text format, the
+# sign of zero too: -0.0 is written "-0.0", since JSON reads "-0" as the
+# integer 0.
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _wavevector = st.tuples(*[st.integers(-3, 3)] * 3).filter(is_representative)
 _fields = st.dictionaries(_wavevector, st.lists(_finite, min_size=6, max_size=6), max_size=5).map(
@@ -164,6 +165,15 @@ def test_field_literal_round_trip_is_exact(field):
 def test_poly_literal_round_trip_is_exact(coeffs):
     poly = FieldPolynomial(coeffs)
     assert poly_from_literal(_through_text(poly_to_literal(poly))) == poly
+
+
+@settings(max_examples=50)
+@given(st.lists(_fields, max_size=4))
+@example([SpectralField({(0, 0, 1): np.array([-0.0, 0, 0]) + 1j * np.array([-1.0, 0, 0])})])
+def test_poly_literal_text_survives_re_emission(coeffs):
+    text = dumps_json(poly_to_literal(FieldPolynomial(coeffs)))
+    assert dumps_json(json.loads(text)) == text
+    assert dumps_json(poly_to_literal(poly_from_literal(json.loads(text)))) == text
 
 
 @settings(max_examples=50)

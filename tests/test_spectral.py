@@ -141,6 +141,11 @@ def test_divergence_defect():
     huge = single((1, 0, 0), [1e200, 0, 0])  # a pure gradient whose norm overflows
     with pytest.raises(ValueError, match="not divergence-free"):
         huge.require_divergence_free()
+    # an overflowed coefficient makes the defect NaN (0 * inf), which must not pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflowed = single((0, 0, 1), [1e308, 0, 0]) * 10.0
+        with pytest.raises(ValueError, match="not divergence-free"):
+            overflowed.require_divergence_free()
 
 
 # -- Leray projection --------------------------------------------------------------
