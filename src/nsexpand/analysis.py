@@ -12,20 +12,21 @@ exponentials.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expansion import ForceExpansion, level_source
-from .fieldpoly import FieldPolynomial, assemble, resolvent_solve
+from .fieldpoly import FieldPolynomial, resolvent_solve
 from .galerkin import Trajectory, evaluate_force
 from .spectral import (
     NormSpec,
     SpectralField,
     eigenspace_project,
+    eigenvalue,
     eigenvalues_up_to,
-    inner,
     norm,
 )
 
@@ -106,8 +107,52 @@ def tail_window(t_end: float, lo: float = 0.6, hi: float = 0.95) -> tuple[float,
     return (lo * t_end, hi * t_end)
 
 
+def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b as SpectralField adds rows: an all-zero row is an absent mode, which passes the
+    other side's row through untouched, signed zeros included."""
+    out = a + b
+    live_a, live_b = a.any(axis=-1, keepdims=True), b.any(axis=-1, keepdims=True)
+    np.copyto(out, a, where=live_a & ~live_b)
+    np.copyto(out, b, where=live_b & ~live_a)
+    return out
+
+
+def _assembled(terms, modes: np.ndarray, t: np.ndarray, decay: bool = True):
+    """Per row of the (K, 3) modes, the (S, 3) column of assemble(terms, t_i) over the times
+    t, with its Horner steps, arithmetic and order; decay=False drops the e^{-n t} factors."""
+    levels = [([c._rows(modes) for c in reversed(q.coeffs())],
+               np.array([math.exp(-n * x) for x in t.tolist()])[:, None]) for n, q in terms]
+    zero = np.zeros((len(t), 3), dtype=np.complex128)
+    for j in range(len(modes)):
+        acc = zero
+        for coeffs, e in levels:
+            if any(c[j].any() for c in coeffs):   # a level lacking this mode adds nothing
+                q = functools.reduce(lambda q, c: _plus(q * t[:, None], c[j]), coeffs, zero)
+                acc = _plus(acc, q * e if decay else q)
+        yield acc
+
+
+def _joined(traj: Trajectory, polys, idx=slice(None), n=None):
+    """The trajectory's modes joined with the polynomials' supports (on |k|^2 = n if given),
+    as a (K, 3) array in key order, and per mode the trajectory's column at the samples idx."""
+    rows = {k: i for i, k in enumerate(map(tuple, traj.modes.tolist()))}
+    support = set(rows).union(*(c.support() for q in polys for c in q.coeffs()))
+    modes = sorted(k for k in support if n is None or eigenvalue(k) == n)
+    zero = np.zeros((len(traj.times[idx]), 3), dtype=np.complex128)
+    u = [traj.coeffs[idx, rows[k]] if k in rows else zero for k in modes]
+    return np.array(modes, dtype=np.int64).reshape(-1, 3), u
+
+
+def _norms(columns, modes: np.ndarray, spec: NormSpec, samples: int) -> np.ndarray:
+    """norm(field_i, spec) per sample of the fields given by (S, 3) columns at the modes."""
+    weights = map(spec.weight, (modes * modes).sum(axis=1).tolist())
+    parts = [2.0 * w * w * (np.vecdot(c.real, c.real) + np.vecdot(c.imag, c.imag))
+             for w, c in zip(weights, columns)]
+    return np.sqrt([math.fsum(r.tolist()) for r in np.reshape(parts, (-1, samples)).T])
+
+
 def norm_series(traj: Trajectory, spec: NormSpec) -> NormSeries:
-    values = np.array([norm(s, spec) for s in traj.states])
+    values = _norms(traj.coeffs.transpose(1, 0, 2), traj.modes, spec, len(traj))
     return NormSeries(traj.times.copy(), values)
 
 
@@ -122,9 +167,13 @@ def energy_ledger(traj: Trajectory, force: ForceExpansion) -> np.ndarray:
     t = traj.times
     energy = 0.5 * norm_series(traj, NormSpec(0.0, 0.0)).values ** 2
     enstrophy = norm_series(traj, NormSpec(0.5, 0.0)).values ** 2
-    work = np.array(
-        [inner(evaluate_force(force, float(ti)), s) for ti, s in zip(t, traj.states)]
-    )
+    # <F, u> = 2 sum_k Re(F(k) . conj(u(k))); the unexpanded force tail is an arbitrary callable
+    forces = _assembled(force.terms, traj.modes, t)
+    if force.remainder is not None:
+        tail = np.array([force.remainder(x)._rows(traj.modes) for x in t.tolist()])
+        forces = (_plus(f, tail[:, j]) for j, f in enumerate(forces))
+    parts = (2.0 * np.vecdot(traj.coeffs[:, j], f).real for j, f in enumerate(forces))
+    work = sum(parts, np.zeros(len(traj)))
     dt = np.diff(t)
     return (
         energy[1:]
@@ -134,16 +183,14 @@ def energy_ledger(traj: Trajectory, force: ForceExpansion) -> np.ndarray:
     )
 
 
-def remainder_series(traj, terms, spec: NormSpec) -> NormSeries:
-    """|u(t_i) - sum_n q_n(t_i) e^{-n t_i}| in the given norm; empty terms = plain norm."""
+def remainder_series(traj: Trajectory, terms, spec: NormSpec) -> NormSeries:
+    """|u(t_i) - sum_n q_n(t_i) e^{-n t_i}| in the given norm; empty terms = plain norm.
+    Equal to norm(state_i - assemble(terms, t_i), spec), formed one mode at a time."""
     terms = tuple(terms)
-    values = np.array(
-        [
-            norm(s - assemble(terms, float(t)), spec)
-            for t, s in zip(traj.times, traj.states)
-        ]
-    )
-    return NormSeries(traj.times.copy(), values)
+    modes, u = _joined(traj, [q for _, q in terms])
+    levels = _assembled(terms, modes, traj.times)
+    columns = (_plus(c, lv * -1.0) if lv.any() else c for c, lv in zip(u, levels))
+    return NormSeries(traj.times.copy(), _norms(columns, modes, spec, len(traj)))
 
 
 def fit_rate(series: NormSeries, window: tuple[float, float] | None = None) -> RateFit:
@@ -221,33 +268,26 @@ def fit_resonant_constant(
     idx = np.nonzero((traj.times >= a - 1e-12) & (traj.times <= b + 1e-12))[0]
     if len(idx) < 2:
         raise FitError(f"window [{a:.4g}, {b:.4g}] holds fewer than 2 samples")
-    samples = []
-    times = []
-    for i in idx:
-        t = float(traj.times[i])
-        w = eigenspace_project(traj.states[i] - assemble(terms_below, t), n)
-        w = w * math.exp(n * t) - particular(t)
-        samples.append(w)
-        times.append(t)
+    t, m = traj.times[idx], len(idx)
+    # w_i = (u_i - sum_{k<n} q_k e^{-k t_i}) e^{n t_i} - particular(t_i) on the |k|^2 = n eigenspace
+    kn, u = _joined(traj, [particular, *(q for _, q in terms_below)], idx, n)
+    grow = np.array([math.exp(n * x) for x in t.tolist()])[:, None]
+    cols = zip(u, _assembled(terms_below, kn, t), _assembled(((0, particular),), kn, t, False))
+    w = np.array([_plus(_plus(c, lv * -1.0) * grow, pt * -1.0) for c, lv, pt in cols])
+    w = w.reshape(len(kn), m, 3).transpose(1, 0, 2)   # (sample, mode, component)
 
-    m = len(samples)
-    mean = SpectralField.zero()
-    for w in samples:
-        mean = mean + w
-    mean = mean * (1.0 / m)
-    stddev = math.sqrt(math.fsum(norm(w - mean) ** 2 for w in samples) / m)
+    mean_rows = functools.reduce(_plus, w) * (1.0 / m)   # summed in sample order
+    mean = SpectralField(zip(kn.tolist(), mean_rows))
+    spread = _norms(_plus(w, mean_rows * -1.0).transpose(1, 0, 2), kn, NormSpec(0.0), m)
+    stddev = math.sqrt(math.fsum(v**2 for v in spread.tolist()) / m)
 
     # per-coefficient linear trend; drift = |trend x window length| / |constant|
-    support = sorted(set().union(*(w.support() for w in samples)) | set(mean.support()))
-    tarr = np.array(times)
-    tc = tarr - tarr.mean()
+    tc = t - t.mean()
     var = float(tc @ tc)
     drift_norm = 0.0
-    if support and var > 0:
-        rows = np.array(support)
-        stacked = np.array([w._rows(rows) for w in samples])
-        slopes = np.einsum("s,skc->kc", tc, stacked) / var
-        drift_norm = norm(SpectralField(zip(support, slopes * (b - a))))
+    if var > 0:
+        slopes = np.einsum("s,skc->kc", tc, np.ascontiguousarray(w)) / var
+        drift_norm = norm(SpectralField(zip(kn.tolist(), slopes * (b - a))))
     base = norm(mean)
     drift = drift_norm / base if base > 0 else (math.inf if drift_norm > 0 else 0.0)
     return ResonantConstantFit(mean, stddev, drift, drift > 0.1, (a, b), m)
@@ -347,8 +387,7 @@ def certificate_check(
     """
     c0, c1, t_star = cert.C0, cert.C1, cert.t_star
     failures = []
-    u0 = traj.states[0]
-    lhs = norm(u0, NormSpec(cert.alpha, 0.0))
+    lhs = norm(traj.state(0), NormSpec(cert.alpha, 0.0))
     if lhs > c0 * (1 + 1e-12):
         failures.append(
             f"initial data: |A^alpha u0| = {lhs:.6e} exceeds C0 = {c0:.6e}"

@@ -174,7 +174,7 @@ def run_simulate(scenario: Scenario, out: str | None) -> int:
     print(
         f"simulated {len(traj)} samples to t = {format_float(traj.t_end)} "
         f"(cutoff {scenario.solver.mode_cutoff}, step {scenario.solver.step:g}); "
-        f"final norm {format_float(norm(traj.states[-1]))}"
+        f"final norm {format_float(norm(traj.state(-1)))}"
     )
     print(f"trajectory written to {run_dir / 'trajectory.csv'}")
     return EXIT_OK

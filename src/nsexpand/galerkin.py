@@ -68,18 +68,32 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled states: times[i] = i * step * sample_stride."""
+    """Uniformly sampled states, times[i] = i * step * sample_stride, as one block: coeffs[i, l]
+    is sample i's coefficient at modes[l] ((L, 3) int64, key order), zero where it has none."""
 
     times: np.ndarray
-    states: tuple[SpectralField, ...]
+    modes: np.ndarray
+    coeffs: np.ndarray
     config: SolverConfig
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states length mismatch")
+        if self.coeffs.shape != (len(self.times), len(self.modes), 3):
+            raise ValueError("coefficient block does not match times and modes")
+
+    @classmethod
+    def from_states(cls, times, states, config: SolverConfig) -> "Trajectory":
+        """The block of per-sample fields over the union of their supports."""
+        modes = np.array(sorted({k for s in states for k in s.support()}), np.int64).reshape(-1, 3)
+        coeffs = np.zeros((len(states), len(modes), 3), dtype=np.complex128)
+        for i, s in enumerate(states):   # one sample at a time: no list of row blocks
+            coeffs[i] = s._rows(modes)
+        return cls(np.asarray(times, float), modes, coeffs, config)
+
+    def state(self, i: int) -> SpectralField:
+        return SpectralField(zip(self.modes.tolist(), self.coeffs[i]))
 
     def __len__(self):
-        return len(self.states)
+        return len(self.times)
 
     @property
     def spacing(self) -> float:
@@ -294,5 +308,5 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
         if step % stride == 0:
             times.append(step * h)
             states.append(table.to_field(u))
-    return Trajectory(np.array(times), tuple(states), config)
+    return Trajectory.from_states(times, states, config)
 

@@ -232,21 +232,19 @@ def solver_from_doc(doc, path: str) -> SolverConfig:
 
 def write_trajectory(csv_path, manifest_path, traj: Trajectory):
     """CSV columns: t, then re/im per stored mode component; sidecar maps them back."""
-    support = sorted(set().union(*(s.support() for s in traj.states)) or set())
-    cells = [(i + 1, c + 1) for i in range(len(support)) for c in range(3)]
+    cells = [(i + 1, c + 1) for i in range(len(traj.modes)) for c in range(3)]
     columns = ["t", *(f"{part}(k{i} u{c})" for i, c in cells for part in ("re", "im"))]
-    rows = np.array(support, dtype=np.int64).reshape(-1, 3)
+    # a (L, 3) complex sample viewed as floats is re, im per component, mode by mode
+    rows = np.ascontiguousarray(traj.coeffs).view(float).reshape(len(traj), -1)
     with open(csv_path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for t, state in zip(traj.times, traj.states):
-            # (L, 3) complex viewed as floats is re, im per component, mode by mode
-            values = [t, *state._rows(rows).view(float).ravel().tolist()]
-            fh.write(",".join(map(format_float, values)) + "\n")
+        for t, row in zip(traj.times.tolist(), rows):
+            fh.write(",".join(map(format_float, [t, *row.tolist()])) + "\n")
     cfg = traj.config
     write_json(
         manifest_path,
         {
-            "modes": [list(k) for k in support],
+            "modes": traj.modes.tolist(),
             "columns": columns,
             "solver": {
                 "mode_cutoff": cfg.mode_cutoff,
@@ -263,20 +261,23 @@ def read_trajectory(csv_path, manifest_path) -> Trajectory:
     manifest's solver block, or a ScenarioError naming the file."""
     mpath = str(manifest_path)
     manifest = _object(load_json(manifest_path), mpath)
-    modes = []
+    modes = {}
     for i, k in enumerate(_list(_need(manifest, "modes", mpath), f"{mpath}.modes")):
         k = tuple(_triple(k, f"{mpath}.modes[{i}]", int))
         with _at(f"{mpath}.modes[{i}]"):
             _wavevectors([k])
         if not is_representative(k):
             raise ScenarioError(f"{mpath}.modes[{i}]", f"{list(k)} is not a stored wavevector")
-        modes.append(k)
+        if k in modes:
+            raise ScenarioError(f"{mpath}.modes[{i}]", f"duplicate wavevector {list(k)}")
+        modes[k] = i
     config = solver_from_doc(_need(manifest, "solver", mpath), f"{mpath}.solver")
     stride = config.sample_stride
     samples = round(config.t_end / config.step) // stride + 1
-    times = []
-    states = []
+    coeffs = np.empty((samples, len(modes), 3), dtype=np.complex128)
+    rows = coeffs.view(float).reshape(samples, -1)   # (re, im) per component, mode by mode
     expected = 1 + 6 * len(modes)
+    i = -1
     with open(csv_path) as fh:
         if len(fh.readline().split(",")) != expected:
             raise ScenarioError(csv_path, "column count does not match manifest")
@@ -287,12 +288,18 @@ def read_trajectory(csv_path, manifest_path) -> Trajectory:
                     raise ValueError(f"expected {expected} values, got {len(vals)}")
                 if vals[0] != (t := i * stride * config.step):
                     raise ValueError(f"expected t = {format_float(t)}, got {format_float(vals[0])}")
-                # t, then (re, im) per component: the tail is the (L, 3) complex block
-                states.append(SpectralField(zip(modes, vals[1:].view(complex).reshape(-1, 3))))
-            times.append(vals[0])
-    if len(states) != samples:
-        raise ScenarioError(csv_path, f"expected {samples} samples, got {len(states)}")
-    return Trajectory(np.array(times), tuple(states), config)
+                if not np.isfinite(vals).all():
+                    finite = np.isfinite(vals[1:].view(complex).reshape(-1, 3)).all(axis=1)
+                    raise ValueError(f"non-finite coefficient at {list(modes)[np.argmin(finite)]}")
+            if i < samples:
+                rows[i] = vals[1:]
+    if i + 1 != samples:
+        raise ScenarioError(csv_path, f"expected {samples} samples, got {i + 1}")
+    order = [modes[k] for k in sorted(modes)]   # manifest order into key order (tuple order)
+    if order != sorted(order):
+        coeffs = coeffs[:, order]
+    times = np.arange(samples) * stride * config.step
+    return Trajectory(times, np.array(sorted(modes), np.int64).reshape(-1, 3), coeffs, config)
 
 
 # -- norm series outputs --------------------------------------------------------

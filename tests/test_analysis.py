@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_fields_close, ladder_force
 from nsexpand import (
@@ -16,8 +18,10 @@ from nsexpand import (
     SolverConfig,
     SpectralField,
     Trajectory,
+    assemble,
     bilinear,
     certificate_check,
+    eigenspace_project,
     fit_rate,
     fit_resonant_constant,
     integrate,
@@ -27,11 +31,13 @@ from nsexpand import (
     norm_series,
     rate_claim_passes,
     remainder_series,
+    resolvent_solve,
     solve_level,
     tail_window,
 )
 from nsexpand.analysis import FitError
 from nsexpand.galerkin import mode_table
+from nsexpand.serialize import dumps_json, field_to_literal
 
 
 def heat_trajectory(amplitude=0.8, t_end=3.0, stride=4):
@@ -43,7 +49,7 @@ def heat_trajectory(amplitude=0.8, t_end=3.0, stride=4):
 def fabricated_trajectory(states_fn, t_end=4.0, spacing=0.05):
     cfg = SolverConfig(8, spacing, t_end, sample_stride=1)
     times = np.round(np.arange(0.0, t_end + spacing / 2, spacing), 12)
-    return Trajectory(times, tuple(states_fn(float(t)) for t in times), cfg)
+    return Trajectory.from_states(times, [states_fn(float(t)) for t in times], cfg)
 
 
 # -- windows and series ------------------------------------------------------------
@@ -83,6 +89,100 @@ def test_norm_series_length_guard():
     with pytest.raises(ValueError):
         NormSeries(np.array([0.0, 1.0]), np.array([1.0]))
 
+
+# -- the block's batched series against per-sample field arithmetic --------------------
+
+_POOL = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, -1), (1, 1, 0), (1, -1, 2), (2, 0, 0), (1, 2, -1)]
+# exact and signed zeros among the values, so absent modes and zero components are drawn
+_value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]), st.floats(-3.0, 3.0))
+_field = st.dictionaries(
+    st.sampled_from(_POOL), st.lists(_value, min_size=6, max_size=6), max_size=4
+).map(lambda d: SpectralField({k: np.array(v[:3]) + 1j * np.array(v[3:]) for k, v in d.items()}))
+
+
+@st.composite
+def _trajectory(draw, min_samples=2):
+    """A block of drawn states at t = 0, h, 2h, ... (sometimes all zero) and its states."""
+    samples = draw(st.integers(min_samples, 6))
+    spacing = draw(st.sampled_from([0.125, 0.25, 0.5]))
+    states = draw(st.lists(_field, min_size=samples, max_size=samples))
+    if draw(st.booleans()):
+        states = [SpectralField.zero()] * samples
+    cfg = SolverConfig(4, spacing, spacing * (samples - 1))
+    return Trajectory.from_states(np.arange(samples) * spacing, states, cfg), states
+
+
+@st.composite
+def _terms(draw, levels, project=False):
+    """(n, q_n) pairs at some of the given levels; their modes may lie off the trajectory."""
+    fields = _field.map(leray_project) if project else _field
+    chosen = sorted(draw(st.sets(st.sampled_from(levels), max_size=len(levels)))) if levels else []
+    return [(n, FieldPolynomial(draw(st.lists(fields, max_size=3)))) for n in chosen]
+
+
+@settings(max_examples=80)
+@given(_trajectory(), _terms([1, 2, 3, 4]), st.sampled_from([0.0, 0.5, 1.0]),
+       st.sampled_from([0.0, 0.1]))
+def test_batched_series_equal_per_sample_field_arithmetic(case, terms, alpha, sigma):
+    traj, states = case
+    spec = NormSpec(alpha, sigma)
+    want = [norm(s - assemble(terms, float(t)), spec) for t, s in zip(traj.times, states)]
+    assert remainder_series(traj, terms, spec).values.tolist() == want
+    assert norm_series(traj, spec).values.tolist() == [norm(s, spec) for s in states]
+
+
+def reference_resonant_fit(states, times, terms_below, force, n):
+    """Constant, spread and drift of resonant level n over all samples, one field per sample."""
+    pn = level_source(terms_below, force, n).map_coeffs(lambda c: eigenspace_project(c, n))
+    particular = resolvent_solve(pn, 0.0, SpectralField.zero())
+    samples = [
+        eigenspace_project(s - assemble(terms_below, float(t)), n) * math.exp(n * float(t))
+        - particular(float(t))
+        for t, s in zip(times, states)
+    ]
+    mean = SpectralField.zero()
+    for w in samples:
+        mean = mean + w
+    mean = mean * (1.0 / len(samples))
+    stddev = math.sqrt(math.fsum(norm(w - mean) ** 2 for w in samples) / len(samples))
+    support = sorted(set().union(*(w.support() for w in samples)) | set(mean.support()))
+    drift_norm = 0.0
+    if support:
+        tc = times - times.mean()
+        stacked = np.array([w._rows(np.array(support)) for w in samples])
+        slopes = np.einsum("s,skc->kc", tc, stacked) / float(tc @ tc)
+        drift_norm = norm(SpectralField(zip(support, slopes * float(times[-1]))))
+    base = norm(mean)
+    drift = drift_norm / base if base > 0 else (math.inf if drift_norm > 0 else 0.0)
+    return mean, stddev, drift
+
+
+@settings(max_examples=60)
+@given(_trajectory(min_samples=3), st.sampled_from([1, 2]), st.data())
+def test_resonant_fit_equals_per_sample_field_arithmetic(case, n, data):
+    traj, states = case
+    terms_below = data.draw(_terms(list(range(1, n)), project=True))
+    force = ForceExpansion(tuple(data.draw(_terms(list(range(1, n + 1)), project=True))))
+    fit = fit_resonant_constant(traj, terms_below, force, n, window=(0.0, traj.t_end))
+    mean, stddev, drift = reference_resonant_fit(states, traj.times, terms_below, force, n)
+    # compared as a level document writes them: every bit, signed zeros included
+    assert dumps_json(field_to_literal(fit.constant)) == dumps_json(field_to_literal(mean))
+    assert (fit.stddev, fit.drift) == (stddev, drift)
+
+
+
+def test_resonant_fit_keeps_the_signed_zeros_of_field_arithmetic():
+    # The mode is absent from the flow, so each sample is -particular(t), whose
+    # x component SpectralField arithmetic makes -0.0; a plain array sum would
+    # turn it into +0.0 and the level document would change by that byte.
+    phi = leray_project(SpectralField({(1, 0, 0): [0.3, 0.5 - 0.2j, 0.1j]}))
+    force = ForceExpansion(((1, FieldPolynomial.constant(phi)),))
+    states = [SpectralField.zero()] * 4
+    traj = Trajectory.from_states(np.arange(4) * 0.25, states, SolverConfig(4, 0.25, 0.75))
+    fit = fit_resonant_constant(traj, (), force, 1, window=(0.0, 0.75))
+    mean, _, _ = reference_resonant_fit(states, traj.times, (), force, 1)
+    assert dumps_json(field_to_literal(fit.constant)) == dumps_json(field_to_literal(mean))
+    assert math.copysign(1.0, field_to_literal(fit.constant)[0]["re"][0]) == -1.0
 
 # -- rate fitting ------------------------------------------------------------------
 
@@ -376,7 +476,7 @@ def test_gevrey_and_advection_decay_rates_along_ladder(ladder_run):
     btimes, bvals = [], []
     spec = NormSpec(0.5, 0.0)
     for i in idx:
-        dense = table.densify(traj.states[i])
+        dense = table.densify(traj.state(i))
         b = table.to_field(table.convolve(dense))
         btimes.append(float(traj.times[i]))
         bvals.append(norm(b, spec))

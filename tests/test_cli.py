@@ -334,6 +334,11 @@ BAD_DOCUMENTS = {
     "short-csv-row-certify": (
         "certify", "trajectory.csv", lambda p: edit_cells(p, 5, list.pop), ":5: expected",
     ),
+    "duplicate-manifest-mode": (
+        "verify", "trajectory_modes.json",
+        lambda p: edit_json(p, lambda d: d["modes"].__setitem__(2, d["modes"][0])),
+        ".modes[2]: duplicate wavevector [0, 1, -1]",
+    ),
     "manifest-huge-mode": (
         "verify", "trajectory_modes.json",
         lambda p: edit_json(p, lambda d: d["modes"].__setitem__(1, [1e300, 0, 0])),
@@ -355,6 +360,10 @@ BAD_DOCUMENTS = {
     "non-numeric-csv-cell": (
         "verify", "trajectory.csv", lambda p: edit_cells(p, 3, lambda c: c.__setitem__(2, "x")),
         ":3: could not convert",
+    ),
+    "non-finite-csv-cell": (
+        "verify", "trajectory.csv", lambda p: edit_cells(p, 4, lambda c: c.__setitem__(2, "nan")),
+        ":4: non-finite coefficient at (0, 1, -1)",
     ),
     "fit-without-contaminated": (
         "verify", "expansion/resonant_fits.json",
@@ -381,6 +390,24 @@ def test_reused_tree_rejects_bad_document(tmp_path, capsys, mini_tree, case):
     assert main([command, "--scenario", sp, "--out", str(out)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out / 'mini' / name}{message}"), err
+
+
+def test_warm_verify_rewrites_the_cold_norm_files_byte_for_byte(tmp_path, capsys, mini_tree):
+    # the trajectory read back from the tree must give every series the bytes
+    # that the integrated trajectory gave on the cold run
+    sp, tree = mini_tree
+    out = tmp_path / "out"
+    shutil.copytree(tree, out)
+    norms = out / "mini" / "norms"
+    cold = {p.name: p.read_bytes() for p in sorted(norms.iterdir())}
+    assert {Path(name).suffix for name in cold} == {".csv", ".tsv"}
+    for p in norms.iterdir():
+        p.unlink()
+    assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    report = json.loads((out / "mini" / "reports" / "verify.json").read_text())
+    assert report["trajectory_recomputed"] is False
+    assert {p.name: p.read_bytes() for p in sorted(norms.iterdir())} == cold
 
 
 def test_verify_floor_annotation_on_null_flow(tmp_path, capsys):

@@ -58,7 +58,9 @@ def test_solver_config_validation():
 def test_trajectory_length_mismatch():
     cfg = SolverConfig(4, 0.1, 1.0)
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.1]), (SpectralField.zero(),), cfg)
+        Trajectory.from_states(np.array([0.0, 0.1]), (SpectralField.zero(),), cfg)
+    with pytest.raises(ValueError):
+        Trajectory(np.array([0.0, 0.1]), np.zeros((1, 3), np.int64), np.zeros((1, 1, 3)), cfg)
 
 
 # -- mode table ---------------------------------------------------------------------
@@ -181,9 +183,9 @@ def test_convolve_keeps_even_sublattice_exactly():
 
 def test_ladder_trajectory_stays_on_even_sublattice():
     traj = integrate(SpectralField.zero(), ladder_force(), SolverConfig(12, 0.01, 0.5, 10))
-    assert traj.states[-1].n_modes > 2
-    for state in traj.states:
-        assert all(sum(k) % 2 == 0 for k in state.support())
+    assert traj.state(-1).n_modes > 2
+    # the block's modes are the union of every sample's support
+    assert all(sum(k) % 2 == 0 for k in traj.modes.tolist())
 
 
 # -- force evaluation ----------------------------------------------------------------
@@ -217,8 +219,8 @@ def test_heat_decay_is_exact():
     cfg = SolverConfig(4, 0.02, 2.0, sample_stride=25)
     traj = integrate(u0, ForceExpansion(()), cfg)
     assert list(traj.times) == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
-    for t, state in zip(traj.times, traj.states):
-        assert_fields_close(state, math.exp(-float(t)) * u0, rtol=1e-12)
+    for i, t in enumerate(traj.times):
+        assert_fields_close(traj.state(i), math.exp(-float(t)) * u0, rtol=1e-12)
 
 
 def test_sample_times_follow_stride():
@@ -239,7 +241,7 @@ def test_rk4_fourth_order_on_nonlinear_flow():
 
     def final_state(h):
         cfg = SolverConfig(6, h, 1.0, sample_stride=int(round(1.0 / h)))
-        return integrate(u0, force, cfg).states[-1]
+        return integrate(u0, force, cfg).state(-1)
 
     ref = final_state(1.0 / 320)
     errs = [norm(final_state(h) - ref) for h in (0.05, 0.025)]
@@ -256,7 +258,7 @@ def test_trajectory_stays_divergence_free_and_real():
     cfg = SolverConfig(6, 0.01, 2.0, sample_stride=50)
     traj = integrate(u0, ladder_force(), cfg)
     xs = rng.uniform(0.0, 2 * math.pi, (3, 3))
-    for state in traj.states:
+    for state in map(traj.state, range(len(traj))):
         assert state.divergence_defect() <= 1e-11 * max(state.max_abs(), 1e-30)
         for x in xs:
             value = eval_physical(state, x)
@@ -298,7 +300,7 @@ def test_remainder_outside_ball_is_truncated_silently():
     far = SpectralField({(3, 0, 0): [0, 1e-3, 0]})
     force = ForceExpansion((), remainder=lambda t: far)
     traj = integrate(single_mode(), force, SolverConfig(4, 0.1, 0.5))
-    assert traj.states[-1].max_eigenvalue() <= 4
+    assert traj.state(-1).max_eigenvalue() <= 4
 
 
 def test_integration_is_deterministic():
@@ -307,7 +309,8 @@ def test_integration_is_deterministic():
     cfg = SolverConfig(6, 0.01, 1.0, sample_stride=20)
     a = integrate(u0, ladder_force(), cfg)
     b = integrate(u0, ladder_force(), cfg)
-    assert all(x == y for x, y in zip(a.states, b.states))
+    assert np.array_equal(a.modes, b.modes)
+    assert np.array_equal(a.coeffs, b.coeffs)
 
 
 # -- energy ledger -------------------------------------------------------------------------
@@ -321,7 +324,7 @@ def test_energy_ledger_matches_closed_form_on_heat_flow():
     cfg = SolverConfig(4, 0.1, 1.0, sample_stride=2)
     times = np.arange(0.0, 1.01, 0.2)
     states = tuple(math.exp(-float(t)) * u0 for t in times)
-    traj = Trajectory(times, states, cfg)
+    traj = Trajectory.from_states(times, states, cfg)
     defects = energy_ledger(traj, ForceExpansion(()))
     for i, d in enumerate(defects):
         a, b = times[i], times[i + 1]

@@ -200,7 +200,8 @@ def test_trajectory_round_trip_bitwise(tmp_path):
     write_trajectory(csv, manifest, traj)
     back = read_trajectory(csv, manifest)
     assert np.array_equal(back.times, traj.times)
-    assert all(a == b for a, b in zip(back.states, traj.states))
+    assert np.array_equal(back.modes, traj.modes)
+    assert np.array_equal(back.coeffs, traj.coeffs)
     assert back.config == traj.config
 
     header = csv.read_text().splitlines()[0].split(",")
@@ -211,6 +212,26 @@ def test_trajectory_round_trip_bitwise(tmp_path):
     assert len(header) == 1 + 6 * len(doc["modes"])
     assert doc["columns"] == header
     assert doc["solver"]["mode_cutoff"] == 6
+
+
+def test_trajectory_reader_puts_manifest_modes_in_key_order(tmp_path):
+    traj = small_trajectory()
+    csv, manifest = tmp_path / "traj.csv", tmp_path / "traj_modes.json"
+    write_trajectory(csv, manifest, traj)
+    doc = json.loads(manifest.read_text())
+    perm = list(range(len(doc["modes"])))[::-1]
+    assert len(perm) > 1
+    doc["modes"] = [doc["modes"][j] for j in perm]
+    manifest.write_text(json.dumps(doc))
+
+    def permuted(line):  # the CSV columns follow the reversed manifest
+        cells = line.split(",")
+        return ",".join([cells[0], *(c for j in perm for c in cells[1 + 6 * j : 7 + 6 * j])])
+
+    csv.write_text("\n".join(map(permuted, csv.read_text().splitlines())) + "\n")
+    back = read_trajectory(csv, manifest)
+    assert np.array_equal(back.modes, traj.modes)
+    assert np.array_equal(back.coeffs, traj.coeffs)
 
 
 def test_trajectory_write_is_deterministic(tmp_path):
