@@ -51,11 +51,12 @@ def main():
     print(f"integrated {len(traj)} samples to t = {args.t_end:g}")
 
     # level 1 is non-resonant here; level 2 needs its free constant fitted,
-    # on the trajectory compensated by the level built below it
-    def fitted(n, below):
+    # on the trajectory compensated by levels 1 and 2 (the latter built with
+    # a zero constant)
+    def fitted(n, levels):
         if n != 2:
             return None
-        fit = fit_resonant_constant(traj, below, force, n)
+        fit = fit_resonant_constant(traj, levels, n)
         print(f"level-2 free constant: |xi_2| = {norm(fit.constant):.6f} "
               f"(stddev {fit.stddev:.1e}, drift {fit.drift:.1e}, "
               f"contaminated: {fit.contaminated})")

@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansion import ForceExpansion, level_source
-from .fieldpoly import FieldPolynomial, resolvent_solve
+from .expansion import ForceExpansion
 from .galerkin import Trajectory, evaluate_force
 from .spectral import (
     NormSpec,
     SpectralField,
-    eigenspace_project,
     eigenvalue,
     eigenvalues_up_to,
     norm,
@@ -117,9 +115,9 @@ def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assembled(terms, modes: np.ndarray, t: np.ndarray, decay: bool = True):
+def _assembled(terms, modes: np.ndarray, t: np.ndarray):
     """Per row of the (K, 3) modes, the (S, 3) column of assemble(terms, t_i) over the times
-    t, with its Horner steps, arithmetic and order; decay=False drops the e^{-n t} factors."""
+    t, with its Horner steps, arithmetic and order."""
     levels = [([c._rows(modes) for c in reversed(q.coeffs())],
                np.array([math.exp(-n * x) for x in t.tolist()])[:, None]) for n, q in terms]
     zero = np.zeros((len(t), 3), dtype=np.complex128)
@@ -128,7 +126,7 @@ def _assembled(terms, modes: np.ndarray, t: np.ndarray, decay: bool = True):
         for coeffs, e in levels:
             if any(c[j].any() for c in coeffs):   # a level lacking this mode adds nothing
                 q = functools.reduce(lambda q, c: _plus(q * t[:, None], c[j]), coeffs, zero)
-                acc = _plus(acc, q * e if decay else q)
+                acc = _plus(acc, q * e)
         yield acc
 
 
@@ -233,20 +231,16 @@ def rate_claim_passes(fit: RateFit, rate: float) -> bool:
 
 
 def fit_resonant_constant(
-    traj: Trajectory,
-    terms_below,
-    force: ForceExpansion,
-    n: int,
-    window: tuple[float, float] | None = None,
+    traj: Trajectory, terms, n: int, window: tuple[float, float] | None = None
 ) -> ResonantConstantFit:
     """Estimate the free constant of resonant level n from a trajectory.
 
-    Compensates the simulated flow by the already-built levels below n,
-    rescales by e^{n t}, projects on the |k|^2 = n eigenspace and subtracts
-    the known particular part of level n (the zero-constant solve). What
-    remains is constant for the underlying solution up to faster-decaying
-    levels, so its windowed mean estimates the constant and its linear trend
-    measures contamination.
+    `terms` holds built (k, q_k) levels, level n among them with a zero free
+    constant. The flow minus all of them, rescaled by e^{n t} and projected on
+    the |k|^2 = n eigenspace, is constant for the underlying solution up to
+    faster-decaying levels, so its windowed mean estimates the constant and
+    its linear trend measures contamination. If q_n already carries a
+    constant, the mean is the correction to it.
     """
     spectrum = set(eigenvalues_up_to(int(n)))
     if int(n) not in spectrum:
@@ -255,25 +249,21 @@ def fit_resonant_constant(
             "no resonant constant exists at this level"
         )
     n = int(n)
-    terms_below = tuple(terms_below)
-    if any(k >= n for k, _ in terms_below):
-        raise ValueError("terms_below must only contain levels < n")
+    terms = tuple(terms)
+    if n not in (k for k, _ in terms):
+        raise ValueError(f"terms must include level {n}, solved with a zero constant")
     if window is None:
         window = tail_window(traj.t_end, 0.8, 0.95)
     a, b = float(window[0]), float(window[1])
-    p = level_source(terms_below, force, n)
-    pn = p.map_coeffs(lambda c: eigenspace_project(c, n))
-    particular = resolvent_solve(pn, 0.0, SpectralField.zero())
 
     idx = np.nonzero((traj.times >= a - 1e-12) & (traj.times <= b + 1e-12))[0]
     if len(idx) < 2:
         raise FitError(f"window [{a:.4g}, {b:.4g}] holds fewer than 2 samples")
     t, m = traj.times[idx], len(idx)
-    # w_i = (u_i - sum_{k<n} q_k e^{-k t_i}) e^{n t_i} - particular(t_i) on the |k|^2 = n eigenspace
-    kn, u = _joined(traj, [particular, *(q for _, q in terms_below)], idx, n)
+    # w_i = (u_i - sum_k q_k(t_i) e^{-k t_i}) e^{n t_i} on the |k|^2 = n eigenspace
+    kn, u = _joined(traj, [q for _, q in terms], idx, n)
     grow = np.array([math.exp(n * x) for x in t.tolist()])[:, None]
-    cols = zip(u, _assembled(terms_below, kn, t), _assembled(((0, particular),), kn, t, False))
-    w = np.array([_plus(_plus(c, lv * -1.0) * grow, pt * -1.0) for c, lv, pt in cols])
+    w = np.array([_plus(c, lv * -1.0) * grow for c, lv in zip(u, _assembled(terms, kn, t))])
     w = w.reshape(len(kn), m, 3).transpose(1, 0, 2)   # (sample, mode, component)
 
     mean_rows = functools.reduce(_plus, w) * (1.0 / m)   # summed in sample order

@@ -129,10 +129,10 @@ def fitted_constants(scenario: Scenario, traj, fit_log: dict):
     spectrum = set(eigenvalues_up_to(req.n_max))
     traj_scale = norm_series(traj, NormSpec(0.0, 0.0)).peak()
 
-    def constant(n, below):
+    def constant(n, levels):
         if n in req.resonant or n not in spectrum:
             return req.resonant.get(n)
-        fit = fit_resonant_constant(traj, below, scenario.force, n, window=req.resonant_fit_window)
+        fit = fit_resonant_constant(traj, levels, n, window=req.resonant_fit_window)
         snapped = norm(fit.constant) <= SNAP_FACTOR * traj_scale
         fit_log[n] = {
             "stddev": fit.stddev,

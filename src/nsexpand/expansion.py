@@ -11,7 +11,8 @@ eigenspace |k|^2 = lam the left side is d/dt + (lam - n), inverted exactly by
 the coefficient back-substitution in `resolvent_solve`. At lam = n the
 inversion has a one-dimensional kernel per mode: the constant term is a free
 parameter of the expansion (different choices track different solutions with
-the same force), supplied externally and defaulting to zero.
+the same force). Each level is solved with a zero constant; the supplied or
+fitted constant (zero by default) is then added to its constant term.
 
 Everything here is exact linear algebra on finite mode sets; residuals of the
 level equations are rounding-level by construction and are re-checked.
@@ -73,18 +74,8 @@ class ForceExpansion:
             for c in poly.coeffs():
                 c.require_divergence_free()
 
-    @classmethod
-    def from_levels(cls, levels, remainder=None) -> "ForceExpansion":
-        """Build from any iterable/mapping of n -> polynomial; levels get sorted."""
-        items = levels.items() if hasattr(levels, "items") else levels
-        pairs = sorted(((int(n), p) for n, p in items), key=lambda np_: np_[0])
-        return cls(tuple(pairs), remainder)
-
     def level(self, n: int) -> FieldPolynomial:
         return dict(self.terms).get(n, FieldPolynomial.zero())
-
-    def max_level(self) -> int:
-        return max((n for n, _ in self.terms), default=0)
 
     def max_support_eigenvalue(self) -> int:
         best = 0
@@ -151,33 +142,21 @@ def level_source(prior_terms, force: ForceExpansion, n: int) -> FieldPolynomial:
     return p
 
 
-def solve_level(
-    p: FieldPolynomial, n: int, xi: SpectralField | None = None
-) -> tuple[FieldPolynomial, bool]:
-    """Solve q' + (A - n) q = p eigenspace by eigenspace.
+def solve_level(p: FieldPolynomial, n: int) -> tuple[FieldPolynomial, bool]:
+    """Solve q' + (A - n) q = p eigenspace by eigenspace, with a zero free constant.
 
-    Blocks are enumerated from the support of p, plus the lam = n block when
-    a nonzero free constant is supplied (the constant enters the solution
-    even if nothing drives that eigenspace). Returns the level polynomial
-    and whether the free-constant branch ran.
+    Blocks are enumerated from the support of p. Returns the level polynomial
+    and whether the free-constant branch (the lam = n block) ran.
     """
     lams: set[int] = set()
     for c in p.coeffs():
         lams.update(eigenvalue(k) for k in c.support())
-    if xi is not None and not xi.is_zero:
-        lams.add(n)
     # the blocks' solutions have disjoint supports, so summing them is exact
     q = FieldPolynomial.zero()
-    hit = False
     for lam in sorted(lams):
         block = p.map_coeffs(lambda c, lam=lam: eigenspace_project(c, lam))
-        if lam == n:
-            part = resolvent_solve(block, 0.0, xi if xi is not None else SpectralField.zero())
-            hit = True
-        else:
-            part = resolvent_solve(block, float(lam - n))
-        q = q + part
-    return q, hit
+        q = q + resolvent_solve(block, float(lam - n), SpectralField.zero())
+    return q, n in lams
 
 
 def build_expansion(
@@ -186,13 +165,16 @@ def build_expansion(
     """Construct expansion levels 1..levels for the given force.
 
     Levels are built in order; each one only needs the earlier ones through
-    the quadratic interaction. Free constants for resonant levels come from
-    `resonant`: either a mapping n -> field on the |k|^2 = n eigenspace, or a
-    callable (n, levels_below) -> field or None, asked once per level with the
-    (k, q_k) pairs built so far. A missing constant is zero. Every constant
-    passes `check_resonant_data`, and the result's level equations are
-    re-checked independently and must hold to RESIDUAL_TOL relative
-    (LevelEquationError otherwise).
+    the quadratic interaction. Level n is solved with a zero free constant,
+    then its constant xi_n on the |k|^2 = n eigenspace is added to q_n's
+    constant term; the lam = n block is the only one with support there, so
+    this is the solve with xi_n pinned. The constants come from `resonant`:
+    either a mapping n -> xi_n, or a callable (n, levels) -> xi_n or None,
+    asked once per level with the (k, q_k) pairs up to and including the
+    zero-constant level n. A missing constant is zero. Every constant passes
+    `check_resonant_data`, and the result's level equations are re-checked
+    independently and must hold to RESIDUAL_TOL relative (LevelEquationError
+    otherwise).
     """
     levels = int(levels)
     if levels < 0:
@@ -208,11 +190,10 @@ def build_expansion(
     terms: list[tuple[int, FieldPolynomial]] = []
     log: list[tuple[int, int]] = []
     for n in range(1, levels + 1):
-        p = level_source(terms, force, n)
-        xi = constant(n, tuple(terms))
-        if xi is not None:
-            xi = check_resonant_data({n: xi})[n]
-        q, hit = solve_level(p, n, xi)
+        q, hit = solve_level(level_source(terms, force, n), n)
+        xi = constant(n, (*terms, (n, q)))
+        if xi is not None and not check_resonant_data({n: xi})[n].is_zero:
+            q, hit = q + FieldPolynomial.constant(xi), True
         if hit:
             log.append((n, n))
         terms.append((n, q))

@@ -184,25 +184,6 @@ class SpectralField:
             out[i[hit]] = self._c[hit]
         return out
 
-    @classmethod
-    def from_modes(cls, items) -> "SpectralField":
-        """Fold (k, coefficient) terms from either half of each pair, accumulating duplicates.
-
-        Each item contributes c e^{i k.x}; items at a non-representative k are
-        folded onto the conjugate of the stored half. Useful for assembling
-        convolution output or hand-written full-mode descriptions.
-        """
-        acc: dict[Wavevector, np.ndarray] = {}
-        for k, c in items:
-            k = (int(k[0]), int(k[1]), int(k[2]))
-            c = np.asarray(c, dtype=np.complex128)
-            if not is_representative(k):
-                if k == _ZERO:
-                    raise ValueError("k = 0 is excluded (zero-average fields)")
-                k, c = (-k[0], -k[1], -k[2]), np.conj(c)
-            acc[k] = acc[k] + c if k in acc else c  # the constructor copies
-        return cls(acc)
-
     # -- inspection -----------------------------------------------------------
 
     def modes(self):

@@ -148,7 +148,7 @@ def ladder_phi() -> SpectralField:
 
 
 def ladder_force() -> ForceExpansion:
-    return ForceExpansion.from_levels({1: FieldPolynomial.constant(ladder_phi())})
+    return ForceExpansion(((1, FieldPolynomial.constant(ladder_phi())),))
 
 
 def ladder_scenario_doc(

@@ -94,7 +94,7 @@ def test_criterion_1_expansion_exactness(capsys):
                 xi = eigenspace_project(random_div_free_field(rng, 2, 6), n)
                 if not xi.is_zero:
                     resonant[n] = xi
-        result = build_expansion(ForceExpansion.from_levels(levels), 3, resonant)
+        result = build_expansion(ForceExpansion(tuple(levels.items())), 3, resonant)
         worst = max(worst, result.max_residual())
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 5.0

@@ -31,7 +31,6 @@ from nsexpand import (
     norm_series,
     rate_claim_passes,
     remainder_series,
-    resolvent_solve,
     solve_level,
     tail_window,
 )
@@ -131,13 +130,10 @@ def test_batched_series_equal_per_sample_field_arithmetic(case, terms, alpha, si
     assert norm_series(traj, spec).values.tolist() == [norm(s, spec) for s in states]
 
 
-def reference_resonant_fit(states, times, terms_below, force, n):
+def reference_resonant_fit(states, times, terms, n):
     """Constant, spread and drift of resonant level n over all samples, one field per sample."""
-    pn = level_source(terms_below, force, n).map_coeffs(lambda c: eigenspace_project(c, n))
-    particular = resolvent_solve(pn, 0.0, SpectralField.zero())
     samples = [
-        eigenspace_project(s - assemble(terms_below, float(t)), n) * math.exp(n * float(t))
-        - particular(float(t))
+        eigenspace_project(s - assemble(terms, float(t)), n) * math.exp(n * float(t))
         for t, s in zip(times, states)
     ]
     mean = SpectralField.zero()
@@ -161,10 +157,9 @@ def reference_resonant_fit(states, times, terms_below, force, n):
 @given(_trajectory(min_samples=3), st.sampled_from([1, 2]), st.data())
 def test_resonant_fit_equals_per_sample_field_arithmetic(case, n, data):
     traj, states = case
-    terms_below = data.draw(_terms(list(range(1, n)), project=True))
-    force = ForceExpansion(tuple(data.draw(_terms(list(range(1, n + 1)), project=True))))
-    fit = fit_resonant_constant(traj, terms_below, force, n, window=(0.0, traj.t_end))
-    mean, stddev, drift = reference_resonant_fit(states, traj.times, terms_below, force, n)
+    terms = data.draw(_terms([1, 2, 3]).filter(lambda ts: n in dict(ts)))
+    fit = fit_resonant_constant(traj, terms, n, window=(0.0, traj.t_end))
+    mean, stddev, drift = reference_resonant_fit(states, traj.times, terms, n)
     # compared as a level document writes them: every bit, signed zeros included
     assert dumps_json(field_to_literal(fit.constant)) == dumps_json(field_to_literal(mean))
     assert (fit.stddev, fit.drift) == (stddev, drift)
@@ -172,15 +167,15 @@ def test_resonant_fit_equals_per_sample_field_arithmetic(case, n, data):
 
 
 def test_resonant_fit_keeps_the_signed_zeros_of_field_arithmetic():
-    # The mode is absent from the flow, so each sample is -particular(t), whose
-    # x component SpectralField arithmetic makes -0.0; a plain array sum would
+    # The mode is absent from the flow, so each sample is -q_1(t), whose x
+    # component SpectralField arithmetic makes -0.0; a plain array sum would
     # turn it into +0.0 and the level document would change by that byte.
     phi = leray_project(SpectralField({(1, 0, 0): [0.3, 0.5 - 0.2j, 0.1j]}))
-    force = ForceExpansion(((1, FieldPolynomial.constant(phi)),))
+    terms = ((1, FieldPolynomial([SpectralField.zero(), phi])),)  # q_1 = phi t
     states = [SpectralField.zero()] * 4
     traj = Trajectory.from_states(np.arange(4) * 0.25, states, SolverConfig(4, 0.25, 0.75))
-    fit = fit_resonant_constant(traj, (), force, 1, window=(0.0, 0.75))
-    mean, _, _ = reference_resonant_fit(states, traj.times, (), force, 1)
+    fit = fit_resonant_constant(traj, terms, 1, window=(0.0, 0.75))
+    mean, _, _ = reference_resonant_fit(states, traj.times, terms, 1)
     assert dumps_json(field_to_literal(fit.constant)) == dumps_json(field_to_literal(mean))
     assert math.copysign(1.0, field_to_literal(fit.constant)[0]["re"][0]) == -1.0
 
@@ -263,21 +258,20 @@ def manufactured_two_levels():
     xi2 = leray_project(
         SpectralField({(1, 1, 0): [0.03, -0.03, 0.01], (1, -1, 0): [0.02, 0.02, 0.005j]})
     )
-    p2 = level_source([term1], force, 2)
-    q2, hit = solve_level(p2, 2, xi2)
+    q2, hit = solve_level(level_source([term1], force, 2), 2)
     assert hit
-    return force, term1, q2, xi2
+    return term1, q2, xi2
 
 
 def test_fit_resonant_constant_exact_recovery():
-    force, term1, q2, xi2 = manufactured_two_levels()
+    term1, q2, xi2 = manufactured_two_levels()
     q1 = term1[1]
 
     def state(t):
-        return math.exp(-t) * q1(t) + math.exp(-2 * t) * q2(t)
+        return math.exp(-t) * q1(t) + math.exp(-2 * t) * (q2(t) + xi2)
 
     traj = fabricated_trajectory(state)
-    fit = fit_resonant_constant(traj, [term1], force, 2)
+    fit = fit_resonant_constant(traj, [term1, (2, q2)], 2)
     assert_fields_close(fit.constant, xi2, rtol=1e-10, atol=1e-14)
     assert fit.stddev <= 1e-10 * norm(xi2)
     assert fit.drift <= 1e-8
@@ -286,16 +280,16 @@ def test_fit_resonant_constant_exact_recovery():
 
 
 def test_fit_resonant_constant_flags_contamination():
-    force, term1, q2, xi2 = manufactured_two_levels()
+    term1, q2, xi2 = manufactured_two_levels()
     q1 = term1[1]
     eta = xi2  # contaminant the same size as the constant itself
 
     def state(t):
-        clean = math.exp(-t) * q1(t) + math.exp(-2 * t) * q2(t)
+        clean = math.exp(-t) * q1(t) + math.exp(-2 * t) * (q2(t) + xi2)
         return clean + math.exp(-3 * t) * eta
 
     traj = fabricated_trajectory(state)
-    fit = fit_resonant_constant(traj, [term1], force, 2, window=(0.5, 1.5))
+    fit = fit_resonant_constant(traj, [term1, (2, q2)], 2, window=(0.5, 1.5))
     assert fit.contaminated
     assert fit.drift > 0.1
 
@@ -304,13 +298,12 @@ def test_fit_resonant_constant_zero_excitation():
     # Single-mode level 1 self-advects to zero and nothing else drives level 2.
     q1 = SpectralField({(1, 0, 0): [0, 0.5, 0]})
     term1 = (1, FieldPolynomial.constant(q1))
-    force = ForceExpansion(())
 
     def state(t):
         return math.exp(-t) * q1
 
     traj = fabricated_trajectory(state)
-    fit = fit_resonant_constant(traj, [term1], force, 2)
+    fit = fit_resonant_constant(traj, [term1, (2, FieldPolynomial.zero())], 2)
     assert fit.constant.is_zero
     assert fit.stddev == 0.0
     assert fit.drift == 0.0
@@ -320,18 +313,18 @@ def test_fit_resonant_constant_zero_excitation():
 def test_fit_resonant_constant_rejects_gap_level():
     _, traj = heat_trajectory()
     with pytest.raises(ValueError, match="not a Stokes eigenvalue"):
-        fit_resonant_constant(traj, [], ForceExpansion(()), 7)
+        fit_resonant_constant(traj, [(7, FieldPolynomial.zero())], 7)
 
 
-def test_fit_resonant_constant_rejects_high_terms():
+def test_fit_resonant_constant_needs_level_n():
     _, traj = heat_trajectory()
-    term2 = (2, FieldPolynomial.zero())
-    with pytest.raises(ValueError, match="levels < n"):
-        fit_resonant_constant(traj, [term2], ForceExpansion(()), 2)
+    terms = [(1, FieldPolynomial.zero()), (3, FieldPolynomial.zero())]
+    with pytest.raises(ValueError, match="must include level 2"):
+        fit_resonant_constant(traj, terms, 2)
 
 
 def test_fit_resonant_constant_needs_samples():
-    force, term1, q2, _ = manufactured_two_levels()
+    term1, q2, _ = manufactured_two_levels()
     q1 = term1[1]
 
     def state(t):
@@ -339,7 +332,7 @@ def test_fit_resonant_constant_needs_samples():
 
     traj = fabricated_trajectory(state)
     with pytest.raises(FitError, match="fewer than 2"):
-        fit_resonant_constant(traj, [term1], force, 2, window=(3.91, 3.94))
+        fit_resonant_constant(traj, [term1, (2, q2)], 2, window=(3.91, 3.94))
 
 
 # -- certificates ---------------------------------------------------------------------

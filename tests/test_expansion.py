@@ -14,6 +14,7 @@ from nsexpand import (
     eigenvalue,
     expansion_residual,
     finite_approximation_plan,
+    leray_project,
     level_source,
     poly_bilinear,
     solve_level,
@@ -43,14 +44,12 @@ def test_force_coefficients_must_be_divergence_free():
         ForceExpansion(((1, bad),))
 
 
-def test_from_levels_sorts_and_lookup():
+def test_force_level_lookup():
     p1 = FieldPolynomial.constant(two_mode_unit_field())
     p3 = FieldPolynomial.constant(ladder_phi())
-    force = ForceExpansion.from_levels({3: p3, 1: p1})
-    assert [n for n, _ in force.terms] == [1, 3]
+    force = ForceExpansion(((1, p1), (3, p3)))
     assert force.level(1) == p1
     assert force.level(2).is_zero
-    assert force.max_level() == 3
     assert force.max_support_eigenvalue() == 2  # ladder modes sit on |k|^2 = 2
 
 
@@ -116,15 +115,33 @@ def test_zero_force_zero_expansion():
 
 def test_solve_level_reports_resonant_hit():
     p = FieldPolynomial.constant(two_mode_unit_field())
-    q, hit = solve_level(p, 1, None)
+    q, hit = solve_level(p, 1)
     assert hit
-    q, hit = solve_level(p, 3, None)
+    assert q == FieldPolynomial([SpectralField.zero(), two_mode_unit_field()])
+    q, hit = solve_level(p, 3)
     assert not hit
-    # A nonzero free constant forces the resonant block even with zero source.
-    xi = two_mode_unit_field()
-    q, hit = solve_level(FieldPolynomial.zero(), 1, xi)
-    assert hit
-    assert q == FieldPolynomial.constant(xi)
+    assert solve_level(FieldPolynomial.zero(), 1) == (FieldPolynomial.zero(), False)
+
+
+def test_supplied_constant_adds_to_the_zero_constant_level():
+    # f_1 = phi lives on |k|^2 = 2, so level 1's resonant block |k|^2 = 1 has
+    # no source; f_2 drives level 2's resonant block |k|^2 = 2.
+    phi = ladder_phi()
+    force = ForceExpansion(
+        ((1, FieldPolynomial.constant(phi)), (2, FieldPolynomial([phi, phi * 0.5])))
+    )
+    on_2 = leray_project(SpectralField({(1, 1, 0): [0.2, 0.1, 0.3j], (0, 1, -1): [0.1, 0, 0.2]}))
+    cases = (  # (level, constant, logged as a resonant hit)
+        (2, on_2, True),
+        (1, two_mode_unit_field(), True),
+        (1, SpectralField.zero(), False),
+    )
+    for n, xi, hit in cases:
+        result = build_expansion(force, n, {n: xi})
+        p = level_source(result.terms[: n - 1], force, n)
+        assert result.polynomial(n) == solve_level(p, n)[0] + FieldPolynomial.constant(xi)
+        assert result.resonance_log == (((n, n),) if hit else ())
+    assert solve_level(force.level(1), 1) == (FieldPolynomial.constant(phi), False)
 
 
 # -- manufactured two-level expansion ---------------------------------------------
@@ -242,13 +259,13 @@ def test_build_expansion_levels_validation():
 def test_random_force_residuals_close():
     # Mixed-level random forces: construction must satisfy its own equations.
     rng = np.random.default_rng(41)
-    force = ForceExpansion.from_levels(
-        {
-            1: FieldPolynomial([random_div_free_field(rng, 2, 3)]),
-            2: FieldPolynomial(
+    force = ForceExpansion(
+        (
+            (1, FieldPolynomial([random_div_free_field(rng, 2, 3)])),
+            (2, FieldPolynomial(
                 [random_div_free_field(rng, 2, 3), random_div_free_field(rng, 2, 2)]
-            ),
-        }
+            )),
+        )
     )
     result = build_expansion(force, 3)
     assert result.max_residual() <= 1e-12

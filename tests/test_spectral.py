@@ -106,13 +106,6 @@ def test_field_drops_exact_zeros():
     assert SpectralField.zero().is_zero
 
 
-def test_from_modes_folds_conjugate_half():
-    c = np.array([0.0, 1.0 + 2.0j, -0.5j])
-    u = SpectralField.from_modes([((-1, 0, 0), np.conj(c)), ((1, 0, 0), c)])
-    # both items describe the same pair, so the stored coefficient doubles
-    assert np.allclose(u.coeff((1, 0, 0)), 2 * c)
-
-
 def test_coeff_conjugates_across_the_pair():
     c = np.array([0.0, 1.0 + 2.0j, -0.5j])
     u = single((1, 0, 0), c)
