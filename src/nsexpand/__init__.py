@@ -37,7 +37,6 @@ from .expansion import (
 from .fieldpoly import (
     DegreeCapError,
     FieldPolynomial,
-    MissingResonantDataError,
     assemble,
     poly_bilinear,
     resolvent_solve,
@@ -59,12 +58,10 @@ from .spectral import (
     eigenspace_project,
     eigenvalue,
     eigenvalues_up_to,
-    gevrey_weight,
     inner,
     is_representative,
     leray_project,
     norm,
-    stokes_power,
     truncate,
 )
 

@@ -165,11 +165,8 @@ def energy_ledger(traj: Trajectory, force: ForceExpansion) -> np.ndarray:
     t = traj.times
     energy = 0.5 * norm_series(traj, NormSpec(0.0, 0.0)).values ** 2
     enstrophy = norm_series(traj, NormSpec(0.5, 0.0)).values ** 2
-    # <F, u> = 2 sum_k Re(F(k) . conj(u(k))); the unexpanded force tail is an arbitrary callable
+    # <F, u> = 2 sum_k Re(F(k) . conj(u(k)))
     forces = _assembled(force.terms, traj.modes, t)
-    if force.remainder is not None:
-        tail = np.array([force.remainder(x)._rows(traj.modes) for x in t.tolist()])
-        forces = (_plus(f, tail[:, j]) for j, f in enumerate(forces))
     parts = (2.0 * np.vecdot(traj.coeffs[:, j], f).real for j, f in enumerate(forces))
     work = sum(parts, np.zeros(len(traj)))
     dt = np.diff(t)
@@ -196,7 +193,8 @@ def fit_rate(series: NormSeries, window: tuple[float, float] | None = None) -> R
 
     Excludes samples below FLOOR_FACTOR x (series peak); if the whole window
     sits at the floor the result is flagged floor_dominated with NaN slope
-    (no meaningful rate exists). Fewer than 8 usable samples is an error.
+    (no meaningful rate exists). A window without samples, or with fewer
+    than 8 usable ones, is an error.
     """
     if window is None:
         window = tail_window(float(series.times[-1]))
@@ -205,6 +203,8 @@ def fit_rate(series: NormSeries, window: tuple[float, float] | None = None) -> R
         raise ValueError(f"empty window {window}")
     t, v = series.times, series.values
     in_win = (t >= a - 1e-12) & (t <= b + 1e-12)
+    if not in_win.any():
+        raise FitError(f"window [{a:.4g}, {b:.4g}] holds no samples; series ends at {t[-1]:.4g}")
     peak = series.peak()
     floor = FLOOR_FACTOR * peak
     usable = in_win & (v > floor)
@@ -373,7 +373,8 @@ def certificate_check(
     nothing); margins are still computed for inspection. Conclusions are
     checked at every sample past t_star, the integral one on unit windows
     anchored at samples; when the sample spacing does not divide 1 the
-    integral check is skipped and the report says so.
+    integral check is skipped and the report says so. A trajectory that ends
+    before t_star leaves nothing to check, which is a hypothesis failure.
     """
     c0, c1, t_star = cert.C0, cert.C1, cert.t_star
     failures = []
@@ -402,6 +403,8 @@ def certificate_check(
         bound = math.sqrt(2.0) * c0 * math.exp(-rate * t)
         pw_t.append(t)
         pw_m.append(bound - value)
+    if not pw_t:
+        failures.append(f"no sample at or after t_star = {t_star:.6g}; last sample at {traj.t_end:.6g}")
 
     spacing = traj.spacing
     steps = int(round(1.0 / spacing))

@@ -9,8 +9,9 @@
 Outputs land under <out>/<scenario-name>/: expansion/ (per-level polynomial
 documents), trajectory.csv (+ mode manifest), norms/ (series CSVs and
 plot-ready TSVs), reports/ (verify and certify summaries). verify and certify
-reuse files already present in the tree (an existing trajectory or expansion
-is loaded, not recomputed), so the subcommands compose into a pipeline.
+reuse files already present in the tree (an existing trajectory, or an expansion
+covering levels 1..N_max, is loaded, not recomputed), so the subcommands
+compose into a pipeline.
 
 Exit codes: 0 all checks passed, 1 input or runtime error, 2 at least one
 check failed (including built levels that violate their own equations), 3
@@ -228,7 +229,10 @@ def run_verify(scenario: Scenario, out: str | None) -> int:
     req = scenario.expansion
     fits_path = run_dir / "expansion" / "resonant_fits.json"
     terms = load_expansion_terms(run_dir)
-    if terms is None:
+    have = [n for n, _ in terms or ()]
+    if not set(range(1, req.n_max + 1)) <= set(have):
+        if terms is not None:
+            print(f"expansion levels {have} fall short of N_max = {req.n_max}: rebuilding")
         fits_path.unlink(missing_ok=True)  # a fit log belongs to the levels beside it
         fits: dict = {}
         terms = write_expansion(scenario, run_dir, fitted_constants(scenario, traj, fits)).terms

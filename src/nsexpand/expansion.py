@@ -21,14 +21,8 @@ level equations are rounding-level by construction and are re-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-from .fieldpoly import (
-    FieldPolynomial,
-    MissingResonantDataError,
-    poly_bilinear,
-    resolvent_solve,
-)
+from .fieldpoly import FieldPolynomial, poly_bilinear, resolvent_solve
 from .spectral import SpectralField, eigenspace_project, eigenvalue
 
 __all__ = [
@@ -52,16 +46,13 @@ class LevelEquationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ForceExpansion:
-    """Force given as decay levels f_n(t) e^{-n t}, plus an optional unexpanded tail.
+    """Force given as decay levels f_n(t) e^{-n t}.
 
     `terms` maps strictly increasing level indices n >= 1 to field
-    polynomials with divergence-free coefficients. `remainder`, when present,
-    is an arbitrary evaluable force t -> SpectralField that the simulator
-    adds on top; the expansion machinery never sees it.
+    polynomials with divergence-free coefficients.
     """
 
     terms: tuple[tuple[int, FieldPolynomial], ...]
-    remainder: Callable[[float], SpectralField] | None = None
 
     def __post_init__(self):
         seen = -1
@@ -155,7 +146,7 @@ def solve_level(p: FieldPolynomial, n: int) -> tuple[FieldPolynomial, bool]:
     q = FieldPolynomial.zero()
     for lam in sorted(lams):
         block = p.map_coeffs(lambda c, lam=lam: eigenspace_project(c, lam))
-        q = q + resolvent_solve(block, float(lam - n), SpectralField.zero())
+        q = q + resolvent_solve(block, float(lam - n))
     return q, n in lams
 
 

@@ -15,7 +15,6 @@ from .spectral import SpectralField, bilinear
 __all__ = [
     "DEGREE_CAP",
     "DegreeCapError",
-    "MissingResonantDataError",
     "FieldPolynomial",
     "poly_bilinear",
     "resolvent_solve",
@@ -27,10 +26,6 @@ DEGREE_CAP = 64
 
 class DegreeCapError(ValueError):
     """Polynomial degree exceeded the hard cap (runaway resonance cascade)."""
-
-
-class MissingResonantDataError(ValueError):
-    """beta = 0 solve requested without the free constant that pins it down."""
 
 
 class FieldPolynomial:
@@ -155,10 +150,8 @@ def poly_bilinear(p: FieldPolynomial, q: FieldPolynomial) -> FieldPolynomial:
     return FieldPolynomial(out)
 
 
-def resolvent_solve(
-    p: FieldPolynomial, beta: float, xi: SpectralField | None = None
-) -> FieldPolynomial:
-    """Unique-or-pinned polynomial solution q of q' + beta q = p.
+def resolvent_solve(p: FieldPolynomial, beta: float) -> FieldPolynomial:
+    """Polynomial solution q of q' + beta q = p; for beta = 0, the one with zero constant term.
 
     beta != 0: the polynomial solution is unique, found by back-substitution
     from the top degree (q_d = p_d / beta, then each lower coefficient picks
@@ -167,17 +160,13 @@ def resolvent_solve(
     -e^{-beta t} integral_t^inf e^{beta s} p(s) ds (beta < 0); the degree of
     q equals the degree of p.
 
-    beta = 0: q is an antiderivative of p, fixed by the free constant term
-    xi, and the degree rises by one. xi is required here and ignored in the
-    nonzero case (where no freedom exists).
+    beta = 0: q is the antiderivative of p with zero constant term, and the
+    degree rises by one. Any other constant gives a solution too; the caller
+    adds it.
     """
     beta = float(beta)
     if beta == 0.0:
-        if xi is None:
-            raise MissingResonantDataError(
-                "beta = 0: the constant term is free; supply xi to pin the solution"
-            )
-        out = [xi]
+        out = [SpectralField.zero()]
         for j, c in enumerate(p.coeffs()):
             out.append(c * (1.0 / (j + 1)))
         return FieldPolynomial(out)

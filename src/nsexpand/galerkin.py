@@ -31,7 +31,6 @@ __all__ = [
     "Trajectory",
     "BlowupError",
     "ModeTable",
-    "mode_table",
     "evaluate_force",
     "integrate",
 ]
@@ -244,22 +243,9 @@ class ModeTable:
         return out.T
 
 
-_TABLES: dict[int, ModeTable] = {}
-
-
-def mode_table(cutoff: int) -> ModeTable:
-    table = _TABLES.get(cutoff)
-    if table is None:
-        table = _TABLES[cutoff] = ModeTable(cutoff)
-    return table
-
-
 def evaluate_force(force: ForceExpansion, t: float) -> SpectralField:
-    """Total force at time t: sum_n f_n(t) e^{-n t}, plus the unexpanded tail if any."""
-    acc = assemble(force.terms, t)
-    if force.remainder is not None:
-        acc = acc + force.remainder(t)
-    return acc
+    """Total force at time t: sum_n f_n(t) e^{-n t}."""
+    return assemble(force.terms, t)
 
 
 def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) -> Trajectory:
@@ -267,10 +253,9 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
 
     u0 must be divergence-free and supported inside the cutoff; the expanded
     force levels must fit inside the cutoff too (otherwise the truncation
-    would silently drop driven modes). A remainder force is truncated to the
-    ball, which is exactly what the Galerkin right side prescribes.
+    would silently drop driven modes).
     """
-    table = mode_table(config.mode_cutoff)
+    table = ModeTable(config.mode_cutoff)
     u0.require_divergence_free()
     reach = max(u0.max_eigenvalue(), force.max_support_eigenvalue())
     if reach > config.mode_cutoff:

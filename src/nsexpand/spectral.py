@@ -30,8 +30,6 @@ __all__ = [
     "eigenvalue",
     "is_representative",
     "leray_project",
-    "stokes_power",
-    "gevrey_weight",
     "norm",
     "inner",
     "bilinear",
@@ -313,24 +311,9 @@ def leray_project(u: SpectralField) -> SpectralField:
     return u._reweighted(u._c - (dots / _eigenvalues(u._k))[:, None] * kf)
 
 
-def _weights(u: SpectralField, weight) -> np.ndarray:
-    """weight(|k|^2) per row, evaluated in Python floats as a per-mode loop would."""
-    return np.array([weight(lam) for lam in _eigenvalues(u._k).tolist()])
-
-
-def stokes_power(u: SpectralField, alpha: float) -> SpectralField:
-    """Apply A^alpha: scale the coefficient at k by |k|^{2 alpha}. Support unchanged."""
-    return u._reweighted(u._c * _weights(u, lambda lam, a=float(alpha): lam**a)[:, None])
-
-
-def gevrey_weight(u: SpectralField, spec: NormSpec) -> SpectralField:
-    """Apply A^alpha e^{sigma A^{1/2}}: scale the coefficient at k by |k|^{2 alpha} e^{sigma |k|}."""
-    return u._reweighted(u._c * _weights(u, spec.weight)[:, None])
-
-
 def norm(u: SpectralField, spec: NormSpec = _H0) -> float:
     """Weighted l2 norm over all modes (both pair halves), compensated summation."""
-    w = _weights(u, spec.weight)
+    w = np.array([spec.weight(lam) for lam in _eigenvalues(u._k).tolist()])  # Python floats
     mag2 = np.vecdot(u._c.real, u._c.real) + np.vecdot(u._c.imag, u._c.imag)
     return math.sqrt(math.fsum((2.0 * w * w * mag2).tolist()))
 

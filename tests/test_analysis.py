@@ -35,7 +35,7 @@ from nsexpand import (
     tail_window,
 )
 from nsexpand.analysis import FitError
-from nsexpand.galerkin import mode_table
+from nsexpand.galerkin import ModeTable
 from nsexpand.serialize import dumps_json, field_to_literal
 
 
@@ -236,6 +236,9 @@ def test_fit_rate_empty_window_rejected():
     t = np.linspace(0.0, 10.0, 101)
     with pytest.raises(ValueError, match="empty window"):
         fit_rate(NormSeries(t, np.exp(-t)), window=(5.0, 5.0))
+    # a window past the horizon holds no sample: unusable, not a series at the floor
+    with pytest.raises(FitError, match=r"window \[20, 30\] holds no samples; series ends at 10"):
+        fit_rate(NormSeries(t, np.exp(-t)), window=(20.0, 30.0))
 
 
 def test_rate_claim_tolerances():
@@ -433,6 +436,19 @@ def test_certificate_skips_integral_when_spacing_does_not_divide():
     assert report.verdict == "verified"  # pointwise margins still checked
 
 
+def test_certificate_inapplicable_when_t_star_is_past_the_horizon():
+    # sigma = 0.3, delta = 0.1: t_star = 18 lies past the last sample at 3, so
+    # no conclusion is checked and the certificate cannot be verified.
+    cert = DecayCertificate(alpha=0.5, delta=0.1, lam=1.0, sigma=0.3)
+    _, traj = heat_trajectory(amplitude=0.1 * cert.C0)
+    report = certificate_check(traj, cert, ForceExpansion(()))
+    assert len(report.pointwise_times) == 0 and len(report.integral_times) == 0
+    assert report.verdict == "inapplicable"
+    assert report.hypothesis_failures == (
+        f"no sample at or after t_star = 18; last sample at {traj.t_end:.6g}",
+    )
+
+
 # -- long-horizon properties of the driven cascade -------------------------------------
 
 
@@ -463,7 +479,7 @@ def test_gevrey_and_advection_decay_rates_along_ladder(ladder_run):
     useries = norm_series(traj, NormSpec(1.0, 0.0))
     ufit = fit_rate(useries)
 
-    table = mode_table(48)  # products of ball-12 modes live in ball 48
+    table = ModeTable(48)  # products of ball-12 modes live in ball 48
     lo, hi = tail_window(traj.t_end)
     idx = np.nonzero((traj.times >= lo) & (traj.times <= hi))[0][::10]
     btimes, bvals = [], []

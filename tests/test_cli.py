@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ladder_scenario_doc
+from conftest import ladder_phi, ladder_scenario_doc
 from nsexpand import SpectralField, bilinear, eigenvalues_up_to, expansion
 from nsexpand.cli import EXIT_ERROR, EXIT_FAILED, EXIT_INCONCLUSIVE, EXIT_OK, main
 from nsexpand.fieldpoly import FieldPolynomial
@@ -195,6 +195,42 @@ def test_verify_inconclusive_on_unusable_window(tmp_path, capsys):
     rep = json.loads((tmp_path / "o" / "sparse" / "reports" / "verify.json").read_text())
     assert rep["rows"][0]["verdict"] == "inconclusive"
     assert "unusable window" in rep["rows"][0]["annotation"]
+
+
+def test_verify_fit_window_past_the_horizon_is_unusable(tmp_path, capsys):
+    # The series ends at t = 6: a window of [20, 30] holds no sample at all,
+    # which is not the same as a remainder at the numerical floor.
+    doc = mini_ladder_doc(name="late", norm_specs=((0.5, 0.0), (0.5, 0.1)))
+    doc["expansion"]["fit_window"] = [20, 30]
+    sp = write_doc(tmp_path, doc)
+    assert main(["verify", "--scenario", sp, "--out", str(tmp_path / "o")]) == EXIT_INCONCLUSIVE
+    capsys.readouterr()
+    rows = json.loads((tmp_path / "o" / "late" / "reports" / "verify.json").read_text())["rows"]
+    assert len(rows) == 4
+    for row in rows:
+        assert row["verdict"] == "inconclusive"
+        assert row["annotation"] == (
+            "unusable window: window [20, 30] holds no samples; series ends at 6"
+        )
+
+
+def test_verify_rebuilds_levels_short_of_n_max(tmp_path, capsys):
+    # A tree built for N_max = 2 does not hold level 3: a run with N_max = 3
+    # rebuilds and refits every level, exactly as a cold run does.
+    out, cold = tmp_path / "out", tmp_path / "cold"
+    main(["verify", "--scenario", write_doc(tmp_path, mini_ladder_doc(n_max=2)), "--out", str(out)])
+    capsys.readouterr()
+    sp = write_doc(tmp_path, mini_ladder_doc(n_max=3), stem="deeper")
+    code = main(["verify", "--scenario", sp, "--out", str(out)])
+    assert "expansion levels [1, 2] fall short of N_max = 3: rebuilding" in capsys.readouterr().out
+    rows = json.loads((out / "mini" / "reports" / "verify.json").read_text())["rows"]
+    assert [r["level"] for r in rows] == [1, 2, 3]
+    assert main(["verify", "--scenario", sp, "--out", str(cold)]) == code
+    assert tree_bytes(out / "mini" / "expansion") == tree_bytes(cold / "mini" / "expansion")
+    assert tree_bytes(out / "mini" / "norms") == tree_bytes(cold / "mini" / "norms")
+    # a tree that covers N_max is reused, also for a smaller N_max
+    main(["verify", "--scenario", write_doc(tmp_path, mini_ladder_doc(n_max=2)), "--out", str(out)])
+    assert "loaded expansion levels [1, 2] from" in capsys.readouterr().out
 
 
 def test_verify_error_when_fit_window_cannot_estimate_constant(tmp_path, capsys):
@@ -480,6 +516,20 @@ def test_certify_inapplicable_on_large_data(tmp_path, capsys):
     code = main(["certify", "--scenario", sp, "--out", str(tmp_path / "o")])
     assert code == EXIT_INCONCLUSIVE
     assert "hypothesis not met: initial data" in capsys.readouterr().out
+
+
+def test_certify_inapplicable_when_t_star_is_past_the_horizon(tmp_path, capsys):
+    # delta = 0.1 and sigma = 0.3 give t_star = 18, past the last sample at 6:
+    # the small-data hypotheses hold, but no conclusion is ever checked.
+    doc = mini_ladder_doc(name="late", certificates=True)
+    doc["force"]["terms"][0]["poly"] = poly_to_literal(FieldPolynomial.constant(1e-3 * ladder_phi()))
+    doc["certificates"] = [{"alpha": 0.5, "delta": 0.1, "lambda": 1.0, "sigma": 0.3, "K": 2.0}]
+    sp = write_doc(tmp_path, doc)
+    assert main(["certify", "--scenario", sp, "--out", str(tmp_path / "o")]) == EXIT_INCONCLUSIVE
+    assert "inapplicable (min margin -)" in capsys.readouterr().out
+    row = json.loads((tmp_path / "o" / "late" / "reports" / "certify.json").read_text())["rows"][0]
+    assert row["verdict"] == "inapplicable"
+    assert row["hypothesis_failures"] == ["no sample at or after t_star = 18; last sample at 6"]
 
 
 def test_certify_without_certificates(tmp_path, capsys):

@@ -9,7 +9,6 @@ from conftest import random_div_free_field, resolvent_oracle
 from nsexpand import (
     DegreeCapError,
     FieldPolynomial,
-    MissingResonantDataError,
     SpectralField,
     assemble,
     bilinear,
@@ -132,10 +131,9 @@ def test_resolvent_frozen_examples():
     # beta = -1, p = a  ->  q = -a
     q = resolvent_solve(FieldPolynomial.constant(a), -1.0)
     assert q == FieldPolynomial.constant(-1.0 * a)
-    # beta = 0, p = a, xi  ->  q = xi + a t
-    xi = SpectralField({(1, 0, 0): [0, 0.5, 0]})
-    q = resolvent_solve(FieldPolynomial.constant(a), 0.0, xi)
-    assert q.coeff(0) == xi
+    # beta = 0, p = a  ->  q = a t, zero constant term
+    q = resolvent_solve(FieldPolynomial.constant(a), 0.0)
+    assert q.coeff(0).is_zero
     assert q.coeff(1).allclose(a, rtol=1e-15)
 
 
@@ -157,13 +155,12 @@ def test_resolvent_exactness_nonzero_beta(beta):
 
 def test_resolvent_exactness_beta_zero():
     rng = np.random.default_rng(29)
-    xi = random_div_free_field(rng, 1, 2)
     for deg in (0, 3, 6):
         p = FieldPolynomial([random_div_free_field(rng, 2, 3) for _ in range(deg + 1)])
-        q = resolvent_solve(p, 0.0, xi)
+        q = resolvent_solve(p, 0.0)
         assert q.degree == p.degree + 1
         assert residual_scale(q, 0.0, p) <= 1e-12
-        assert q.coeff(0) == xi
+        assert q.coeff(0).is_zero
 
 
 @pytest.mark.parametrize("beta", [-3.0, -1.0, -0.5, 0.5, 1.0, 3.0])
@@ -177,16 +174,11 @@ def test_resolvent_matches_linear_system_oracle(beta):
         assert (got.coeff(j) - ref.coeff(j)).max_abs() <= 1e-12 * scale
 
 
-def test_resolvent_beta_zero_requires_xi():
-    with pytest.raises(MissingResonantDataError):
-        resolvent_solve(FieldPolynomial.constant(const_field()), 0.0)
-
-
 def test_resolvent_degree_cap_via_bump():
     a = const_field()
     p = FieldPolynomial([a] * (DEGREE_CAP + 1))  # degree 64
     with pytest.raises(DegreeCapError):
-        resolvent_solve(p, 0.0, SpectralField.zero())  # bump would reach 65
+        resolvent_solve(p, 0.0)  # bump would reach 65
 
 
 # -- terms and assembly -------------------------------------------------------------------

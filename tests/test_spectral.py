@@ -16,12 +16,10 @@ from nsexpand import (
     eigenspace_project,
     eigenvalue,
     eigenvalues_up_to,
-    gevrey_weight,
     inner,
     is_representative,
     leray_project,
     norm,
-    stokes_power,
     truncate,
 )
 
@@ -190,27 +188,6 @@ def test_normspec_validation():
         NormSpec(0.5, -1.0)
     with pytest.raises(ValueError):
         NormSpec(math.inf, 0.0)
-
-
-def test_stokes_power_examples():
-    u = single((1, 1, 0), [0, 0, 1])
-    assert np.allclose(stokes_power(u, 1.0).coeff((1, 1, 0)), [0, 0, 2])
-    v = single((2, 0, 0), [0, 1, 0])
-    assert np.allclose(stokes_power(v, 0.5).coeff((2, 0, 0)), [0, 2, 0])
-    assert stokes_power(u, 0.0) == u
-
-
-def test_gevrey_weight_examples():
-    u = single((1, 0, 0), [0, 0, 1])
-    got = gevrey_weight(u, NormSpec(0.0, 1.0)).coeff((1, 0, 0))
-    assert np.allclose(got, [0, 0, math.e], rtol=1e-15)
-    w = single((1, 1, 0), [1, 0, 0])
-    expect = 2.0 * 2.0 ** math.sqrt(2.0)
-    got = gevrey_weight(w, NormSpec(1.0, math.log(2.0))).coeff((1, 1, 0))
-    assert np.allclose(got, [expect, 0, 0], rtol=1e-14)
-    # sigma = 0 reduces to the plain Stokes power
-    r = random_div_free_field(np.random.default_rng(5), 2, 5)
-    assert gevrey_weight(r, NormSpec(0.75, 0.0)).allclose(stokes_power(r, 0.75))
 
 
 def test_norm_frozen_examples():
