@@ -7,8 +7,8 @@
     nse-expand spectrum [--nmax N]
 
 Outputs land under <out>/<scenario-name>/: expansion/ (per-level polynomial
-documents), trajectory.csv (+ mode manifest), norms/ (series CSVs and
-plot-ready TSVs), reports/ (verify and certify summaries). verify and certify
+documents), trajectory.csv (+ mode manifest), norms/ (series CSVs), reports/
+(verify and certify summaries, the rate fits included). verify and certify
 reuse files already present in the tree (an existing trajectory, or an expansion
 covering levels 1..N_max, is loaded, not recomputed), so the subcommands
 compose into a pipeline.
@@ -36,13 +36,12 @@ from .analysis import (
 )
 from .expansion import ExpansionResult, LevelEquationError, build_expansion
 from .galerkin import BlowupError, integrate
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, _norm_tag, load_scenario
 from .serialize import (
     format_float,
     level_from_doc,
     level_to_doc,
     read_trajectory,
-    write_fit_tsv,
     write_json,
     write_norm_csv,
     write_trajectory,
@@ -65,10 +64,6 @@ def run_dir_for(scenario: Scenario, out: str | None) -> Path:
     return d
 
 
-def _norm_tag(spec) -> str:
-    return f"alpha{spec.alpha:g}_sigma{spec.sigma:g}"
-
-
 def _exit_code(verdicts, failed: str, undecided: str) -> int:
     if failed in verdicts:
         return EXIT_FAILED
@@ -89,11 +84,15 @@ def ensure_trajectory(scenario: Scenario, run_dir: Path):
 
 
 def load_expansion_terms(run_dir: Path):
-    """(n, q_n) pairs from the tree's level documents, or None when there are none."""
+    """(n, q_n) pairs from the tree's level_<n>.json documents, or None when there are none."""
     docs = sorted((run_dir / "expansion").glob("level_*.json"))
     if not docs:
         return None
-    return [level_from_doc(serialize.load_json(p), str(p)) for p in docs]
+    terms = [level_from_doc(serialize.load_json(p), str(p)) for p in docs]
+    for p, (n, _) in zip(docs, terms):
+        if p.name != f"level_{n:02d}.json":
+            raise ScenarioError(str(p), f"holds level {n}, which only level_{n:02d}.json may hold")
+    return terms
 
 
 def write_expansion(scenario: Scenario, run_dir: Path, resonant) -> ExpansionResult:
@@ -103,14 +102,11 @@ def write_expansion(scenario: Scenario, run_dir: Path, resonant) -> ExpansionRes
     (expand) or the provider from `fitted_constants` (verify).
     """
     result = build_expansion(scenario.force, scenario.expansion.n_max, resonant)
-    hits = {n for n, _ in result.resonance_log}
     for n, poly in result.terms:
-        doc = level_to_doc(n, poly, n in hits)
-        write_json(run_dir / "expansion" / f"level_{n:02d}.json", doc)
+        write_json(run_dir / "expansion" / f"level_{n:02d}.json", level_to_doc(n, poly))
     write_json(
         run_dir / "expansion" / "residuals.json",
         {
-            "levels": scenario.expansion.n_max,
             "residuals": {str(n): result.residuals[n] for n in sorted(result.residuals)},
             "resonance_log": [list(x) for x in result.resonance_log],
             "max_residual": result.max_residual(),
@@ -192,19 +188,18 @@ def _verify_row(traj, terms, N, spec, eps, window):
         "target_rate": target,
         "peak": series.peak(),
     }
-    fit = None
     try:
         fit = fit_rate(series, window)
     except FitError as exc:
         row.update(verdict="inconclusive", annotation=f"unusable window: {exc}")
-        return row, series, fit
+        return row, series
     if fit.floor_dominated:
         row.update(
             slope=None,
             verdict="inconclusive",
             annotation="series at numerical floor: remainder matches to solver precision",
         )
-        return row, series, fit
+        return row, series
     ok = rate_claim_passes(fit, target)
     row.update(
         slope=fit.slope,
@@ -220,7 +215,7 @@ def _verify_row(traj, terms, N, spec, eps, window):
             + (f" and rms <= {analysis.RMS_MAX:g}" if fit.rms_residual > analysis.RMS_MAX else "")
         ),
     )
-    return row, series, fit
+    return row, series
 
 
 def run_verify(scenario: Scenario, out: str | None) -> int:
@@ -254,15 +249,11 @@ def run_verify(scenario: Scenario, out: str | None) -> int:
     rows = []
     for N in sorted(n for n, _ in terms):
         for spec in req.norm_specs:
-            row, series, fit = _verify_row(
-                traj, terms, N, spec, req.target_epsilon, req.fit_window
-            )
+            row, series = _verify_row(traj, terms, N, spec, req.target_epsilon, req.fit_window)
             bad = ", ".join(f"level {n} (drift {d:.3g})" for n, d in tainted if n <= N)
             if bad:
                 row.update(verdict="inconclusive", annotation=f"contaminated resonant fit: {bad}")
-            stem = f"remainder_N{N}_{_norm_tag(spec)}"
-            write_norm_csv(run_dir / "norms" / f"{stem}.csv", series)
-            write_fit_tsv(run_dir / "norms" / f"{stem}.tsv", series, fit, row["verdict"])
+            write_norm_csv(run_dir / "norms" / f"remainder_N{N}_{_norm_tag(spec)}.csv", series)
             rows.append(row)
 
     code = _exit_code([r["verdict"] for r in rows], "fail", "inconclusive")

@@ -21,8 +21,8 @@ Schema (all field/polynomial values use the literal formats in `serialize`):
     }
 
 This module is the schema only: the checked readers in `serialize` turn each
-value into its type, and every violation is a `ScenarioError` naming the path
-of the offending field.
+value into its type, and every violation, a key outside the schema included,
+is a `ScenarioError` naming the path of the offending field.
 """
 
 from __future__ import annotations
@@ -50,6 +50,11 @@ from .spectral import NormSpec, SpectralField
 __all__ = ["ExpansionRequest", "Scenario", "load_scenario", "scenario_from_doc"]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+_TOP_KEYS = ("name", "force", "initial", "expansion", "solver", "certificates", "output_dir")
+_SOLVER_KEYS = ("mode_cutoff", "step", "t_end", "sample_stride")
+_EXPANSION_KEYS = (
+    "N_max", "resonant", "target_epsilon", "norm_specs", "fit_window", "resonant_fit_window"
+)
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,20 @@ class Scenario:
     output_dir: str | None = None
 
 
+def _norm_tag(spec) -> str:
+    """The part of a norm's series file names that tells its spec apart."""
+    return f"alpha{spec.alpha:g}_sigma{spec.sigma:g}"
+
+
+def _keys(value, path: str, allowed: tuple[str, ...]) -> dict:
+    """`value` as an object whose keys all lie in `allowed`."""
+    for key in _object(value, path):
+        if key not in allowed:
+            where = f"{path}.{key}" if path else key
+            raise ScenarioError(where, f"unknown key; expected one of {', '.join(allowed)}")
+    return value
+
+
 def _pair(value, path, what):
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ScenarioError(path, f"expected {what}")
@@ -100,11 +119,11 @@ def _window(doc, key, path):
 
 
 def _parse_force(doc, path) -> ForceExpansion:
-    terms = _list(_need(_object(doc, path), "terms", path), f"{path}.terms")
+    terms = _list(_need(_keys(doc, path, ("terms",)), "terms", path), f"{path}.terms")
     pairs = []
     for i, entry in enumerate(terms):
         epath = f"{path}.terms[{i}]"
-        entry = _object(entry, epath)
+        entry = _keys(entry, epath, ("n", "poly"))
         n = _number(_need(entry, "n", epath), f"{epath}.n", int)
         pairs.append((n, poly_from_literal(_need(entry, "poly", epath), f"{epath}.poly")))
     with _at(f"{path}.terms"):
@@ -112,7 +131,7 @@ def _parse_force(doc, path) -> ForceExpansion:
 
 
 def _parse_expansion(doc, path) -> ExpansionRequest:
-    doc = _object(doc, path)
+    doc = _keys(doc, path, _EXPANSION_KEYS)
     n_max = _number(_need(doc, "N_max", path), f"{path}.N_max", int)
     resonant = {}
     for key, lit in _object(_need(doc, "resonant", path, {}), f"{path}.resonant").items():
@@ -129,6 +148,8 @@ def _parse_expansion(doc, path) -> ExpansionRequest:
         spath = f"{path}.norm_specs[{i}]"
         with _at(spath):
             specs.append(NormSpec(*_pair(pair, spath, "[alpha, sigma]")))
+        if _norm_tag(specs[-1]) in map(_norm_tag, specs[:-1]):  # one series file per spec
+            raise ScenarioError(spath, f"file tag {_norm_tag(specs[-1])} repeats an earlier spec")
     with _at(path):
         return ExpansionRequest(
             n_max,
@@ -146,7 +167,7 @@ def _parse_certificates(doc, path) -> tuple[DecayCertificate, ...]:
     certs = []
     for i, entry in enumerate(_list(doc, path)):
         epath = f"{path}[{i}]"
-        entry = _object(entry, epath)
+        entry = _keys(entry, epath, ("alpha", "delta", "lambda", "sigma", "K"))
         with _at(epath):
             certs.append(
                 DecayCertificate(
@@ -161,7 +182,7 @@ def _parse_certificates(doc, path) -> tuple[DecayCertificate, ...]:
 
 
 def scenario_from_doc(doc) -> Scenario:
-    doc = _object(doc, "scenario")
+    doc = _keys(_object(doc, "scenario"), "", _TOP_KEYS)
     name = _need(doc, "name", "")
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise ScenarioError(
@@ -172,7 +193,7 @@ def scenario_from_doc(doc) -> Scenario:
     with _at("initial"):
         initial.require_divergence_free()
     expansion = _parse_expansion(_need(doc, "expansion", ""), "expansion")
-    solver = solver_from_doc(_need(doc, "solver", ""), "solver")
+    solver = solver_from_doc(_keys(_need(doc, "solver", ""), "solver", _SOLVER_KEYS), "solver")
     certificates = _parse_certificates(_need(doc, "certificates", "", None), "certificates")
     output_dir = _need(doc, "output_dir", "", None)
     if output_dir is not None and not isinstance(output_dir, str):

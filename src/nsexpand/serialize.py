@@ -10,7 +10,9 @@ names the offending key; `scenario` holds only the scenario schema on top.
 
 Every float is printed with 17 significant digits so files round-trip to the
 exact same doubles; writers emit keys and rows in fixed orders and carry no
-wall-clock content, so identical inputs give byte-identical files.
+wall-clock content, so identical inputs give byte-identical files. Each fact is
+written once: a series file holds only its samples (its rate fit lives in the
+verify report), and a level document only its level and polynomial.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "write_trajectory",
     "read_trajectory",
     "write_norm_csv",
-    "write_fit_tsv",
     "level_to_doc",
     "level_from_doc",
 ]
@@ -231,7 +232,7 @@ def solver_from_doc(doc, path: str) -> SolverConfig:
 
 
 def write_trajectory(csv_path, manifest_path, traj: Trajectory):
-    """CSV columns: t, then re/im per stored mode component; sidecar maps them back."""
+    """CSV columns: t, then re/im per component of each manifest mode, named only in the header."""
     cells = [(i + 1, c + 1) for i in range(len(traj.modes)) for c in range(3)]
     columns = ["t", *(f"{part}(k{i} u{c})" for i, c in cells for part in ("re", "im"))]
     # a (L, 3) complex sample viewed as floats is re, im per component, mode by mode
@@ -245,7 +246,6 @@ def write_trajectory(csv_path, manifest_path, traj: Trajectory):
         manifest_path,
         {
             "modes": traj.modes.tolist(),
-            "columns": columns,
             "solver": {
                 "mode_cutoff": cfg.mode_cutoff,
                 "step": cfg.step,
@@ -312,30 +312,9 @@ def write_norm_csv(path, series):
             fh.write(f"{format_float(t)},{format_float(v)}\n")
 
 
-def write_fit_tsv(path, series, fit=None, verdict: str = ""):
-    """Plot-ready TSV; the comment header carries the fit so gnuplot users get both."""
-    with open(path, "w") as fh:
-        if fit is not None:
-            fh.write(
-                "# slope={} intercept={} rms={} window=[{},{}] samples={} verdict={}\n".format(
-                    format_float(fit.slope),
-                    format_float(fit.intercept),
-                    format_float(fit.rms_residual),
-                    format_float(fit.window[0]),
-                    format_float(fit.window[1]),
-                    fit.n_samples,
-                    verdict or ("floor" if fit.floor_dominated else ""),
-                )
-            )
-        else:
-            fh.write(f"# slope=nan verdict={verdict}\n")
-        for t, v in zip(series.times, series.values):
-            fh.write(f"{format_float(t)}\t{format_float(v)}\n")
-
-
-def level_to_doc(n: int, poly: FieldPolynomial, resonant_hit: bool) -> dict:
+def level_to_doc(n: int, poly: FieldPolynomial) -> dict:
     """Document for one expansion level q_n(t) e^{-n t}."""
-    return {"level": n, "resonant_hit": bool(resonant_hit), "poly": poly_to_literal(poly)}
+    return {"level": n, "poly": poly_to_literal(poly)}
 
 
 def level_from_doc(doc, path: str = "level-doc") -> tuple[int, FieldPolynomial]:

@@ -75,11 +75,12 @@ def test_expand_manufactured(tmp_path, capsys):
 
     run = out / "steady"
     lvl1 = json.loads((run / "expansion" / "level_01.json").read_text())
+    assert list(lvl1) == ["level", "poly"]  # resonance is recorded in residuals.json only
     assert lvl1["level"] == 1
-    assert lvl1["resonant_hit"] is True
     lvl2 = json.loads((run / "expansion" / "level_02.json").read_text())
     assert lvl2["poly"]["degree_coeffs"] == []  # level 2 cancels exactly
     res = json.loads((run / "expansion" / "residuals.json").read_text())
+    assert list(res) == ["residuals", "resonance_log", "max_residual"]
     assert res["max_residual"] <= 1e-10
     assert res["resonance_log"] == [[1, 1]]
 
@@ -153,9 +154,10 @@ def test_verify_mini_ladder_passes(tmp_path, capsys):
     slopes = {r["level"]: r["slope"] for r in rep["rows"]}
     assert slopes[1] == pytest.approx(-2.0, abs=0.05)
     assert slopes[2] == pytest.approx(-3.1, abs=0.15)
-    for n in (1, 2):
-        assert (run / "norms" / f"remainder_N{n}_alpha0.5_sigma0.csv").exists()
-        assert (run / "norms" / f"remainder_N{n}_alpha0.5_sigma0.tsv").exists()
+    # one series file per row; its fit lives in verify.json only
+    assert sorted(p.name for p in (run / "norms").iterdir()) == [
+        f"remainder_N{n}_alpha0.5_sigma0.csv" for n in (1, 2)
+    ]
     fits = json.loads((run / "expansion" / "resonant_fits.json").read_text())
     assert fits["1"]["snapped_to_zero"] is True  # nothing drives |k|^2 = 1
     assert fits["2"]["snapped_to_zero"] is False
@@ -428,6 +430,36 @@ def test_reused_tree_rejects_bad_document(tmp_path, capsys, mini_tree, case):
     assert err.startswith(f"error: {out / 'mini' / name}{message}"), err
 
 
+# case: (N_max, the document that holds level 1 under another name, how it got there)
+LEVEL_DOC_TAMPERS = {
+    "copied": (
+        1, "level_01_copy.json",
+        lambda d: shutil.copy(d / "level_01.json", d / "level_01_copy.json"),
+    ),
+    "mislabelled": (
+        2, "level_02.json", lambda d: edit_json(d / "level_02.json", lambda doc: doc.update(level=1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEVEL_DOC_TAMPERS))
+def test_verify_rejects_level_document_under_another_name(tmp_path, capsys, case):
+    # reading level 1 twice would subtract q_1 twice and fail every row
+    n_max, name, tamper = LEVEL_DOC_TAMPERS[case]
+    sp = write_doc(tmp_path, mini_ladder_doc(n_max=n_max))
+    out = tmp_path / "out"
+    assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_OK
+    docs = out / "mini" / "expansion"
+    tamper(docs)
+    capsys.readouterr()
+    assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "loaded expansion levels" not in captured.out
+    assert captured.err == (
+        f"error: {docs / name}: holds level 1, which only level_01.json may hold\n"
+    )
+
+
 def test_warm_verify_rewrites_the_cold_norm_files_byte_for_byte(tmp_path, capsys, mini_tree):
     # the trajectory read back from the tree must give every series the bytes
     # that the integrated trajectory gave on the cold run
@@ -436,7 +468,7 @@ def test_warm_verify_rewrites_the_cold_norm_files_byte_for_byte(tmp_path, capsys
     shutil.copytree(tree, out)
     norms = out / "mini" / "norms"
     cold = {p.name: p.read_bytes() for p in sorted(norms.iterdir())}
-    assert {Path(name).suffix for name in cold} == {".csv", ".tsv"}
+    assert {Path(name).suffix for name in cold} == {".csv"}
     for p in norms.iterdir():
         p.unlink()
     assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_OK
@@ -444,6 +476,37 @@ def test_warm_verify_rewrites_the_cold_norm_files_byte_for_byte(tmp_path, capsys
     report = json.loads((out / "mini" / "reports" / "verify.json").read_text())
     assert report["trajectory_recomputed"] is False
     assert {p.name: p.read_bytes() for p in sorted(norms.iterdir())} == cold
+
+
+def test_warm_runs_read_trees_written_with_the_old_duplicate_keys(tmp_path, capsys):
+    # Older trees also held the CSV header as the manifest's "columns", each level's
+    # resonance as "resonant_hit", N_max as "levels" in residuals.json and a .tsv copy
+    # of each remainder series; the readers ignore all of them.
+    sp = write_doc(tmp_path, mini_ladder_doc(certificates=True))
+    cold, new, old = tmp_path / "cold", tmp_path / "new", tmp_path / "old"
+    for command in ("verify", "certify"):
+        assert main([command, "--scenario", sp, "--out", str(cold)]) == EXIT_OK
+    shutil.copytree(cold, new)
+    shutil.copytree(cold, old)
+    run = old / "mini"
+    header = (run / "trajectory.csv").read_text().splitlines()[0].split(",")
+    edit_json(run / "trajectory_modes.json", lambda d: d.update(columns=header))
+    residuals = run / "expansion" / "residuals.json"
+    hits = {n for n, _ in json.loads(residuals.read_text())["resonance_log"]}
+    for lvl in (run / "expansion").glob("level_*.json"):
+        edit_json(lvl, lambda d: d.update(resonant_hit=d["level"] in hits))
+    edit_json(residuals, lambda d: d.update(levels=2))
+    (run / "norms" / "remainder_N1_alpha0.5_sigma0.tsv").write_text("# slope=-2\n0\t1\n")
+    capsys.readouterr()
+    results = []
+    for out in (new, old):
+        codes = [main([c, "--scenario", sp, "--out", str(out)]) for c in ("verify", "certify")]
+        captured = capsys.readouterr()
+        reports = tree_bytes(out / "mini" / "reports")
+        results.append((codes, captured.out.replace(str(out), "<out>"), captured.err, reports))
+    assert results[0] == results[1]
+    assert results[0][0] == [EXIT_OK, EXIT_OK]
+    assert "loaded expansion levels [1, 2] from <out>" in results[0][1]
 
 
 def test_verify_floor_annotation_on_null_flow(tmp_path, capsys):

@@ -21,7 +21,6 @@ from nsexpand import (
     is_representative,
     load_scenario,
 )
-from nsexpand.analysis import RateFit
 from nsexpand.scenario import scenario_from_doc
 from nsexpand.serialize import (
     dumps_json,
@@ -33,7 +32,6 @@ from nsexpand.serialize import (
     poly_from_literal,
     poly_to_literal,
     read_trajectory,
-    write_fit_tsv,
     write_norm_csv,
     write_trajectory,
 )
@@ -121,9 +119,9 @@ def test_poly_literal_round_trip_and_errors():
 
 def test_expansion_term_doc_round_trip():
     poly = FieldPolynomial([random_div_free_field(np.random.default_rng(9), 1, 2)])
-    doc = level_to_doc(2, poly, resonant_hit=True)
+    doc = level_to_doc(2, poly)
+    assert list(doc) == ["level", "poly"]
     assert doc["level"] == 2
-    assert doc["resonant_hit"] is True
     assert level_from_doc(doc) == (2, poly)
     with pytest.raises(ScenarioError):
         level_from_doc({"level": 1})
@@ -177,12 +175,10 @@ def test_poly_literal_text_survives_re_emission(coeffs):
 
 
 @settings(max_examples=50)
-@given(st.integers(1, 64), st.lists(_fields, max_size=3), st.booleans())
-def test_level_doc_round_trip_is_exact(n, coeffs, hit):
+@given(st.integers(1, 64), st.lists(_fields, max_size=3))
+def test_level_doc_round_trip_is_exact(n, coeffs):
     poly = FieldPolynomial(coeffs)
-    doc = _through_text(level_to_doc(n, poly, hit))
-    assert level_from_doc(doc) == (n, poly)
-    assert doc["resonant_hit"] is hit
+    assert level_from_doc(_through_text(level_to_doc(n, poly))) == (n, poly)
 
 
 # -- trajectory files ---------------------------------------------------------------
@@ -210,7 +206,7 @@ def test_trajectory_round_trip_bitwise(tmp_path):
     assert header[1] == "re(k1 u1)"
     assert header[2] == "im(k1 u1)"
     assert len(header) == 1 + 6 * len(doc["modes"])
-    assert doc["columns"] == header
+    assert list(doc) == ["modes", "solver"]  # the CSV header is the only column list
     assert doc["solver"]["mode_cutoff"] == 6
 
 
@@ -264,25 +260,6 @@ def test_write_norm_csv(tmp_path):
     assert lines[0] == "t,value"
     assert lines[1] == "0,1"
     assert lines[2] == f"0.5,{format_float(1 / 3)}"
-
-
-def test_write_fit_tsv_headers(tmp_path):
-    from nsexpand import NormSeries
-
-    series = NormSeries(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
-    fit = RateFit(-1.5, 0.25, 0.01, (0.0, 1.0), 2)
-    path = tmp_path / "fit.tsv"
-    write_fit_tsv(path, series, fit, verdict="pass")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# slope=-1.5 intercept=0.25 rms=0.01 window=[0,1] samples=2 verdict=pass"
-    assert lines[1] == "0\t1"
-
-    write_fit_tsv(path, series, None, verdict="inconclusive")
-    assert path.read_text().splitlines()[0] == "# slope=nan verdict=inconclusive"
-
-    floor_fit = RateFit(math.nan, math.nan, math.nan, (0.0, 1.0), 0, floor_dominated=True)
-    write_fit_tsv(path, series, floor_fit)
-    assert path.read_text().splitlines()[0].endswith("verdict=floor")
 
 
 # -- scenario documents ----------------------------------------------------------------
@@ -426,6 +403,38 @@ def test_scenario_error_paths():
     good["expansion"]["N_max"] = 2.0
     sc = scenario_from_doc(good)
     assert (sc.solver.mode_cutoff, sc.expansion.n_max) == (12, 2)
+
+
+@pytest.mark.parametrize(
+    "where, key, path",
+    [
+        ((), "nmae", "nmae"),
+        (("force",), "term", "force.term"),
+        (("force", "terms", 0), "m", "force.terms[0].m"),
+        (("expansion",), "fit_windw", "expansion.fit_windw"),  # would leave fit_window None
+        (("solver",), "stride", "solver.stride"),
+        (("certificates", 0), "k", "certificates[0].k"),  # would leave K = 2.0
+    ],
+)
+def test_scenario_rejects_unknown_keys(where, key, path):
+    doc = ladder_scenario_doc()
+    obj = doc
+    for step in where:
+        obj = obj[step]
+    obj[key] = 3.0
+    with pytest.raises(ScenarioError, match="unknown key; expected one of") as err:
+        scenario_from_doc(doc)
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("specs", [[[0.5, 0.1], [0.5, 0.1000001]], [[0.5, 0], [1, 0], [0.5, 0.0]]])
+def test_scenario_rejects_norm_specs_sharing_a_file_tag(specs):
+    # "%g" prints both sigmas as 0.1: the two series would share one file name
+    doc = ladder_scenario_doc()
+    doc["expansion"]["norm_specs"] = specs
+    with pytest.raises(ScenarioError, match="repeats an earlier spec") as err:
+        scenario_from_doc(doc)
+    assert err.value.path == f"expansion.norm_specs[{len(specs) - 1}]"
 
 
 def _leaf_paths(doc, prefix=()):
