@@ -9,9 +9,8 @@
 Outputs land under <out>/<scenario-name>/: expansion/ (per-level polynomial
 documents), trajectory.csv (+ mode manifest), norms/ (series CSVs), reports/
 (verify and certify summaries, the rate fits included). verify and certify
-reuse files already present in the tree (an existing trajectory, or an expansion
-covering levels 1..N_max, is loaded, not recomputed), so the subcommands
-compose into a pipeline.
+reuse a trajectory already present in the tree, so the subcommands compose
+into a pipeline; expansion/ is output only, rebuilt by every expand and verify.
 
 Exit codes: 0 all checks passed, 1 input or runtime error, 2 at least one
 check failed (including built levels that violate their own equations), 3
@@ -21,11 +20,10 @@ nothing failed but at least one check was inconclusive.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-from . import analysis, serialize
+from . import analysis
 from .analysis import (
     FitError,
     fit_rate,
@@ -39,7 +37,6 @@ from .galerkin import BlowupError, integrate
 from .scenario import Scenario, ScenarioError, _norm_tag, load_scenario
 from .serialize import (
     format_float,
-    level_from_doc,
     level_to_doc,
     read_trajectory,
     write_json,
@@ -70,7 +67,7 @@ def _exit_code(verdicts, failed: str, undecided: str) -> int:
     return EXIT_INCONCLUSIVE if undecided in verdicts else EXIT_OK
 
 
-# -- trajectory / expansion reuse ----------------------------------------------
+# -- trajectory reuse, expansion output ----------------------------------------
 
 
 def ensure_trajectory(scenario: Scenario, run_dir: Path):
@@ -83,24 +80,15 @@ def ensure_trajectory(scenario: Scenario, run_dir: Path):
     return traj, True
 
 
-def load_expansion_terms(run_dir: Path):
-    """(n, q_n) pairs from the tree's level_<n>.json documents, or None when there are none."""
-    docs = sorted((run_dir / "expansion").glob("level_*.json"))
-    if not docs:
-        return None
-    terms = [level_from_doc(serialize.load_json(p), str(p)) for p in docs]
-    for p, (n, _) in zip(docs, terms):
-        if p.name != f"level_{n:02d}.json":
-            raise ScenarioError(str(p), f"holds level {n}, which only level_{n:02d}.json may hold")
-    return terms
-
-
 def write_expansion(scenario: Scenario, run_dir: Path, resonant) -> ExpansionResult:
     """Build levels 1..N_max with the given free constants and write them with residuals.json.
 
     `resonant` is anything `build_expansion` accepts: the scenario's mapping
-    (expand) or the provider from `fitted_constants` (verify).
+    (expand) or the provider from `fitted_constants` (verify). An earlier build's
+    documents, its fit log too, are deleted first: expansion/ holds one build.
     """
+    for stale in (run_dir / "expansion").glob("*.json"):
+        stale.unlink()
     result = build_expansion(scenario.force, scenario.expansion.n_max, resonant)
     for n, poly in result.terms:
         write_json(run_dir / "expansion" / f"level_{n:02d}.json", level_to_doc(n, poly))
@@ -222,32 +210,17 @@ def run_verify(scenario: Scenario, out: str | None) -> int:
     run_dir = run_dir_for(scenario, out)
     traj, fresh = ensure_trajectory(scenario, run_dir)
     req = scenario.expansion
-    fits_path = run_dir / "expansion" / "resonant_fits.json"
-    terms = load_expansion_terms(run_dir)
-    have = [n for n, _ in terms or ()]
-    if not set(range(1, req.n_max + 1)) <= set(have):
-        if terms is not None:
-            print(f"expansion levels {have} fall short of N_max = {req.n_max}: rebuilding")
-        fits_path.unlink(missing_ok=True)  # a fit log belongs to the levels beside it
-        fits: dict = {}
-        terms = write_expansion(scenario, run_dir, fitted_constants(scenario, traj, fits)).terms
-        if fits:
-            write_json(fits_path, {str(n): fits[n] for n in sorted(fits)})
-    else:
-        terms = [(n, q) for n, q in terms if n <= req.n_max]
-        print(f"loaded expansion levels {[n for n, _ in terms]} from {run_dir / 'expansion'}")
-        fits = serialize.load_json(fits_path) if fits_path.exists() else {}
-    # a contaminated fit at level n (drift > 0.1; JSON stores an infinite one
-    # as null) leaves every row with N >= n undecided
-    try:
-        tainted = [
-            (int(n), float(f["drift"] or math.inf)) for n, f in fits.items() if f["contaminated"]
-        ]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(str(fits_path), f"malformed fit log: {exc!r}") from None
+    fits: dict = {}
+    terms = write_expansion(scenario, run_dir, fitted_constants(scenario, traj, fits)).terms
+    if fits:  # filled level by level, so in level order
+        write_json(run_dir / "expansion" / "resonant_fits.json", {str(n): f for n, f in fits.items()})
+    # a contaminated fit at level n (drift > 0.1) leaves every row with N >= n undecided
+    tainted = [(n, f["drift"]) for n, f in fits.items() if f["contaminated"]]
 
+    for stale in (run_dir / "norms").glob("remainder_*.csv"):
+        stale.unlink()  # an earlier run's rows, maybe for levels past this N_max
     rows = []
-    for N in sorted(n for n, _ in terms):
+    for N, _ in terms:
         for spec in req.norm_specs:
             row, series = _verify_row(traj, terms, N, spec, req.target_epsilon, req.fit_window)
             bad = ", ".join(f"level {n} (drift {d:.3g})" for n, d in tainted if n <= N)

@@ -4,15 +4,16 @@ Field literal: list of mode entries {"k": [k1,k2,k3], "re": [...], "im": [...]},
 one entry per conjugate pair, keyed by the stored representative.
 Polynomial literal: {"degree_coeffs": [field-literal, ...]} by power of t.
 
-Every reader here turns a JSON document (a scenario, a trajectory manifest, a
-level document) into typed values or raises a `ScenarioError` whose `path`
-names the offending key; `scenario` holds only the scenario schema on top.
+Every reader here turns a JSON document (a scenario or a trajectory manifest)
+into typed values or raises a `ScenarioError` whose `path` names the offending
+key; `scenario` holds only the scenario schema on top.
 
 Every float is printed with 17 significant digits so files round-trip to the
 exact same doubles; writers emit keys and rows in fixed orders and carry no
 wall-clock content, so identical inputs give byte-identical files. Each fact is
 written once: a series file holds only its samples (its rate fit lives in the
-verify report), and a level document only its level and polynomial.
+verify report), and a level document only its level and polynomial. Level
+documents are output only: no program path reads one back.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "read_trajectory",
     "write_norm_csv",
     "level_to_doc",
-    "level_from_doc",
 ]
 
 
@@ -315,12 +315,3 @@ def write_norm_csv(path, series):
 def level_to_doc(n: int, poly: FieldPolynomial) -> dict:
     """Document for one expansion level q_n(t) e^{-n t}."""
     return {"level": n, "poly": poly_to_literal(poly)}
-
-
-def level_from_doc(doc, path: str = "level-doc") -> tuple[int, FieldPolynomial]:
-    """(n, q_n) from a level document; `path` names the document in errors."""
-    doc = _object(doc, path)
-    n = _need(doc, "level", path)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ScenarioError(f"{path}.level", f"expected a positive integer, got {n!r}")
-    return n, poly_from_literal(_need(doc, "poly", path), f"{path}.poly")

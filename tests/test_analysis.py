@@ -20,6 +20,7 @@ from nsexpand import (
     Trajectory,
     assemble,
     bilinear,
+    build_expansion,
     certificate_check,
     eigenspace_project,
     fit_rate,
@@ -52,6 +53,23 @@ def fabricated_trajectory(states_fn, t_end=4.0, spacing=0.05):
 
 
 # -- windows and series ------------------------------------------------------------
+
+
+def test_one_percent_error_in_q1_fails_the_second_rate_row():
+    # The check behind verify's N = 2 row, on the mini-ladder flow: with q_1
+    # scaled by 1.01 the remainder keeps 0.01 q_1 e^{-t} and decays at rate 1.
+    traj = integrate(SpectralField.zero(), ladder_force(), SolverConfig(6, 0.01, 6.0, 10))
+
+    def constant(n, levels):
+        return fit_resonant_constant(traj, levels, n).constant if n == 2 else None
+
+    (_, q1), level2 = build_expansion(ladder_force(), 2, constant).terms
+    spec = NormSpec(0.5, 0.0)
+    exact = fit_rate(remainder_series(traj, [(1, q1), level2], spec))
+    scaled = fit_rate(remainder_series(traj, [(1, 1.01 * q1), level2], spec))
+    assert rate_claim_passes(exact, 2.5)
+    assert not rate_claim_passes(scaled, 2.5)
+    assert scaled.slope == pytest.approx(-1.0, abs=0.1)
 
 
 def test_tail_window_defaults():
@@ -447,6 +465,32 @@ def test_certificate_inapplicable_when_t_star_is_past_the_horizon():
     assert report.hypothesis_failures == (
         f"no sample at or after t_star = 18; last sample at {traj.t_end:.6g}",
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 601), st.floats(0.0, 3.0), st.floats(0.0, 20.0))
+def test_certificate_integrals_equal_per_window_trapezoid(steps, samples, decay, freq):
+    # the window sums of np.trapezoid's terms give each unit window's integral to the bit
+    cert = DecayCertificate(alpha=0.5, delta=0.5, lam=1.0)
+    u0 = SpectralField({(1, 0, 0): [0, 0.1, 0.05j]})
+    u1 = SpectralField({(1, 1, 0): [0.02, -0.02, 0.01j]})
+    times = np.arange(samples) / steps
+    states = [math.exp(-decay * t) * (u0 + math.cos(freq * t) * u1) for t in times]
+    # spacing 1/steps; step <= 0.5 is the config's own bound
+    cfg = SolverConfig(8, 0.5 / steps, float(times[-1]) or 1.0, sample_stride=2)
+    traj = Trajectory.from_states(times, states, cfg)
+    report = certificate_check(traj, cert, ForceExpansion(()))
+
+    vals = norm_series(traj, NormSpec(1.0, 0.0)).values ** 2
+    rate = 1.0 - cert.delta
+    coef = 3.0 * cert.C0 * cert.C0 / (2.0 * rate)
+    expect = [
+        coef * math.exp(-2.0 * rate * float(t))
+        - float(np.trapezoid(vals[i : i + steps + 1], dx=traj.spacing))
+        for i, t in enumerate(times[: max(samples - steps, 0)])
+    ]
+    assert not report.integral_skipped
+    assert report.integral_margins.tolist() == expect
 
 
 # -- long-horizon properties of the driven cascade -------------------------------------

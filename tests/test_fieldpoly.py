@@ -16,7 +16,6 @@ from nsexpand import (
     resolvent_solve,
 )
 from nsexpand.fieldpoly import DEGREE_CAP
-from nsexpand.serialize import ScenarioError, level_from_doc
 
 
 def const_field(c2=1.0):
@@ -185,10 +184,7 @@ def test_resolvent_degree_cap_via_bump():
 
 
 def test_expansion_term_validation():
-    # one decay level is a plain (n, q_n) pair: the level-document reader
-    # checks n, and `assemble` evaluates the pair
-    with pytest.raises(ScenarioError, match="positive integer"):
-        level_from_doc({"level": 0, "poly": {"degree_coeffs": []}})
+    # one decay level is a plain (n, q_n) pair, and `assemble` evaluates the pair
     term = (2, FieldPolynomial.constant(const_field()))
     assert assemble([term], 0.0) == const_field()
     assert assemble([term], 1.0).allclose(math.exp(-2.0) * const_field(), rtol=1e-15)

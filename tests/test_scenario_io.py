@@ -27,7 +27,6 @@ from nsexpand.serialize import (
     field_from_literal,
     field_to_literal,
     format_float,
-    level_from_doc,
     level_to_doc,
     poly_from_literal,
     poly_to_literal,
@@ -122,17 +121,7 @@ def test_expansion_term_doc_round_trip():
     doc = level_to_doc(2, poly)
     assert list(doc) == ["level", "poly"]
     assert doc["level"] == 2
-    assert level_from_doc(doc) == (2, poly)
-    with pytest.raises(ScenarioError):
-        level_from_doc({"level": 1})
-
-
-@pytest.mark.parametrize("level", [0, -1, "x", "2", 1.5, 2.0, True, None])
-def test_level_doc_rejects_non_positive_integer_level(level):
-    doc = {"level": level, "poly": {"degree_coeffs": []}}
-    with pytest.raises(ScenarioError, match="positive integer") as err:
-        level_from_doc(doc, "out/expansion/level_01.json")
-    assert err.value.path == "out/expansion/level_01.json.level"
+    assert poly_from_literal(doc["poly"]) == poly
 
 
 # -- literal round trips (property tests) ----------------------------------------------
@@ -178,7 +167,9 @@ def test_poly_literal_text_survives_re_emission(coeffs):
 @given(st.integers(1, 64), st.lists(_fields, max_size=3))
 def test_level_doc_round_trip_is_exact(n, coeffs):
     poly = FieldPolynomial(coeffs)
-    assert level_from_doc(_through_text(level_to_doc(n, poly))) == (n, poly)
+    doc = _through_text(level_to_doc(n, poly))
+    assert doc["level"] == n
+    assert poly_from_literal(doc["poly"]) == poly
 
 
 # -- trajectory files ---------------------------------------------------------------
