@@ -7,10 +7,11 @@
     nse-expand spectrum [--nmax N]
 
 Outputs land under <out>/<scenario-name>/: expansion/ (per-level polynomial
-documents), trajectory.csv (+ mode manifest), norms/ (series CSVs), reports/
-(verify and certify summaries, the rate fits included). verify and certify
-reuse a trajectory already present in the tree, so the subcommands compose
-into a pipeline; expansion/ is output only, rebuilt by every expand and verify.
+documents), trajectory.csv and trajectory.npy (+ mode manifest), norms/ (series
+CSVs), reports/ (verify and certify summaries, the rate fits included). verify
+and certify reuse the tree's trajectory block when its manifest carries the
+key of the scenario's force, initial data and solver, so the subcommands
+compose into a pipeline; trajectory.csv and expansion/ are output only.
 
 Exit codes: 0 all checks passed, 1 input or runtime error, 2 at least one
 check failed (including built levels that violate their own equations), 3
@@ -36,9 +37,12 @@ from .expansion import ExpansionResult, LevelEquationError, build_expansion
 from .galerkin import BlowupError, integrate
 from .scenario import Scenario, ScenarioError, _norm_tag, load_scenario
 from .serialize import (
+    _object,
     format_float,
     level_to_doc,
+    load_json,
     read_trajectory,
+    trajectory_key,
     write_json,
     write_norm_csv,
     write_trajectory,
@@ -71,12 +75,17 @@ def _exit_code(verdicts, failed: str, undecided: str) -> int:
 
 
 def ensure_trajectory(scenario: Scenario, run_dir: Path):
-    csv = run_dir / "trajectory.csv"
-    manifest = run_dir / "trajectory_modes.json"
-    if csv.exists() and manifest.exists():
-        return read_trajectory(csv, manifest), False
+    """(trajectory, recomputed): the tree's block if its manifest has this scenario's key."""
+    block, manifest = run_dir / "trajectory.npy", run_dir / "trajectory_modes.json"
+    key = trajectory_key(scenario.force, scenario.initial, scenario.solver)
+    if manifest.exists():
+        stored = _object(load_json(manifest), str(manifest)).get("key")
+        if block.exists() and stored == key:
+            return read_trajectory(block, manifest), False
+        why = ("key mismatch" if stored else "no key") if block.exists() else "no trajectory.npy"
+        print(f"recomputing the trajectory: {why}", file=sys.stderr)
     traj = integrate(scenario.initial, scenario.force, scenario.solver)
-    write_trajectory(csv, manifest, traj)
+    write_trajectory(run_dir / "trajectory.csv", manifest, traj, key)
     return traj, True
 
 
@@ -152,7 +161,8 @@ def run_expand(scenario: Scenario, out: str | None) -> int:
 def run_simulate(scenario: Scenario, out: str | None) -> int:
     run_dir = run_dir_for(scenario, out)
     traj = integrate(scenario.initial, scenario.force, scenario.solver)
-    write_trajectory(run_dir / "trajectory.csv", run_dir / "trajectory_modes.json", traj)
+    key = trajectory_key(scenario.force, scenario.initial, scenario.solver)
+    write_trajectory(run_dir / "trajectory.csv", run_dir / "trajectory_modes.json", traj, key)
     for spec in scenario.expansion.norm_specs:
         series = norm_series(traj, spec)
         write_norm_csv(run_dir / "norms" / f"norm_{_norm_tag(spec)}.csv", series)
@@ -258,12 +268,12 @@ def run_verify(scenario: Scenario, out: str | None) -> int:
 
 def run_certify(scenario: Scenario, out: str | None) -> int:
     run_dir = run_dir_for(scenario, out)
-    traj, _ = ensure_trajectory(scenario, run_dir)
     if not scenario.certificates:
         write_json(run_dir / "reports" / "certify.json", {"scenario": scenario.name, "rows": []})
         print("no certificates configured")
         return EXIT_OK
 
+    traj, _ = ensure_trajectory(scenario, run_dir)
     reports = [analysis.certificate_check(traj, c, scenario.force) for c in scenario.certificates]
     if any(rep.integral_skipped for rep in reports):
         print(

@@ -13,15 +13,18 @@ exact same doubles; writers emit keys and rows in fixed orders and carry no
 wall-clock content, so identical inputs give byte-identical files. Each fact is
 written once: a series file holds only its samples (its rate fit lives in the
 verify report), and a level document only its level and polynomial. Level
-documents are output only: no program path reads one back.
+documents and the trajectory CSV are output only: no program path reads one
+back. A trajectory is read from its exact `.npy` block (never unpickled).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +43,7 @@ __all__ = [
     "poly_to_literal",
     "poly_from_literal",
     "solver_from_doc",
+    "trajectory_key",
     "write_trajectory",
     "read_trajectory",
     "write_norm_csv",
@@ -228,11 +232,19 @@ def solver_from_doc(doc, path: str) -> SolverConfig:
         )
 
 
-# -- trajectory CSV + sidecar manifest ----------------------------------------
+# -- trajectory: CSV + coefficient block + sidecar manifest ----------------------
 
 
-def write_trajectory(csv_path, manifest_path, traj: Trajectory):
-    """CSV columns: t, then re/im per component of each manifest mode, named only in the header."""
+def trajectory_key(force, initial: SpectralField, solver: SolverConfig) -> str:
+    """sha256 of what fixes a flow: its force levels, initial data and solver block."""
+    doc = {"force": [[n, poly_to_literal(q)] for n, q in force.terms]}
+    doc.update(initial=field_to_literal(initial), solver=vars(solver))  # the manifest's block
+    return hashlib.sha256(dumps_json(doc).encode()).hexdigest()
+
+
+def write_trajectory(csv_path, manifest_path, traj: Trajectory, key: str):
+    """CSV columns: t, then re/im per component of each manifest mode, named only in the header.
+    The exact block goes beside the CSV as `.npy`; the manifest stores `key`."""
     cells = [(i + 1, c + 1) for i in range(len(traj.modes)) for c in range(3)]
     columns = ["t", *(f"{part}(k{i} u{c})" for i, c in cells for part in ("re", "im"))]
     # a (L, 3) complex sample viewed as floats is re, im per component, mode by mode
@@ -241,25 +253,15 @@ def write_trajectory(csv_path, manifest_path, traj: Trajectory):
         fh.write(",".join(columns) + "\n")
         for t, row in zip(traj.times.tolist(), rows):
             fh.write(",".join(map(format_float, [t, *row.tolist()])) + "\n")
-    cfg = traj.config
-    write_json(
-        manifest_path,
-        {
-            "modes": traj.modes.tolist(),
-            "solver": {
-                "mode_cutoff": cfg.mode_cutoff,
-                "step": cfg.step,
-                "t_end": cfg.t_end,
-                "sample_stride": cfg.sample_stride,
-            },
-        },
-    )
+    np.save(Path(csv_path).with_suffix(".npy"), traj.coeffs, allow_pickle=False)
+    manifest = {"modes": traj.modes.tolist(), "solver": vars(traj.config), "key": key}
+    write_json(manifest_path, manifest)
 
 
-def read_trajectory(csv_path, manifest_path) -> Trajectory:
-    """Trajectory from its CSV and manifest: exactly the samples `integrate` writes under the
-    manifest's solver block, or a ScenarioError naming the file."""
-    mpath = str(manifest_path)
+def read_trajectory(block_path, manifest_path) -> Trajectory:
+    """Trajectory from its coefficient block and manifest: exactly the samples `integrate`
+    writes under the manifest's solver block, or a ScenarioError naming the file."""
+    mpath, bpath = str(manifest_path), str(block_path)
     manifest = _object(load_json(manifest_path), mpath)
     modes = {}
     for i, k in enumerate(_list(_need(manifest, "modes", mpath), f"{mpath}.modes")):
@@ -272,33 +274,20 @@ def read_trajectory(csv_path, manifest_path) -> Trajectory:
             raise ScenarioError(f"{mpath}.modes[{i}]", f"duplicate wavevector {list(k)}")
         modes[k] = i
     config = solver_from_doc(_need(manifest, "solver", mpath), f"{mpath}.solver")
-    stride = config.sample_stride
-    samples = round(config.t_end / config.step) // stride + 1
-    coeffs = np.empty((samples, len(modes), 3), dtype=np.complex128)
-    rows = coeffs.view(float).reshape(samples, -1)   # (re, im) per component, mode by mode
-    expected = 1 + 6 * len(modes)
-    i = -1
-    with open(csv_path) as fh:
-        if len(fh.readline().split(",")) != expected:
-            raise ScenarioError(csv_path, "column count does not match manifest")
-        for i, line in enumerate(fh):
-            with _at(f"{csv_path}:{i + 2}"):
-                vals = np.array(line.split(","), dtype=float)
-                if len(vals) != expected:
-                    raise ValueError(f"expected {expected} values, got {len(vals)}")
-                if vals[0] != (t := i * stride * config.step):
-                    raise ValueError(f"expected t = {format_float(t)}, got {format_float(vals[0])}")
-                if not np.isfinite(vals).all():
-                    finite = np.isfinite(vals[1:].view(complex).reshape(-1, 3)).all(axis=1)
-                    raise ValueError(f"non-finite coefficient at {list(modes)[np.argmin(finite)]}")
-            if i < samples:
-                rows[i] = vals[1:]
-    if i + 1 != samples:
-        raise ScenarioError(csv_path, f"expected {samples} samples, got {i + 1}")
+    shape = (round(config.t_end / config.step) // config.sample_stride + 1, len(modes), 3)
+    try:  # the .npy format only: no pickle, no archive
+        with open(block_path, "rb") as fh:
+            coeffs = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(bpath, f"unreadable block: {exc}") from None
+    if coeffs.dtype != np.complex128 or coeffs.shape != shape:
+        raise ScenarioError(bpath, f"expected complex128 {shape}, got {coeffs.dtype} {coeffs.shape}")
+    if not (finite := np.isfinite(coeffs).all(axis=(0, 2))).all():
+        raise ScenarioError(bpath, f"non-finite coefficient at {list(modes)[np.argmin(finite)]}")
     order = [modes[k] for k in sorted(modes)]   # manifest order into key order (tuple order)
     if order != sorted(order):
         coeffs = coeffs[:, order]
-    times = np.arange(samples) * stride * config.step
+    times = np.arange(shape[0]) * config.sample_stride * config.step
     return Trajectory(times, np.array(sorted(modes), np.int64).reshape(-1, 3), coeffs, config)
 
 

@@ -4,6 +4,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import ladder_phi, ladder_scenario_doc
@@ -298,9 +299,10 @@ def test_verify_contaminated_fit_makes_rows_inconclusive(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def mini_tree(tmp_path_factory):
-    """Scenario file and output root of one passing mini-ladder verify run."""
+    """Scenario file and output root of one passing mini-ladder verify run; the scenario
+    has a certificate, so certify reads the tree's trajectory too."""
     root = tmp_path_factory.mktemp("mini-tree")
-    sp = write_doc(root, mini_ladder_doc())
+    sp = write_doc(root, mini_ladder_doc(certificates=True))
     assert main(["verify", "--scenario", sp, "--out", str(root / "out")]) == EXIT_OK
     return sp, root / "out"
 
@@ -311,18 +313,32 @@ def edit_json(path, edit):
     path.write_text(json.dumps(doc))
 
 
-def edit_lines(path, edit):
-    lines = path.read_text().splitlines()
-    edit(lines)
-    path.write_text("\n".join(lines) + "\n")
+def edit_block(edit):
+    """A corruption that rewrites trajectory.npy as edit(block)."""
+    return lambda path: np.save(path, edit(np.load(path)))
 
 
-def edit_cells(path, lineno, edit):
-    lines = path.read_text().splitlines()
-    cells = lines[lineno - 1].split(",")
-    edit(cells)
-    lines[lineno - 1] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
+def nan_at_sample_3(block):
+    block[3, 0, 2] = complex(np.nan, 0)
+    return block
+
+
+UNPICKLED = []
+
+
+def _unpickle_hook():
+    UNPICKLED.append(True)
+
+
+class Detonator:
+    """An object whose unpickling is recorded in UNPICKLED."""
+
+    def __reduce__(self):
+        return _unpickle_hook, ()
+
+
+def save_pickled(path):
+    np.save(path, np.array([Detonator()], dtype=object), allow_pickle=True)
 
 
 # case: (subcommand, file in the run directory, corruption, what follows the file in the message)
@@ -356,12 +372,6 @@ BAD_DOCUMENTS = {
         lambda p: edit_json(p, lambda d: d["modes"].__setitem__(1, [0, -1, 1])),
         ".modes[1]: [0, -1, 1] is not a stored wavevector",
     ),
-    "short-csv-row-verify": (
-        "verify", "trajectory.csv", lambda p: edit_cells(p, 5, list.pop), ":5: expected",
-    ),
-    "short-csv-row-certify": (
-        "certify", "trajectory.csv", lambda p: edit_cells(p, 5, list.pop), ":5: expected",
-    ),
     "duplicate-manifest-mode": (
         "verify", "trajectory_modes.json",
         lambda p: edit_json(p, lambda d: d["modes"].__setitem__(2, d["modes"][0])),
@@ -372,31 +382,34 @@ BAD_DOCUMENTS = {
         lambda p: edit_json(p, lambda d: d["modes"].__setitem__(1, [1e300, 0, 0])),
         ".modes[1]: wavevector components must lie strictly between -2**20 and 2**20",
     ),
-    # the mini tree holds 61 samples, t = 0, 0.1, ..., 6 on CSV lines 2..62
-    "csv-dropped-last-row": (
-        "verify", "trajectory.csv", lambda p: edit_lines(p, list.pop),
-        ": expected 61 samples, got 60",
-    ),
-    "csv-repeated-last-row": (
-        "certify", "trajectory.csv", lambda p: edit_lines(p, lambda ls: ls.append(ls[-1])),
-        ":63: expected t = 6.1000000000000005, got 6",
-    ),
-    "csv-shifted-time": (
-        "verify", "trajectory.csv", lambda p: edit_cells(p, 10, lambda c: c.__setitem__(0, "0.81")),
-        ":10: expected t = 0.80000000000000004, got 0.81000000000000005",
-    ),
-    "non-numeric-csv-cell": (
-        "verify", "trajectory.csv", lambda p: edit_cells(p, 3, lambda c: c.__setitem__(2, "x")),
-        ":3: could not convert",
-    ),
-    "non-finite-csv-cell": (
-        "verify", "trajectory.csv", lambda p: edit_cells(p, 4, lambda c: c.__setitem__(2, "nan")),
-        ":4: non-finite coefficient at (0, 1, -1)",
-    ),
     "invalid-json-manifest": (
         "certify", "trajectory_modes.json", lambda p: p.write_text("{ nope"), ": invalid JSON",
     ),
 }
+# the mini tree holds 61 samples of 6 modes; each bad block fails verify and certify alike
+BAD_BLOCKS = {
+    "truncated-block": (
+        lambda p: p.write_bytes(p.read_bytes()[:-100]),
+        ": unreadable block: Failed to read all data for array",
+    ),
+    "block-one-sample-short": (
+        edit_block(lambda b: b[:-1]),
+        ": expected complex128 (61, 6, 3), got complex128 (60, 6, 3)",
+    ),
+    "float64-block": (
+        edit_block(lambda b: b.real.copy()),
+        ": expected complex128 (61, 6, 3), got float64 (61, 6, 3)",
+    ),
+    "nan-in-block": (edit_block(nan_at_sample_3), ": non-finite coefficient at (0, 1, -1)"),
+    "pickled-block": (
+        save_pickled, ": unreadable block: Object arrays cannot be loaded when allow_pickle=False",
+    ),
+}
+BAD_DOCUMENTS.update(
+    (f"{case}-{command}", (command, "trajectory.npy", corrupt, message))
+    for case, (corrupt, message) in BAD_BLOCKS.items()
+    for command in ("verify", "certify")
+)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
@@ -410,6 +423,8 @@ def test_reused_tree_rejects_bad_document(tmp_path, capsys, mini_tree, case):
     assert main([command, "--scenario", sp, "--out", str(out)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out / 'mini' / name}{message}"), err
+    assert "Traceback" not in err
+    assert not UNPICKLED  # a pickled block is refused, never loaded
 
 
 def test_warm_verify_rewrites_the_cold_norm_files_byte_for_byte(tmp_path, capsys, mini_tree):
@@ -458,6 +473,83 @@ def test_warm_runs_read_trees_written_with_the_old_duplicate_keys(tmp_path, caps
         results.append((codes, captured.out.replace(str(out), "<out>"), captured.err, reports))
     assert results[0] == results[1]
     assert results[0][0] == [EXIT_OK, EXIT_OK]
+
+
+def recomputed(run_dir: Path) -> bool:
+    return json.loads((run_dir / "reports" / "verify.json").read_text())["trajectory_recomputed"]
+
+
+def test_tree_without_a_block_is_recomputed_once_then_reused(tmp_path, capsys):
+    # Trees written before the block existed hold only trajectory.csv and a
+    # manifest without a key: the first warm run integrates again and writes
+    # the cold run's files, the next one reuses them.
+    sp = write_doc(tmp_path, mini_ladder_doc())
+    cold, old = tmp_path / "cold", tmp_path / "old"
+    assert main(["verify", "--scenario", sp, "--out", str(cold)]) == EXIT_OK
+    shutil.copytree(cold, old)
+    (old / "mini" / "trajectory.npy").unlink()
+    edit_json(old / "mini" / "trajectory_modes.json", lambda d: d.pop("key"))
+    capsys.readouterr()
+    assert main(["verify", "--scenario", sp, "--out", str(old)]) == EXIT_OK
+    assert capsys.readouterr().err == "recomputing the trajectory: no trajectory.npy\n"
+    assert recomputed(old / "mini")
+    assert tree_bytes(old / "mini") == tree_bytes(cold / "mini")
+    assert main(["verify", "--scenario", sp, "--out", str(old)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert not recomputed(old / "mini")
+
+
+def test_block_without_a_key_is_recomputed(tmp_path, capsys):
+    sp = write_doc(tmp_path, mini_ladder_doc())
+    out = tmp_path / "out"
+    assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_OK
+    edit_json(out / "mini" / "trajectory_modes.json", lambda d: d.pop("key"))
+    capsys.readouterr()
+    assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == "recomputing the trajectory: no key\n"
+    assert recomputed(out / "mini")
+
+
+def tripled_force(doc):
+    doc["force"]["terms"][0]["poly"] = poly_to_literal(FieldPolynomial.constant(3 * ladder_phi()))
+
+
+def finer_step(doc):
+    doc["solver"].update(step=0.005, sample_stride=20)  # the same sample times
+
+
+@pytest.mark.parametrize("edit", [tripled_force, finer_step])
+def test_changed_flow_recomputes_the_trajectory(tmp_path, capsys, edit):
+    # the key covers the force, the initial data and the solver block: a tree
+    # written for the old flow gives the reports of a fresh tree for the new one
+    doc = mini_ladder_doc(certificates=True)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    for command in ("verify", "certify"):
+        assert main([command, "--scenario", write_doc(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+    edit(doc)
+    sp = write_doc(tmp_path, doc, stem="changed")
+    capsys.readouterr()
+    codes = [main([c, "--scenario", sp, "--out", str(out)]) for c in ("certify", "verify")]
+    assert capsys.readouterr().err == "recomputing the trajectory: key mismatch\n"
+    assert not recomputed(out / "mini")  # certify recomputed it, verify reused it
+    assert codes == [main([c, "--scenario", sp, "--out", str(fresh)]) for c in ("certify", "verify")]
+    capsys.readouterr()
+    for name in ("trajectory.npy", "trajectory.csv", "trajectory_modes.json", "reports/certify.json"):
+        assert (out / "mini" / name).read_bytes() == (fresh / "mini" / name).read_bytes(), name
+
+
+def test_edits_outside_the_flow_reuse_the_trajectory(tmp_path, capsys):
+    doc = mini_ladder_doc(certificates=True)
+    out = tmp_path / "out"
+    assert main(["verify", "--scenario", write_doc(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+    doc["certificates"][0]["K"] = 3.0
+    doc["expansion"].update(N_max=1, norm_specs=[[0.0, 0.0]], target_epsilon=0.4)
+    sp = write_doc(tmp_path, doc, stem="edited")
+    capsys.readouterr()
+    for command in ("certify", "verify"):
+        assert main([command, "--scenario", sp, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert not recomputed(out / "mini")
 
 
 def test_verify_floor_annotation_on_null_flow(tmp_path, capsys):
@@ -551,6 +643,7 @@ def test_certify_without_certificates(tmp_path, capsys):
     sp = write_doc(tmp_path, doc)
     assert main(["certify", "--scenario", sp, "--out", str(tmp_path / "o")]) == EXIT_OK
     assert "no certificates configured" in capsys.readouterr().out
+    assert not list((tmp_path / "o" / "nocert").glob("trajectory.*"))  # no flow integrated
 
 
 # -- error handling -------------------------------------------------------------------

@@ -3,11 +3,14 @@
 import copy
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import ladder_phi, ladder_scenario_doc, random_div_free_field
 from nsexpand import (
@@ -17,6 +20,7 @@ from nsexpand import (
     ScenarioError,
     SolverConfig,
     SpectralField,
+    Trajectory,
     integrate,
     is_representative,
     load_scenario,
@@ -184,8 +188,8 @@ def small_trajectory():
 def test_trajectory_round_trip_bitwise(tmp_path):
     traj = small_trajectory()
     csv, manifest = tmp_path / "traj.csv", tmp_path / "traj_modes.json"
-    write_trajectory(csv, manifest, traj)
-    back = read_trajectory(csv, manifest)
+    write_trajectory(csv, manifest, traj, "k0")
+    back = read_trajectory(tmp_path / "traj.npy", manifest)
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.modes, traj.modes)
     assert np.array_equal(back.coeffs, traj.coeffs)
@@ -197,26 +201,54 @@ def test_trajectory_round_trip_bitwise(tmp_path):
     assert header[1] == "re(k1 u1)"
     assert header[2] == "im(k1 u1)"
     assert len(header) == 1 + 6 * len(doc["modes"])
-    assert list(doc) == ["modes", "solver"]  # the CSV header is the only column list
+    assert list(doc) == ["modes", "solver", "key"]  # the CSV header is the only column list
     assert doc["solver"]["mode_cutoff"] == 6
+    assert doc["key"] == "k0"
+
+
+# A trajectory block over 1-4 modes and 2-5 samples, any finite doubles.
+@st.composite
+def _trajectories(draw):
+    modes = sorted(draw(st.sets(_wavevector, min_size=1, max_size=4)))
+    samples = draw(st.integers(2, 5))
+    parts = draw(arrays(np.float64, (samples, len(modes), 3, 2), elements=_finite))
+    coeffs = parts.view(np.complex128)[..., 0]   # (re, im) pairs, bits kept
+    if draw(st.booleans()):
+        coeffs[draw(st.integers(0, samples - 1))] = 0
+    cfg = SolverConfig(6, 0.5, 0.5 * (samples - 1))
+    return Trajectory(np.arange(samples) * 0.5, np.array(modes, np.int64), coeffs, cfg)
+
+
+@settings(max_examples=50)
+@given(_trajectories())
+@example(Trajectory(
+    np.array([0.0, 0.5]),
+    np.array([[0, 0, 1], [1, 0, 0]], np.int64),
+    np.array([[[-0.0, 5e-324, 0], [-5e-324j, 0, 0]], [[0, 0, 0], [0, 0, 0]]], complex),
+    SolverConfig(6, 0.5, 0.5),
+))
+def test_trajectory_block_round_trip_is_exact(traj):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, manifest = Path(tmp, "t.csv"), Path(tmp, "t_modes.json")
+        write_trajectory(csv, manifest, traj, "k")
+        back = read_trajectory(Path(tmp, "t.npy"), manifest)
+    assert np.array_equal(back.times, traj.times)
+    assert np.array_equal(back.modes, traj.modes)
+    assert np.array_equal(back.coeffs, traj.coeffs)
+    assert np.array_equal(np.signbit(back.coeffs.view(float)), np.signbit(traj.coeffs.view(float)))
 
 
 def test_trajectory_reader_puts_manifest_modes_in_key_order(tmp_path):
     traj = small_trajectory()
-    csv, manifest = tmp_path / "traj.csv", tmp_path / "traj_modes.json"
-    write_trajectory(csv, manifest, traj)
+    block, manifest = tmp_path / "traj.npy", tmp_path / "traj_modes.json"
+    write_trajectory(tmp_path / "traj.csv", manifest, traj, "k0")
     doc = json.loads(manifest.read_text())
     perm = list(range(len(doc["modes"])))[::-1]
     assert len(perm) > 1
     doc["modes"] = [doc["modes"][j] for j in perm]
     manifest.write_text(json.dumps(doc))
-
-    def permuted(line):  # the CSV columns follow the reversed manifest
-        cells = line.split(",")
-        return ",".join([cells[0], *(c for j in perm for c in cells[1 + 6 * j : 7 + 6 * j])])
-
-    csv.write_text("\n".join(map(permuted, csv.read_text().splitlines())) + "\n")
-    back = read_trajectory(csv, manifest)
+    np.save(block, np.load(block)[:, perm])  # the block columns follow the reversed manifest
+    back = read_trajectory(block, manifest)
     assert np.array_equal(back.modes, traj.modes)
     assert np.array_equal(back.coeffs, traj.coeffs)
 
@@ -225,20 +257,20 @@ def test_trajectory_write_is_deterministic(tmp_path):
     traj = small_trajectory()
     paths = [(tmp_path / f"a{i}.csv", tmp_path / f"a{i}.json") for i in range(2)]
     for csv, man in paths:
-        write_trajectory(csv, man, traj)
-    assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
-    assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
+        write_trajectory(csv, man, traj, "k0")
+    for suffix in (".csv", ".npy", ".json"):
+        assert (tmp_path / f"a0{suffix}").read_bytes() == (tmp_path / f"a1{suffix}").read_bytes()
 
 
 def test_read_trajectory_detects_manifest_mismatch(tmp_path):
     traj = small_trajectory()
-    csv, manifest = tmp_path / "traj.csv", tmp_path / "traj_modes.json"
-    write_trajectory(csv, manifest, traj)
+    manifest = tmp_path / "traj_modes.json"
+    write_trajectory(tmp_path / "traj.csv", manifest, traj, "k0")
     doc = json.loads(manifest.read_text())
     doc["modes"] = doc["modes"][:-1]
     manifest.write_text(json.dumps(doc))
-    with pytest.raises(ScenarioError, match="column count"):
-        read_trajectory(csv, manifest)
+    with pytest.raises(ScenarioError, match=r"traj\.npy: expected complex128 \(6, 9, 3\), got complex128 \(6, 10"):
+        read_trajectory(tmp_path / "traj.npy", manifest)
 
 
 def test_write_norm_csv(tmp_path):
