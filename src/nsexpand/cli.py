@@ -8,9 +8,10 @@
 
 Outputs land under <out>/<scenario-name>/: expansion/ (per-level polynomial
 documents), trajectory.csv and trajectory.npy (+ mode manifest), norms/ (series
-CSVs), reports/ (verify and certify summaries, the rate fits included). verify
-and certify reuse the tree's trajectory block when its manifest carries the
-key of the scenario's force, initial data and solver, so the subcommands
+CSVs), reports/ (verify.json and certify.json, the rate fits included; their
+tables go to stdout only). simulate, verify and certify reuse the tree's
+trajectory block when the tree holds both trajectory files and a manifest with
+the key of the scenario's force, initial data and solver, so the subcommands
 compose into a pipeline; trajectory.csv and expansion/ are output only.
 
 Exit codes: 0 all checks passed, 1 input or runtime error, 2 at least one
@@ -57,9 +58,8 @@ EXIT_INCONCLUSIVE = 3
 SNAP_FACTOR = 1e-8
 
 
-def run_dir_for(scenario: Scenario, out: str | None) -> Path:
-    base = Path(out) if out else Path(scenario.output_dir or "out")
-    d = base / scenario.name
+def run_dir_for(scenario: Scenario, out: str) -> Path:
+    d = Path(out) / scenario.name
     for sub in ("expansion", "norms", "reports"):
         (d / sub).mkdir(parents=True, exist_ok=True)
     return d
@@ -75,14 +75,16 @@ def _exit_code(verdicts, failed: str, undecided: str) -> int:
 
 
 def ensure_trajectory(scenario: Scenario, run_dir: Path):
-    """(trajectory, recomputed): the tree's block if its manifest has this scenario's key."""
+    """(trajectory, recomputed): the tree's block if the tree holds both trajectory files
+    and a manifest with this scenario's key."""
     block, manifest = run_dir / "trajectory.npy", run_dir / "trajectory_modes.json"
     key = trajectory_key(scenario.force, scenario.initial, scenario.solver)
     if manifest.exists():
         stored = _object(load_json(manifest), str(manifest)).get("key")
-        if block.exists() and stored == key:
+        missing = [p.name for p in (block, run_dir / "trajectory.csv") if not p.exists()]
+        if not missing and stored == key:
             return read_trajectory(block, manifest), False
-        why = ("key mismatch" if stored else "no key") if block.exists() else "no trajectory.npy"
+        why = f"no {missing[0]}" if missing else "key mismatch" if stored else "no key"
         print(f"recomputing the trajectory: {why}", file=sys.stderr)
     traj = integrate(scenario.initial, scenario.force, scenario.solver)
     write_trajectory(run_dir / "trajectory.csv", manifest, traj, key)
@@ -126,7 +128,11 @@ def fitted_constants(scenario: Scenario, traj, fit_log: dict):
     def constant(n, levels):
         if n in req.resonant or n not in spectrum:
             return req.resonant.get(n)
-        fit = fit_resonant_constant(traj, levels, n, window=req.resonant_fit_window)
+        try:
+            fit = fit_resonant_constant(traj, levels, n, window=req.resonant_fit_window)
+        except FitError as exc:
+            default = "default " if req.resonant_fit_window is None else ""
+            raise ScenarioError("expansion.resonant_fit_window", f"{default}{exc}") from None
         snapped = norm(fit.constant) <= SNAP_FACTOR * traj_scale
         fit_log[n] = {
             "stddev": fit.stddev,
@@ -144,7 +150,7 @@ def fitted_constants(scenario: Scenario, traj, fit_log: dict):
 # -- subcommands -----------------------------------------------------------------
 
 
-def run_expand(scenario: Scenario, out: str | None) -> int:
+def run_expand(scenario: Scenario, out: str) -> int:
     run_dir = run_dir_for(scenario, out)
     result = write_expansion(scenario, run_dir, scenario.expansion.resonant)
     hits = {n for n, _ in result.resonance_log}
@@ -158,11 +164,9 @@ def run_expand(scenario: Scenario, out: str | None) -> int:
     return EXIT_OK
 
 
-def run_simulate(scenario: Scenario, out: str | None) -> int:
+def run_simulate(scenario: Scenario, out: str) -> int:
     run_dir = run_dir_for(scenario, out)
-    traj = integrate(scenario.initial, scenario.force, scenario.solver)
-    key = trajectory_key(scenario.force, scenario.initial, scenario.solver)
-    write_trajectory(run_dir / "trajectory.csv", run_dir / "trajectory_modes.json", traj, key)
+    traj, _ = ensure_trajectory(scenario, run_dir)
     for spec in scenario.expansion.norm_specs:
         series = norm_series(traj, spec)
         write_norm_csv(run_dir / "norms" / f"norm_{_norm_tag(spec)}.csv", series)
@@ -216,7 +220,7 @@ def _verify_row(traj, terms, N, spec, eps, window):
     return row, series
 
 
-def run_verify(scenario: Scenario, out: str | None) -> int:
+def run_verify(scenario: Scenario, out: str) -> int:
     run_dir = run_dir_for(scenario, out)
     traj, fresh = ensure_trajectory(scenario, run_dir)
     req = scenario.expansion
@@ -260,13 +264,11 @@ def run_verify(scenario: Scenario, out: str | None) -> int:
             f"{r['level']:>5} {r['alpha']:>6g} {r['sigma']:>6g} {slope:>10} {rms:>8} "
             f"{-r['target_rate']:>8g} {r['verdict']:>13}{note}"
         )
-    text = "\n".join(lines) + "\n"
-    (run_dir / "reports" / "verify.txt").write_text(text)
-    print(text, end="")
+    print("\n".join(lines))
     return code
 
 
-def run_certify(scenario: Scenario, out: str | None) -> int:
+def run_certify(scenario: Scenario, out: str) -> int:
     run_dir = run_dir_for(scenario, out)
     if not scenario.certificates:
         write_json(run_dir / "reports" / "certify.json", {"scenario": scenario.name, "rows": []})
@@ -320,9 +322,7 @@ def run_certify(scenario: Scenario, out: str | None) -> int:
         )
         for msg in r["hypothesis_failures"]:
             lines.append(f"  hypothesis not met: {msg}")
-    text = "\n".join(lines) + "\n"
-    (run_dir / "reports" / "certify.txt").write_text(text)
-    print(text, end="")
+    print("\n".join(lines))
     return code
 
 
@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     ]:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--scenario", required=True, help="path to scenario JSON")
-        p.add_argument("--out", default=None, help="output root (default: scenario output_dir or ./out)")
+        p.add_argument("--out", default="out", help="output root (default: out)")
     p = sub.add_parser("spectrum", help="print the Stokes eigenvalues up to a bound")
     p.add_argument("--nmax", type=int, default=100, help="largest eigenvalue to include")
 
@@ -365,9 +365,6 @@ def main(argv=None) -> int:
         if args.command == "certify":
             return run_certify(scenario, args.out)
         raise AssertionError(args.command)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except BlowupError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -61,6 +61,8 @@ class SolverConfig:
             raise ValueError(f"step must lie in (0, 0.5], got {self.step}")
         if not (self.t_end > 0):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not (self.t_end / self.step > 0.5):  # round(t_end / step), the step count, is 0
+            raise ValueError(f"t_end shorter than one step, got {self.t_end} with step {self.step}")
         if self.sample_stride < 1 or self.sample_stride != int(self.sample_stride):
             raise ValueError(f"sample_stride must be a positive integer, got {self.sample_stride}")
 
@@ -266,8 +268,6 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
 
     h = config.step
     nsteps = int(round(config.t_end / h))
-    if nsteps < 1:
-        raise ValueError("t_end shorter than one step")
     stride = config.sample_stride
     half = np.exp(-(h / 2.0) * table.lam)[:, None]
     full = np.exp(-h * table.lam)[:, None]

@@ -16,8 +16,7 @@ Schema (all field/polynomial values use the literal formats in `serialize`):
       },
       "solver": {"mode_cutoff": 12, "step": 1e-3, "t_end": 12.0, "sample_stride": 10},
       "certificates": [{"alpha": 0.5, "delta": 0.5, "lambda": 1.0,
-                        "sigma": 0.0, "K": 2.0}, ...],   # optional
-      "output_dir": "runs"                               # optional
+                        "sigma": 0.0, "K": 2.0}, ...]    # optional
     }
 
 This module is the schema only: the checked readers in `serialize` turn each
@@ -50,7 +49,7 @@ from .spectral import NormSpec, SpectralField
 __all__ = ["ExpansionRequest", "Scenario", "load_scenario", "scenario_from_doc"]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-_TOP_KEYS = ("name", "force", "initial", "expansion", "solver", "certificates", "output_dir")
+_TOP_KEYS = ("name", "force", "initial", "expansion", "solver", "certificates")
 _SOLVER_KEYS = ("mode_cutoff", "step", "t_end", "sample_stride")
 _EXPANSION_KEYS = (
     "N_max", "resonant", "target_epsilon", "norm_specs", "fit_window", "resonant_fit_window"
@@ -85,7 +84,6 @@ class Scenario:
     expansion: ExpansionRequest
     solver: SolverConfig
     certificates: tuple[DecayCertificate, ...] = ()
-    output_dir: str | None = None
 
 
 def _norm_tag(spec) -> str:
@@ -195,10 +193,7 @@ def scenario_from_doc(doc) -> Scenario:
     expansion = _parse_expansion(_need(doc, "expansion", ""), "expansion")
     solver = solver_from_doc(_keys(_need(doc, "solver", ""), "solver", _SOLVER_KEYS), "solver")
     certificates = _parse_certificates(_need(doc, "certificates", "", None), "certificates")
-    output_dir = _need(doc, "output_dir", "", None)
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ScenarioError("output_dir", "expected a string")
-    return Scenario(name, force, initial, expansion, solver, certificates, output_dir)
+    return Scenario(name, force, initial, expansion, solver, certificates)
 
 
 def load_scenario(path) -> Scenario:

@@ -1,6 +1,7 @@
 """End-to-end driver tests: subcommands, exit codes, file tree, determinism."""
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import ladder_phi, ladder_scenario_doc
-from nsexpand import SpectralField, bilinear, eigenvalues_up_to, expansion
+from nsexpand import SpectralField, bilinear, cli, eigenvalues_up_to, expansion
 from nsexpand.cli import EXIT_ERROR, EXIT_FAILED, EXIT_INCONCLUSIVE, EXIT_OK, main
 from nsexpand.fieldpoly import FieldPolynomial
 from nsexpand.serialize import field_to_literal, poly_to_literal
@@ -120,6 +121,24 @@ def test_simulate_writes_trajectory_and_norms(tmp_path, capsys):
     assert (run / "norms" / "norm_alpha0.5_sigma0.csv").exists()
 
 
+def test_simulate_into_a_complete_tree_integrates_nothing(tmp_path, capsys, monkeypatch):
+    # simulate takes its flow from the same producer as verify and certify, so a
+    # second run reuses the tree's trajectory and rewrites the same bytes
+    sp = write_doc(tmp_path, mini_ladder_doc(name="sim", t_end=2.0, sample_stride=20))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", sp, "--out", str(out)]) == EXIT_OK
+    first = capsys.readouterr().out
+    cold = tree_bytes(out / "sim")
+
+    def no_integration(*args):
+        raise AssertionError("simulate integrated a flow its tree already holds")
+
+    monkeypatch.setattr(cli, "integrate", no_integration)
+    assert main(["simulate", "--scenario", sp, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr() == (first, "")
+    assert tree_bytes(out / "sim") == cold
+
+
 def test_simulate_on_cutoff_one_ball(tmp_path, capsys):
     # On |k|^2 <= 1 no two modes add up to a mode of the ball: the advection
     # term vanishes and the flow is pure forced heat flow.
@@ -202,14 +221,13 @@ def test_verify_rebuilds_levels_short_of_n_max(tmp_path, capsys):
     deep = write_doc(tmp_path, mini_ladder_doc(n_max=3), stem="deeper")
     for i, sp in enumerate([shallow, deep, shallow]):
         code = main(["verify", "--scenario", sp, "--out", str(out)])
+        table = capsys.readouterr().out
         cold = tmp_path / f"cold{i}"
         assert main(["verify", "--scenario", sp, "--out", str(cold)]) == code
-        stdout = capsys.readouterr().out
-        assert "expansion levels" not in stdout
+        assert capsys.readouterr().out == table  # verify.json says the trajectory was reused
+        assert "expansion levels" not in table
         for sub in ("expansion", "norms"):
             assert tree_bytes(out / "mini" / sub) == tree_bytes(cold / "mini" / sub), (i, sub)
-        report = Path("mini", "reports", "verify.txt")  # verify.json says the trajectory was reused
-        assert (out / report).read_bytes() == (cold / report).read_bytes()
     rows = json.loads((out / "mini" / "reports" / "verify.json").read_text())["rows"]
     assert [r["level"] for r in rows] == [1, 2]
 
@@ -246,11 +264,20 @@ def test_expand_after_verify_leaves_only_its_own_levels(tmp_path, capsys):
 
 def test_verify_error_when_fit_window_cannot_estimate_constant(tmp_path, capsys):
     # Without an explicit constant the resonant fit needs samples; spacing 1.0
-    # leaves a single one in the fitting window, which is an input error.
+    # leaves a single one in the default window [0.8 T, 0.95 T] and none in
+    # [20, 30], which is an input error at the key that sets the window.
     doc = mini_ladder_doc(name="sparse2", step=0.1, n_max=1)
     sp = write_doc(tmp_path, doc)
     assert main(["verify", "--scenario", sp, "--out", str(tmp_path / "o")]) == EXIT_ERROR
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: expansion.resonant_fit_window: default window [4.8, 5.7] holds fewer than 2 samples\n"
+    )
+    doc["expansion"]["resonant_fit_window"] = [20, 30]
+    sp = write_doc(tmp_path, doc)
+    assert main(["verify", "--scenario", sp, "--out", str(tmp_path / "o")]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: expansion.resonant_fit_window: window [20, 30] holds fewer than 2 samples\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["expand", "verify"])
@@ -385,6 +412,11 @@ BAD_DOCUMENTS = {
     "invalid-json-manifest": (
         "certify", "trajectory_modes.json", lambda p: p.write_text("{ nope"), ": invalid JSON",
     ),
+    "manifest-sub-step-horizon": (
+        "verify", "trajectory_modes.json",
+        lambda p: edit_json(p, lambda d: d["solver"].update(t_end=0.004)),
+        ".solver: t_end shorter than one step, got 0.004 with step 0.01",
+    ),
 }
 # the mini tree holds 61 samples of 6 modes; each bad block fails verify and certify alike
 BAD_BLOCKS = {
@@ -497,6 +529,20 @@ def test_tree_without_a_block_is_recomputed_once_then_reused(tmp_path, capsys):
     assert main(["verify", "--scenario", sp, "--out", str(old)]) == EXIT_OK
     assert capsys.readouterr().err == ""
     assert not recomputed(old / "mini")
+
+
+def test_tree_without_its_csv_is_recomputed(tmp_path, capsys):
+    # reuse needs every file the producer writes: a tree that lost trajectory.csv
+    # integrates again and ends up as the cold tree
+    sp = write_doc(tmp_path, mini_ladder_doc())
+    cold, out = tmp_path / "cold", tmp_path / "out"
+    assert main(["verify", "--scenario", sp, "--out", str(cold)]) == EXIT_OK
+    shutil.copytree(cold, out)
+    (out / "mini" / "trajectory.csv").unlink()
+    capsys.readouterr()
+    assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == "recomputing the trajectory: no trajectory.csv\n"
+    assert tree_bytes(out / "mini") == tree_bytes(cold / "mini")
 
 
 def test_block_without_a_key_is_recomputed(tmp_path, capsys):
@@ -663,6 +709,15 @@ def test_invalid_scenario_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_sub_step_horizon_is_a_scenario_error(tmp_path, capsys):
+    sp = write_doc(tmp_path, mini_ladder_doc(name="short", t_end=0.004))
+    assert main(["simulate", "--scenario", sp, "--out", str(tmp_path / "o")]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: solver: t_end shorter than one step, got 0.004 with step 0.01\n"
+    )
+    assert not (tmp_path / "o").exists()  # refused before any directory is made
+
+
 def test_out_override_creates_tree(tmp_path, capsys):
     sp = write_doc(tmp_path, mini_ladder_doc(name="tree", t_end=1.0))
     out = tmp_path / "custom-root"
@@ -673,3 +728,24 @@ def test_out_override_creates_tree(tmp_path, capsys):
     capsys.readouterr()
     for sub in ("expansion", "norms", "reports"):
         assert (out / "tree" / sub).is_dir()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_output_listing_matches_the_tree(tmp_path, capsys):
+    # the README's scenario (its first json block) through every subcommand into
+    # one tree holds exactly the files of the README's output listing
+    text = README.read_text()
+    doc = json.loads(re.search(r"^```json\n(.*?)^```$", text, re.M | re.S).group(1))
+    listing = re.search(r"Each run writes under.*?^```\n(.*?)^```$", text, re.M | re.S).group(1)
+    sp = write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    for command in ("expand", "simulate", "verify", "certify"):
+        assert main([command, "--scenario", sp, "--out", str(out)]) == EXIT_OK, command
+    capsys.readouterr()
+    run = out / doc["name"]
+    patterns = [line.split()[0] for line in listing.splitlines()]
+    expanded = {pat: {p.relative_to(run).as_posix() for p in run.glob(pat)} for pat in patterns}
+    assert [pattern for pattern, files in expanded.items() if not files] == []
+    assert set(tree_bytes(run)) == set().union(*expanded.values())

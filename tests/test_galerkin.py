@@ -51,6 +51,11 @@ def test_solver_config_validation():
         SolverConfig(4, 0.0, 1.0)
     with pytest.raises(ValueError, match="t_end"):
         SolverConfig(4, 0.1, 0.0)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        SolverConfig(4, 0.01, 0.004)  # round(t_end / step) = 0 steps
+    with pytest.raises(ValueError, match="shorter than one step"):
+        SolverConfig(4, 0.01, 0.005)  # round half to even: still 0 steps
+    assert SolverConfig(4, 0.01, 0.006).t_end == 0.006  # rounds to one step
     with pytest.raises(ValueError, match="sample_stride"):
         SolverConfig(4, 0.1, 1.0, 0)
 
@@ -280,6 +285,7 @@ def test_integrate_rejects_compressible_initial_state():
 
 
 def test_integrate_rejects_subsample_horizon():
+    # The config refuses a horizon under one step, so no such run reaches integrate.
     with pytest.raises(ValueError, match="shorter than one step"):
         integrate(single_mode(), ForceExpansion(()), SolverConfig(4, 0.01, 0.004))
 

@@ -300,7 +300,6 @@ def test_scenario_full_parse():
     assert sc.solver == SolverConfig(12, 1e-3, 12.0, 10)
     assert len(sc.certificates) == 1
     assert sc.certificates[0].lam == 1.0  # JSON key "lambda"
-    assert sc.output_dir is None
 
 
 def test_scenario_defaults():
@@ -381,6 +380,10 @@ def test_scenario_error_paths():
     assert scenario_error_path(bad) == "solver"
 
     bad = json.loads(json.dumps(base))
+    bad["solver"]["t_end"] = 4e-4  # under one step of 1e-3
+    assert scenario_error_path(bad) == "solver"
+
+    bad = json.loads(json.dumps(base))
     del bad["certificates"][0]["alpha"]
     assert scenario_error_path(bad) == "certificates[0].alpha"
 
@@ -393,7 +396,7 @@ def test_scenario_error_paths():
     assert scenario_error_path(bad) == "certificates[0].alpha"
 
     bad = json.loads(json.dumps(base))
-    bad["output_dir"] = 7
+    bad["output_dir"] = "runs"  # not a key: --out is the only output root
     assert scenario_error_path(bad) == "output_dir"
 
     # numbers: finite everywhere, integral where an integer is meant
@@ -470,7 +473,6 @@ def _leaf_paths(doc, prefix=()):
 
 _FUZZ_DOC = ladder_scenario_doc(resonant={2: ladder_phi()})
 _FUZZ_DOC["expansion"].update(fit_window=[6.0, 11.0], resonant_fit_window=[8.0, 11.0])
-_FUZZ_DOC["output_dir"] = "runs"
 # JSON text can carry NaN and +-Infinity; floats() draws them too, but rarely
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
