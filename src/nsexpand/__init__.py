@@ -38,6 +38,7 @@ from .fieldpoly import (
     DegreeCapError,
     FieldPolynomial,
     assemble,
+    level_support,
     poly_bilinear,
     resolvent_solve,
 )

@@ -1,5 +1,6 @@
 """Measurement side: norm series along trajectories, tail rate fits, and
-decay certificates.
+decay certificates. Decay levels, the force's included, come from
+`fieldpoly.assemble` as (samples, modes, 3) blocks; nothing here evaluates them.
 
 Rates are fitted by least squares on (t, ln value). Values below a relative
 floor (1e-13 of the series peak) are treated as numerically zero and excluded
@@ -20,14 +21,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .expansion import ForceExpansion
+from .fieldpoly import _plus, assemble, level_support
 from .galerkin import Trajectory, evaluate_force
-from .spectral import (
-    NormSpec,
-    SpectralField,
-    eigenvalue,
-    eigenvalues_up_to,
-    norm,
-)
+from .spectral import NormSpec, SpectralField, eigenvalue, eigenvalues_up_to, norm
 
 __all__ = [
     "FLOOR_FACTOR",
@@ -106,31 +102,6 @@ def tail_window(t_end: float, lo: float = 0.6, hi: float = 0.95) -> tuple[float,
     return (lo * t_end, hi * t_end)
 
 
-def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b as SpectralField adds rows: an all-zero row is an absent mode, which passes the
-    other side's row through untouched, signed zeros included."""
-    out = a + b
-    live_a, live_b = a.any(axis=-1, keepdims=True), b.any(axis=-1, keepdims=True)
-    np.copyto(out, a, where=live_a & ~live_b)
-    np.copyto(out, b, where=live_b & ~live_a)
-    return out
-
-
-def _assembled(terms, modes: np.ndarray, t: np.ndarray):
-    """Per row of the (K, 3) modes, the (S, 3) column of assemble(terms, t_i) over the times
-    t, with its Horner steps, arithmetic and order."""
-    levels = [([c._rows(modes) for c in reversed(q.coeffs())],
-               np.array([math.exp(-n * x) for x in t.tolist()])[:, None]) for n, q in terms]
-    zero = np.zeros((len(t), 3), dtype=np.complex128)
-    for j in range(len(modes)):
-        acc = zero
-        for coeffs, e in levels:
-            if any(c[j].any() for c in coeffs):   # a level lacking this mode adds nothing
-                q = functools.reduce(lambda q, c: _plus(q * t[:, None], c[j]), coeffs, zero)
-                acc = _plus(acc, q * e)
-        yield acc
-
-
 def _joined(traj: Trajectory, polys, idx=slice(None), n=None):
     """The trajectory's modes joined with the polynomials' supports (on |k|^2 = n if given),
     as a (K, 3) array in key order, and per mode the trajectory's column at the samples idx."""
@@ -166,10 +137,11 @@ def energy_ledger(traj: Trajectory, force: ForceExpansion) -> np.ndarray:
     t = traj.times
     energy = 0.5 * norm_series(traj, NormSpec(0.0, 0.0)).values ** 2
     enstrophy = norm_series(traj, NormSpec(0.5, 0.0)).values ** 2
-    # <F, u> = 2 sum_k Re(F(k) . conj(u(k)))
-    forces = _assembled(force.terms, traj.modes, t)
-    parts = (2.0 * np.vecdot(traj.coeffs[:, j], f).real for j, f in enumerate(forces))
-    work = sum(parts, np.zeros(len(traj)))
+    # <F, u> = 2 sum_k Re(F(k) . conj(u(k))), over the modes that the force and the flow hold
+    modes = level_support(force.terms)
+    i, j = np.nonzero((traj.modes[:, None] == modes[None]).all(axis=2))
+    parts = 2.0 * np.vecdot(traj.coeffs[:, i], evaluate_force(force, modes, t)[:, j]).real
+    work = sum(parts.T, np.zeros(len(traj)))
     dt = np.diff(t)
     return (
         energy[1:]
@@ -181,11 +153,12 @@ def energy_ledger(traj: Trajectory, force: ForceExpansion) -> np.ndarray:
 
 def remainder_series(traj: Trajectory, terms, spec: NormSpec) -> NormSeries:
     """|u(t_i) - sum_n q_n(t_i) e^{-n t_i}| in the given norm; empty terms = plain norm.
-    Equal to norm(state_i - assemble(terms, t_i), spec), formed one mode at a time."""
+    Equal to norm(state_i - levels_i, spec) with field arithmetic, formed one mode at a time."""
     terms = tuple(terms)
     modes, u = _joined(traj, [q for _, q in terms])
-    levels = _assembled(terms, modes, traj.times)
-    columns = (_plus(c, lv * -1.0) if lv.any() else c for c, lv in zip(u, levels))
+    held = set(map(tuple, level_support(terms).tolist()))
+    columns = (_plus(c, assemble(terms, k[None], traj.times)[:, 0] * -1.0)
+               if tuple(k) in held else c for k, c in zip(modes, u))
     return NormSeries(traj.times.copy(), _norms(columns, modes, spec, len(traj)))
 
 
@@ -263,9 +236,9 @@ def fit_resonant_constant(
     t, m = traj.times[idx], len(idx)
     # w_i = (u_i - sum_k q_k(t_i) e^{-k t_i}) e^{n t_i} on the |k|^2 = n eigenspace
     kn, u = _joined(traj, [q for _, q in terms], idx, n)
-    grow = np.array([math.exp(n * x) for x in t.tolist()])[:, None]
-    w = np.array([_plus(c, lv * -1.0) * grow for c, lv in zip(u, _assembled(terms, kn, t))])
-    w = w.reshape(len(kn), m, 3).transpose(1, 0, 2)   # (sample, mode, component)
+    grow = np.array([math.exp(n * x) for x in t.tolist()])[:, None, None]
+    u = np.reshape(u, (len(kn), m, 3)).transpose(1, 0, 2)   # (sample, mode, component)
+    w = _plus(u, assemble(terms, kn, t) * -1.0) * grow
 
     mean_rows = functools.reduce(_plus, w) * (1.0 / m)   # summed in sample order
     mean = SpectralField(zip(kn.tolist(), mean_rows))
@@ -384,13 +357,14 @@ def certificate_check(
         failures.append(
             f"initial data: |A^alpha u0| = {lhs:.6e} exceeds C0 = {c0:.6e}"
         )
-    fspec = NormSpec(cert.alpha - 0.5, cert.sigma)
-    for t in traj.times:
-        fval = norm(evaluate_force(force, float(t)), fspec)
-        bound = c1 * math.exp(-cert.lam * float(t))
+    modes = level_support(force.terms)
+    forces = evaluate_force(force, modes, traj.times).transpose(1, 0, 2)
+    fvals = _norms(forces, modes, NormSpec(cert.alpha - 0.5, cert.sigma), len(traj))
+    for t, fval in zip(traj.times.tolist(), fvals.tolist()):
+        bound = c1 * math.exp(-cert.lam * t)
         if fval > bound * (1 + 1e-12) + 1e-300:
             failures.append(
-                f"force at t = {float(t):.6g}: |f|_(alpha-1/2, sigma) = {fval:.6e} "
+                f"force at t = {t:.6g}: |f|_(alpha-1/2, sigma) = {fval:.6e} "
                 f"exceeds C1 e^(-lam t) = {bound:.6e}"
             )
             break

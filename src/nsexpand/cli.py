@@ -355,16 +355,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "spectrum":
             return run_spectrum(args.nmax)
-        scenario = load_scenario(args.scenario)
-        if args.command == "expand":
-            return run_expand(scenario, args.out)
-        if args.command == "simulate":
-            return run_simulate(scenario, args.out)
-        if args.command == "verify":
-            return run_verify(scenario, args.out)
-        if args.command == "certify":
-            return run_certify(scenario, args.out)
-        raise AssertionError(args.command)
+        run = {"expand": run_expand, "simulate": run_simulate, "verify": run_verify,
+               "certify": run_certify}[args.command]
+        return run(load_scenario(args.scenario), args.out)
     except BlowupError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fieldpoly import FieldPolynomial, poly_bilinear, resolvent_solve
+from .fieldpoly import FieldPolynomial, level_support, poly_bilinear, resolvent_solve
 from .spectral import SpectralField, eigenspace_project, eigenvalue
 
 __all__ = [
@@ -67,13 +67,6 @@ class ForceExpansion:
 
     def level(self, n: int) -> FieldPolynomial:
         return dict(self.terms).get(n, FieldPolynomial.zero())
-
-    def max_support_eigenvalue(self) -> int:
-        best = 0
-        for _, poly in self.terms:
-            for c in poly.coeffs():
-                best = max(best, c.max_eigenvalue())
-        return best
 
 
 @dataclass(frozen=True)
@@ -139,9 +132,7 @@ def solve_level(p: FieldPolynomial, n: int) -> tuple[FieldPolynomial, bool]:
     Blocks are enumerated from the support of p. Returns the level polynomial
     and whether the free-constant branch (the lam = n block) ran.
     """
-    lams: set[int] = set()
-    for c in p.coeffs():
-        lams.update(eigenvalue(k) for k in c.support())
+    lams = set(map(eigenvalue, level_support([(n, p)]).tolist()))
     # the blocks' solutions have disjoint supports, so summing them is exact
     q = FieldPolynomial.zero()
     for lam in sorted(lams):

@@ -1,14 +1,18 @@
 """Polynomials in time whose coefficients are spectral fields.
 
 These carry the slow part of one decay level: a field-valued q(t) multiplying
-e^{-n t}. The resolvent solve below inverts d/dt + beta on such polynomials
+e^{-n t}, and `assemble` is the one evaluator of such levels, the force's and the
+expansion's. The resolvent solve below inverts d/dt + beta on such polynomials
 exactly, coefficient by coefficient, which is the whole reason the expansion
 construction is exact linear algebra rather than numerics.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+
+import numpy as np
 
 from .spectral import SpectralField, bilinear
 
@@ -18,6 +22,7 @@ __all__ = [
     "FieldPolynomial",
     "poly_bilinear",
     "resolvent_solve",
+    "level_support",
     "assemble",
 ]
 
@@ -180,9 +185,32 @@ def resolvent_solve(p: FieldPolynomial, beta: float) -> FieldPolynomial:
     return FieldPolynomial(out)
 
 
-def assemble(terms, t: float) -> SpectralField:
-    """Evaluate sum_n q_n(t) e^{-n t} at one time; `terms` holds (n, q_n) pairs."""
-    acc = SpectralField.zero()
-    for n, poly in terms:
-        acc = acc + poly(t) * math.exp(-n * t)
+def level_support(terms) -> np.ndarray:
+    """The (K, 3) int64 wavevectors that any coefficient of the (n, q_n) pairs holds, key order."""
+    modes = sorted(set().union(*(c.support() for _, q in terms for c in q.coeffs())))
+    return np.array(modes, dtype=np.int64).reshape(-1, 3)
+
+
+def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b as SpectralField adds rows: an all-zero row is an absent mode, which passes the
+    other side's row through untouched, signed zeros included."""
+    out = a + b
+    live_a, live_b = a.any(axis=-1, keepdims=True), b.any(axis=-1, keepdims=True)
+    np.copyto(out, a, where=live_a & ~live_b)
+    np.copyto(out, b, where=live_b & ~live_a)
+    return out
+
+
+def assemble(terms, modes: np.ndarray, times) -> np.ndarray:
+    """sum_n q_n(t) e^{-n t} over the (n, q_n) pairs at the (K, 3) key-ordered modes and the
+    S times, as an (S, K, 3) block, zero where a mode is absent. Each step is the field
+    arithmetic of `FieldPolynomial.__call__`, so each row equals the per-time field's bits."""
+    t = np.asarray(times, dtype=float).reshape(-1, 1, 1)
+    acc = np.zeros((len(t), len(modes), 3), dtype=np.complex128)
+    for n, q in terms:
+        coeffs = [c._rows(modes) for c in reversed(q.coeffs())]
+        if any(c.any() for c in coeffs):   # a level that lacks every mode adds nothing
+            level = functools.reduce(lambda p, c: _plus(p * t, c), coeffs)   # Horner, top first
+            decay = [math.exp(-n * x) for x in t.ravel().tolist()]
+            acc = _plus(acc, level * np.reshape(decay, t.shape))
     return acc

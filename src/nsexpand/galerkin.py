@@ -23,19 +23,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansion import ForceExpansion
-from .fieldpoly import assemble
+from .fieldpoly import assemble, level_support
 from .spectral import SpectralField, eigenvalue, is_representative
 
 __all__ = [
     "SolverConfig",
     "Trajectory",
     "BlowupError",
+    "StepCountError",
     "ModeTable",
     "evaluate_force",
     "integrate",
 ]
 
 BLOWUP_NORM = 1e6
+MAX_STEPS = 10**7   # far past the longest run in the tests and benchmark (12,000 steps)
 
 
 class BlowupError(RuntimeError):
@@ -45,6 +47,10 @@ class BlowupError(RuntimeError):
         super().__init__(f"solution norm {value:.3e} exceeded {BLOWUP_NORM:.0e} at t = {t:.6g}")
         self.t = t
         self.value = value
+
+
+class StepCountError(ValueError):
+    """t_end / step is not finite or exceeds MAX_STEPS."""
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,9 @@ class SolverConfig:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if not (self.t_end / self.step > 0.5):  # round(t_end / step), the step count, is 0
             raise ValueError(f"t_end shorter than one step, got {self.t_end} with step {self.step}")
+        if not (self.t_end / self.step <= MAX_STEPS):   # not finite, or a run without end
+            raise StepCountError(f"t_end / step = {self.t_end:g} / {self.step:g} = "
+                                 f"{self.t_end / self.step:.6g} steps, past the cap of {MAX_STEPS}")
         if self.sample_stride < 1 or self.sample_stride != int(self.sample_stride):
             raise ValueError(f"sample_stride must be a positive integer, got {self.sample_stride}")
 
@@ -245,9 +254,10 @@ class ModeTable:
         return out.T
 
 
-def evaluate_force(force: ForceExpansion, t: float) -> SpectralField:
-    """Total force at time t: sum_n f_n(t) e^{-n t}."""
-    return assemble(force.terms, t)
+def evaluate_force(force: ForceExpansion, modes: np.ndarray, times) -> np.ndarray:
+    """Total force sum_n f_n(t) e^{-n t} at the (K, 3) modes and the times: `assemble` on the
+    force's levels, under its own name because `bench/tracing.py` counts its calls."""
+    return assemble(force.terms, modes, times)
 
 
 def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) -> Trajectory:
@@ -259,11 +269,13 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
     """
     table = ModeTable(config.mode_cutoff)
     u0.require_divergence_free()
-    reach = max(u0.max_eigenvalue(), force.max_support_eigenvalue())
+    support = level_support(force.terms)
+    reach = max([u0.max_eigenvalue(), *map(eigenvalue, support.tolist())])
     if reach > config.mode_cutoff:
         raise ValueError(
             f"initial state or force reaches eigenvalue {reach} beyond mode_cutoff {config.mode_cutoff}"
         )
+    at = [table.reps.index(tuple(k)) for k in support.tolist()]   # the force's table rows
     u = table.densify(u0)
 
     h = config.step
@@ -274,10 +286,11 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
 
     times = [0.0]
     states = [table.to_field(u)]
-    f_start = table.densify(evaluate_force(force, 0.0))
+    f_start = np.zeros((table.size, 3), dtype=np.complex128)
+    f_start[at] = evaluate_force(force, support, (0.0,))[0]
     for step in range(1, nsteps + 1):
-        f_mid = table.densify(evaluate_force(force, (step - 1) * h + h / 2.0))
-        f_end = table.densify(evaluate_force(force, step * h))
+        f_mid, f_end = np.zeros((2, table.size, 3), dtype=np.complex128)
+        f_mid[at], f_end[at] = evaluate_force(force, support, ((step - 1) * h + h / 2.0, step * h))
         n1 = f_start - table.convolve(u)
         a2 = half * (u + (h / 2.0) * n1)
         n2 = f_mid - table.convolve(a2)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .fieldpoly import FieldPolynomial
-from .galerkin import SolverConfig, Trajectory
+from .galerkin import SolverConfig, StepCountError, Trajectory
 from .spectral import SpectralField, _wavevectors, is_representative
 
 __all__ = [
@@ -141,13 +141,13 @@ def field_to_literal(field: SpectralField) -> list[dict]:
 
 
 @contextmanager
-def _at(path: str):
-    """Report a constructor's own ValueError as a ScenarioError at `path`."""
+def _at(path: str, kind=ValueError):
+    """Report a constructor's own `kind` of ValueError as a ScenarioError at `path`."""
     try:
         yield
     except ScenarioError:
         raise
-    except ValueError as exc:
+    except kind as exc:
         raise ScenarioError(path, str(exc)) from None
 
 
@@ -221,7 +221,7 @@ def poly_from_literal(lit, path: str = "poly") -> FieldPolynomial:
 def solver_from_doc(doc, path: str) -> SolverConfig:
     """The solver block of a scenario and of a trajectory manifest."""
     doc = _object(doc, path)
-    with _at(path):
+    with _at(path), _at(f"{path}.t_end", StepCountError):
         return SolverConfig(
             mode_cutoff=_number(_need(doc, "mode_cutoff", path), f"{path}.mode_cutoff", int),
             step=_number(_need(doc, "step", path), f"{path}.step"),

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from nsexpand import (
     FieldPolynomial,
@@ -30,6 +31,18 @@ from nsexpand.serialize import field_to_literal, poly_to_literal
 # no per-example deadline, since the first example pays for numpy and table setup.
 settings.register_profile("tier1", deadline=None, derandomize=True)
 settings.load_profile("tier1")
+
+
+# -- shared strategies ----------------------------------------------------------
+
+FIELD_POOL = [
+    (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, -1), (1, 1, 0), (1, -1, 2), (2, 0, 0), (1, 2, -1)
+]
+# exact and signed zeros among the values, so absent modes and zero components are drawn
+_value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]), st.floats(-3.0, 3.0))
+small_fields = st.dictionaries(
+    st.sampled_from(FIELD_POOL), st.lists(_value, min_size=6, max_size=6), max_size=4
+).map(lambda d: SpectralField({k: np.array(v[:3]) + 1j * np.array(v[3:]) for k, v in d.items()}))
 
 
 # -- independent oracles -------------------------------------------------------
@@ -217,3 +230,8 @@ def assert_fields_close(a: SpectralField, b: SpectralField, rtol=1e-12, atol=0.0
     scale = max(a.max_abs(), b.max_abs())
     gap = (a - b).max_abs()
     assert gap <= atol + rtol * scale, f"fields differ by {gap:.3e} (scale {scale:.3e})"
+
+
+def levels_at(terms, t: float) -> SpectralField:
+    """sum_n q_n(t) e^{-n t} as one field: the per-time reference for `assemble`."""
+    return sum((q(t) * math.exp(-n * t) for n, q in terms), SpectralField.zero())

@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     eval_physical,
     ladder_scenario_doc,
+    levels_at,
     random_div_free_field,
     resolvent_oracle,
     sum_of_three_squares,
@@ -25,7 +26,6 @@ from nsexpand import (
     NormSpec,
     SolverConfig,
     SpectralField,
-    assemble,
     bilinear,
     build_expansion,
     certificate_check,
@@ -119,7 +119,7 @@ def test_criterion_2_manufactured_solution(capsys):
     spec = NormSpec(0.0, 0.0)
     rel = 0.0
     for i, t in enumerate(traj.times):
-        expect = assemble(result.terms, float(t))
+        expect = levels_at(result.terms, float(t))
         rel = max(rel, norm(traj.state(i) - expect, spec) / norm(expect, spec))
     elapsed = time.perf_counter() - t0
     ok = exact and rel <= 1e-6 and elapsed < 30.0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_fields_close, ladder_force
+from conftest import assert_fields_close, ladder_force, levels_at, small_fields
 from nsexpand import (
     DecayCertificate,
     FieldPolynomial,
@@ -18,7 +18,6 @@ from nsexpand import (
     SolverConfig,
     SpectralField,
     Trajectory,
-    assemble,
     bilinear,
     build_expansion,
     certificate_check,
@@ -109,20 +108,12 @@ def test_norm_series_length_guard():
 
 # -- the block's batched series against per-sample field arithmetic --------------------
 
-_POOL = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, -1), (1, 1, 0), (1, -1, 2), (2, 0, 0), (1, 2, -1)]
-# exact and signed zeros among the values, so absent modes and zero components are drawn
-_value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]), st.floats(-3.0, 3.0))
-_field = st.dictionaries(
-    st.sampled_from(_POOL), st.lists(_value, min_size=6, max_size=6), max_size=4
-).map(lambda d: SpectralField({k: np.array(v[:3]) + 1j * np.array(v[3:]) for k, v in d.items()}))
-
-
 @st.composite
 def _trajectory(draw, min_samples=2):
     """A block of drawn states at t = 0, h, 2h, ... (sometimes all zero) and its states."""
     samples = draw(st.integers(min_samples, 6))
     spacing = draw(st.sampled_from([0.125, 0.25, 0.5]))
-    states = draw(st.lists(_field, min_size=samples, max_size=samples))
+    states = draw(st.lists(small_fields, min_size=samples, max_size=samples))
     if draw(st.booleans()):
         states = [SpectralField.zero()] * samples
     cfg = SolverConfig(4, spacing, spacing * (samples - 1))
@@ -132,7 +123,7 @@ def _trajectory(draw, min_samples=2):
 @st.composite
 def _terms(draw, levels, project=False):
     """(n, q_n) pairs at some of the given levels; their modes may lie off the trajectory."""
-    fields = _field.map(leray_project) if project else _field
+    fields = small_fields.map(leray_project) if project else small_fields
     chosen = sorted(draw(st.sets(st.sampled_from(levels), max_size=len(levels)))) if levels else []
     return [(n, FieldPolynomial(draw(st.lists(fields, max_size=3)))) for n in chosen]
 
@@ -143,7 +134,7 @@ def _terms(draw, levels, project=False):
 def test_batched_series_equal_per_sample_field_arithmetic(case, terms, alpha, sigma):
     traj, states = case
     spec = NormSpec(alpha, sigma)
-    want = [norm(s - assemble(terms, float(t)), spec) for t, s in zip(traj.times, states)]
+    want = [norm(s - levels_at(terms, float(t)), spec) for t, s in zip(traj.times, states)]
     assert remainder_series(traj, terms, spec).values.tolist() == want
     assert norm_series(traj, spec).values.tolist() == [norm(s, spec) for s in states]
 
@@ -151,7 +142,7 @@ def test_batched_series_equal_per_sample_field_arithmetic(case, terms, alpha, si
 def reference_resonant_fit(states, times, terms, n):
     """Constant, spread and drift of resonant level n over all samples, one field per sample."""
     samples = [
-        eigenspace_project(s - assemble(terms, float(t)), n) * math.exp(n * float(t))
+        eigenspace_project(s - levels_at(terms, float(t)), n) * math.exp(n * float(t))
         for t, s in zip(times, states)
     ]
     mean = SpectralField.zero()
@@ -425,6 +416,24 @@ def test_certificate_force_hypothesis_gate():
     report = certificate_check(traj, cert, force)
     assert any("force at t" in f for f in report.hypothesis_failures)
     assert report.verdict == "inapplicable"
+
+
+def test_certificate_names_the_first_time_the_force_exceeds_its_bound():
+    # |f(t)| = |a + b t| e^{-t} against C1 e^{-t} (lam = 1): within the bound at t = 0
+    # (|a| ~ 0.23 C1), past it from t ~ 0.34 on, so the first failing sample is t = 0.35
+    cert = DecayCertificate(alpha=0.5, delta=0.5, lam=1.0)
+    a = SpectralField({(1, 0, 0): [0, 0.01, 0]})
+    b = SpectralField({(1, 0, 0): [0, 0.1, 0]})
+    force = ForceExpansion(((1, FieldPolynomial([a, b])),))
+    traj = fabricated_trajectory(lambda t: SpectralField.zero(), t_end=1.0)
+    fval = norm(levels_at(force.terms, 0.35), NormSpec(0.0, 0.0))
+    bound = cert.C1 * math.exp(-0.35)
+    assert norm(levels_at(force.terms, 0.3)) < cert.C1 * math.exp(-0.3) and fval > bound
+    report = certificate_check(traj, cert, force)
+    assert report.hypothesis_failures == (
+        f"force at t = 0.35: |f|_(alpha-1/2, sigma) = {fval:.6e} "
+        f"exceeds C1 e^(-lam t) = {bound:.6e}",
+    )
 
 
 def test_certificate_violated_on_slow_fabricated_decay():

@@ -417,6 +417,11 @@ BAD_DOCUMENTS = {
         lambda p: edit_json(p, lambda d: d["solver"].update(t_end=0.004)),
         ".solver: t_end shorter than one step, got 0.004 with step 0.01",
     ),
+    "manifest-overflowing-horizon": (
+        "verify", "trajectory_modes.json",
+        lambda p: edit_json(p, lambda d: d["solver"].update(t_end=1e308)),
+        ".solver.t_end: t_end / step = 1e+308 / 0.01 = inf steps, past the cap of 10000000",
+    ),
 }
 # the mini tree holds 61 samples of 6 modes; each bad block fails verify and certify alike
 BAD_BLOCKS = {
@@ -716,6 +721,20 @@ def test_sub_step_horizon_is_a_scenario_error(tmp_path, capsys):
         "error: solver: t_end shorter than one step, got 0.004 with step 0.01\n"
     )
     assert not (tmp_path / "o").exists()  # refused before any directory is made
+
+
+@pytest.mark.parametrize(
+    "t_end, steps", [(1e308, "inf"), (1e300, "1e+302"), (100001.0, "1.00001e+07")]
+)
+def test_step_count_past_the_cap_is_a_scenario_error(tmp_path, capsys, t_end, steps):
+    # t_end / step must be a finite count of at most 10**7 steps; 1e308 / 0.01 overflows
+    sp = write_doc(tmp_path, mini_ladder_doc(name="long", t_end=t_end))
+    assert main(["simulate", "--scenario", sp, "--out", str(tmp_path / "o")]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: solver.t_end: t_end / step = {t_end:g} / 0.01 = {steps} steps, "
+        "past the cap of 10000000\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def test_out_override_creates_tree(tmp_path, capsys):

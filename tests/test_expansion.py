@@ -16,6 +16,7 @@ from nsexpand import (
     finite_approximation_plan,
     leray_project,
     level_source,
+    level_support,
     poly_bilinear,
     solve_level,
 )
@@ -50,7 +51,8 @@ def test_force_level_lookup():
     force = ForceExpansion(((1, p1), (3, p3)))
     assert force.level(1) == p1
     assert force.level(2).is_zero
-    assert force.max_support_eigenvalue() == 2  # ladder modes sit on |k|^2 = 2
+    # the union of the levels' supports, in key order; the ladder modes sit on |k|^2 = 2
+    assert level_support(force.terms).tolist() == [[0, 1, 0], [1, 0, 0], [1, 0, 1], [1, 1, 0]]
 
 
 # -- resonant data validation ------------------------------------------------------

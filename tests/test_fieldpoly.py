@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_div_free_field, resolvent_oracle
+from conftest import FIELD_POOL, levels_at, random_div_free_field, resolvent_oracle, small_fields
 from nsexpand import (
     DegreeCapError,
     FieldPolynomial,
@@ -16,6 +18,7 @@ from nsexpand import (
     resolvent_solve,
 )
 from nsexpand.fieldpoly import DEGREE_CAP
+from nsexpand.serialize import dumps_json
 
 
 def const_field(c2=1.0):
@@ -186,16 +189,53 @@ def test_resolvent_degree_cap_via_bump():
 def test_expansion_term_validation():
     # one decay level is a plain (n, q_n) pair, and `assemble` evaluates the pair
     term = (2, FieldPolynomial.constant(const_field()))
-    assert assemble([term], 0.0) == const_field()
-    assert assemble([term], 1.0).allclose(math.exp(-2.0) * const_field(), rtol=1e-15)
+    block = assemble([term], np.array([[1, 1, 0]]), [0.0, 1.0])
+    assert block.shape == (2, 1, 3)
+    assert block[0, 0].tolist() == const_field().coeff((1, 1, 0)).tolist()
+    want = math.exp(-2.0) * const_field().coeff((1, 1, 0))
+    assert np.allclose(block[1, 0], want, rtol=1e-15, atol=0.0)
 
 
 def test_assemble_examples():
-    assert assemble([], 3.0).is_zero
+    modes = np.array([[1, 0, 0], [1, 1, 0]])   # (1, 0, 0) is held by no level
+    assert assemble([], modes, [3.0]).tolist() == np.zeros((1, 2, 3)).tolist()
+    assert assemble([], modes[:0], []).shape == (0, 0, 3)
     q1 = const_field()
     q2 = const_field(-0.5)
     terms = [(1, FieldPolynomial.constant(q1)), (2, FieldPolynomial.constant(q2))]
-    assert assemble(terms[:1], 0.0) == q1
+    held = q1.coeff((1, 1, 0)).tolist()
+    assert assemble(terms[:1], modes, [0.0])[0].tolist() == [[0, 0, 0], held]
     t = math.log(2.0)
-    expect = 0.5 * q1 + 0.25 * q2
-    assert assemble(terms, t).allclose(expect, rtol=1e-14)
+    expect = (0.5 * q1 + 0.25 * q2).coeff((1, 1, 0))
+    assert np.allclose(assemble(terms, modes, [t])[0, 1], expect, rtol=1e-14, atol=0)
+
+
+_levels = st.dictionaries(st.integers(1, 4), st.lists(small_fields, max_size=3), max_size=3).map(
+    lambda d: [(n, FieldPolynomial(d[n])) for n in sorted(d)]
+)
+# (3, 0, 0) and (0, 2, 1) lie outside the pool: modes that no level holds
+_modes = st.sets(st.sampled_from(FIELD_POOL + [(3, 0, 0), (0, 2, 1)])).map(
+    lambda ks: np.array(sorted(ks), dtype=np.int64).reshape(-1, 3)
+)
+# t = 0, times where e^{-n t} underflows to zero, and 0.07 and 0.12, where numpy's exp
+# rounds e^{-t} and e^{-2t} differently from math.exp
+_times = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.07, 0.12, 200.0, 800.0]), st.floats(0.0, 60.0)), max_size=4
+)
+# q_1 = c_0 + c_1 t, where only c_1 holds (1, 0, 0) and its x component has a -0.0 real part:
+# field arithmetic keeps that signed zero, a plain c_1 t + 0 would not
+_SIGNED_ZERO = [(1, FieldPolynomial([SpectralField({(0, 1, 0): [1.0, 0, 0]}),
+                                     SpectralField({(1, 0, 0): [complex(-0.0, 1.0), 2.0, 0]})]))]
+
+
+@settings(max_examples=150)
+@example([], np.array([[1, 0, 0]]), [0.0, 1.0])
+@example(_SIGNED_ZERO, np.array([[0, 1, 0], [1, 0, 0]]), [0.0, 0.07])
+@given(_levels, _modes, _times)
+def test_assemble_equals_per_time_field_arithmetic(terms, modes, times):
+    block = assemble(terms, modes, times)
+    fields = [levels_at(terms, t) for t in times]
+    want = np.array([[f.coeff(k) for k in modes.tolist()] for f in fields], dtype=np.complex128)
+    # compared as text: every bit, signed zeros included
+    got, want = (dumps_json(x.view(float).tolist()) for x in (block, want.reshape(block.shape)))
+    assert got == want

@@ -199,7 +199,11 @@ def test_evaluate_force_levels_and_remainder():
     force = ForceExpansion(((1, FieldPolynomial.constant(a)), (2, FieldPolynomial([b0, b1]))))
     t = 0.7
     want = math.exp(-t) * a + math.exp(-2 * t) * (b0 + t * b1)
-    assert_fields_close(evaluate_force(force, t), want, rtol=1e-14)
+    modes = np.array([[1, 0, 0]])
+    block = evaluate_force(force, modes, [0.0, t])
+    assert block.shape == (2, 1, 3)
+    assert_fields_close(SpectralField(zip(modes.tolist(), block[1])), want, rtol=1e-14)
+    assert block[0, 0].tolist() == (a + b0).coeff((1, 0, 0)).tolist()
 
 
 # -- exactness on the pure heat flow ---------------------------------------------------
