@@ -54,7 +54,7 @@ def main():
     # the exact flow sum_n q_n(t) e^{-n t} as a block on its own modes, and the gap to it
     spec = NormSpec(0.0, 0.0)
     modes = level_support(result.terms)
-    exact = Trajectory(traj.times, modes, assemble(result.terms, modes, traj.times), config)
+    exact = Trajectory(modes, assemble(result.terms, modes, traj.times), config)
     gap = remainder_series(traj, result.terms, spec).values
     worst = float(np.max(gap / norm_series(exact, spec).values))
     print(f"solver vs q e^(-t) over [0, {args.t_end:g}]: "

@@ -79,11 +79,11 @@ def ensure_trajectory(scenario: Scenario, run_dir: Path):
     and a manifest with this scenario's key."""
     block, manifest = run_dir / "trajectory.npy", run_dir / "trajectory_modes.json"
     key = trajectory_key(scenario.force, scenario.initial, scenario.solver)
-    if manifest.exists():
-        stored = _object(load_json(manifest), str(manifest)).get("key")
-        missing = [p.name for p in (block, run_dir / "trajectory.csv") if not p.exists()]
-        if not missing and stored == key:
-            return read_trajectory(block, manifest), False
+    missing = [p.name for p in (manifest, block, run_dir / "trajectory.csv") if not p.exists()]
+    stored = None if manifest.name in missing else _object(load_json(manifest), str(manifest)).get("key")
+    if not missing and stored == key:
+        return read_trajectory(block, manifest, scenario.solver), False
+    if len(missing) < 3:   # some trajectory file is there: say why it is not used
         why = f"no {missing[0]}" if missing else "key mismatch" if stored else "no key"
         print(f"recomputing the trajectory: {why}", file=sys.stderr)
     traj = integrate(scenario.initial, scenario.force, scenario.solver)
@@ -166,7 +166,7 @@ def run_expand(scenario: Scenario, out: str) -> int:
 
 def run_simulate(scenario: Scenario, out: str) -> int:
     run_dir = run_dir_for(scenario, out)
-    traj, _ = ensure_trajectory(scenario, run_dir)
+    traj, fresh = ensure_trajectory(scenario, run_dir)
     for spec in scenario.expansion.norm_specs:
         series = norm_series(traj, spec)
         write_norm_csv(run_dir / "norms" / f"norm_{_norm_tag(spec)}.csv", series)
@@ -175,7 +175,8 @@ def run_simulate(scenario: Scenario, out: str) -> int:
         f"(cutoff {scenario.solver.mode_cutoff}, step {scenario.solver.step:g}); "
         f"final norm {format_float(norm(traj.state(-1)))}"
     )
-    print(f"trajectory written to {run_dir / 'trajectory.csv'}")
+    print(f"trajectory written to {run_dir / 'trajectory.csv'}" if fresh
+          else f"trajectory reused from {run_dir / 'trajectory.npy'}")
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,43 +68,52 @@ class SolverConfig:
             raise ValueError(f"step must lie in (0, 0.5], got {self.step}")
         if not (self.t_end > 0):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if not (self.t_end / self.step > 0.5):  # round(t_end / step), the step count, is 0
-            raise ValueError(f"t_end shorter than one step, got {self.t_end} with step {self.step}")
         if not (self.t_end / self.step <= MAX_STEPS):   # not finite, or a run without end
             raise StepCountError(f"t_end / step = {self.t_end:g} / {self.step:g} = "
                                  f"{self.t_end / self.step:.6g} steps, past the cap of {MAX_STEPS}")
+        if self.steps == 0:
+            raise ValueError(f"t_end shorter than one step, got {self.t_end} with step {self.step}")
         if self.sample_stride < 1 or self.sample_stride != int(self.sample_stride):
             raise ValueError(f"sample_stride must be a positive integer, got {self.sample_stride}")
+
+    @property
+    def steps(self) -> int:
+        return round(self.t_end / self.step)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled states, times[i] = i * step * sample_stride, as one block: coeffs[i, l]
-    is sample i's coefficient at modes[l] ((L, 3) int64, key order), zero where it has none."""
+    """States at times[i] = i * sample_stride * step of config, as one block: coeffs[i, l] is
+    sample i's coefficient at modes[l] ((L, 3) int64, key order), zero where it has none."""
 
-    times: np.ndarray
     modes: np.ndarray
     coeffs: np.ndarray
     config: SolverConfig
 
     def __post_init__(self):
-        if self.coeffs.shape != (len(self.times), len(self.modes), 3):
-            raise ValueError("coefficient block does not match times and modes")
+        shape = (len(self.times), len(self.modes), 3)
+        if self.coeffs.dtype != np.complex128 or self.coeffs.shape != shape:
+            raise ValueError(f"expected complex128 {shape}, got {self.coeffs.dtype} {self.coeffs.shape}")
 
     @classmethod
-    def from_states(cls, times, states, config: SolverConfig) -> "Trajectory":
+    def from_states(cls, states, config: SolverConfig) -> "Trajectory":
         """The block of per-sample fields over the union of their supports."""
         modes = np.array(sorted({k for s in states for k in s.support()}), np.int64).reshape(-1, 3)
         coeffs = np.zeros((len(states), len(modes), 3), dtype=np.complex128)
         for i, s in enumerate(states):   # one sample at a time: no list of row blocks
             coeffs[i] = s._rows(modes)
-        return cls(np.asarray(times, float), modes, coeffs, config)
+        return cls(modes, coeffs, config)
 
     def state(self, i: int) -> SpectralField:
         return SpectralField(zip(self.modes.tolist(), self.coeffs[i]))
 
     def __len__(self):
-        return len(self.times)
+        return len(self.coeffs)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        c = self.config   # steps 0, sample_stride, 2 sample_stride, ... of the run
+        return np.arange(c.steps // c.sample_stride + 1) * c.sample_stride * c.step
 
     @property
     def spacing(self) -> float:
@@ -279,16 +289,13 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
     u = table.densify(u0)
 
     h = config.step
-    nsteps = int(round(config.t_end / h))
-    stride = config.sample_stride
     half = np.exp(-(h / 2.0) * table.lam)[:, None]
     full = np.exp(-h * table.lam)[:, None]
 
-    times = [0.0]
     states = [table.to_field(u)]
     f_start = np.zeros((table.size, 3), dtype=np.complex128)
     f_start[at] = evaluate_force(force, support, (0.0,))[0]
-    for step in range(1, nsteps + 1):
+    for step in range(1, config.steps + 1):
         f_mid, f_end = np.zeros((2, table.size, 3), dtype=np.complex128)
         f_mid[at], f_end[at] = evaluate_force(force, support, ((step - 1) * h + h / 2.0, step * h))
         n1 = f_start - table.convolve(u)
@@ -303,8 +310,7 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
         value = math.sqrt(2.0 * float(np.vdot(u, u).real))
         if not (value <= BLOWUP_NORM):
             raise BlowupError(step * h, value)
-        if step % stride == 0:
-            times.append(step * h)
+        if step % config.sample_stride == 0:
             states.append(table.to_field(u))
-    return Trajectory.from_states(times, states, config)
+    return Trajectory.from_states(states, config)
 

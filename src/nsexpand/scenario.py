@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .analysis import DecayCertificate
 from .expansion import ForceExpansion, check_resonant_data
-from .galerkin import SolverConfig
+from .galerkin import SolverConfig, StepCountError
 from .serialize import (
     ScenarioError,
     _at,
@@ -42,7 +42,6 @@ from .serialize import (
     field_from_literal,
     load_json,
     poly_from_literal,
-    solver_from_doc,
 )
 from .spectral import NormSpec, SpectralField
 
@@ -159,6 +158,17 @@ def _parse_expansion(doc, path) -> ExpansionRequest:
         )
 
 
+def _parse_solver(doc, path) -> SolverConfig:
+    doc = _keys(doc, path, _SOLVER_KEYS)
+    with _at(path), _at(f"{path}.t_end", StepCountError):
+        return SolverConfig(
+            mode_cutoff=_number(_need(doc, "mode_cutoff", path), f"{path}.mode_cutoff", int),
+            step=_number(_need(doc, "step", path), f"{path}.step"),
+            t_end=_number(_need(doc, "t_end", path), f"{path}.t_end"),
+            sample_stride=_number(_need(doc, "sample_stride", path, 1), f"{path}.sample_stride", int),
+        )
+
+
 def _parse_certificates(doc, path) -> tuple[DecayCertificate, ...]:
     if doc is None:
         return ()
@@ -191,7 +201,7 @@ def scenario_from_doc(doc) -> Scenario:
     with _at("initial"):
         initial.require_divergence_free()
     expansion = _parse_expansion(_need(doc, "expansion", ""), "expansion")
-    solver = solver_from_doc(_keys(_need(doc, "solver", ""), "solver", _SOLVER_KEYS), "solver")
+    solver = _parse_solver(_need(doc, "solver", ""), "solver")
     certificates = _parse_certificates(_need(doc, "certificates", "", None), "certificates")
     return Scenario(name, force, initial, expansion, solver, certificates)
 

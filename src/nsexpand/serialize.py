@@ -14,7 +14,8 @@ wall-clock content, so identical inputs give byte-identical files. Each fact is
 written once: a series file holds only its samples (its rate fit lives in the
 verify report), and a level document only its level and polynomial. Level
 documents and the trajectory CSV are output only: no program path reads one
-back. A trajectory is read from its exact `.npy` block (never unpickled).
+back. A trajectory is read from its exact `.npy` block (never unpickled) on the
+scenario's sample grid; its manifest holds only its modes and the reuse key.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .fieldpoly import FieldPolynomial
-from .galerkin import SolverConfig, StepCountError, Trajectory
+from .galerkin import SolverConfig, Trajectory
 from .spectral import SpectralField, _wavevectors, is_representative
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "field_from_literal",
     "poly_to_literal",
     "poly_from_literal",
-    "solver_from_doc",
     "trajectory_key",
     "write_trajectory",
     "read_trajectory",
@@ -218,33 +218,19 @@ def poly_from_literal(lit, path: str = "poly") -> FieldPolynomial:
     )
 
 
-def solver_from_doc(doc, path: str) -> SolverConfig:
-    """The solver block of a scenario and of a trajectory manifest."""
-    doc = _object(doc, path)
-    with _at(path), _at(f"{path}.t_end", StepCountError):
-        return SolverConfig(
-            mode_cutoff=_number(_need(doc, "mode_cutoff", path), f"{path}.mode_cutoff", int),
-            step=_number(_need(doc, "step", path), f"{path}.step"),
-            t_end=_number(_need(doc, "t_end", path), f"{path}.t_end"),
-            sample_stride=_number(
-                _need(doc, "sample_stride", path, 1), f"{path}.sample_stride", int
-            ),
-        )
-
-
-# -- trajectory: CSV + coefficient block + sidecar manifest ----------------------
+# -- trajectory: CSV + coefficient block + manifest of modes and key --------------
 
 
 def trajectory_key(force, initial: SpectralField, solver: SolverConfig) -> str:
-    """sha256 of what fixes a flow: its force levels, initial data and solver block."""
+    """sha256 of what fixes a flow and its sample grid: force levels, initial data, solver block."""
     doc = {"force": [[n, poly_to_literal(q)] for n, q in force.terms]}
-    doc.update(initial=field_to_literal(initial), solver=vars(solver))  # the manifest's block
+    doc.update(initial=field_to_literal(initial), solver=vars(solver))
     return hashlib.sha256(dumps_json(doc).encode()).hexdigest()
 
 
 def write_trajectory(csv_path, manifest_path, traj: Trajectory, key: str):
     """CSV columns: t, then re/im per component of each manifest mode, named only in the header.
-    The exact block goes beside the CSV as `.npy`; the manifest stores `key`."""
+    The exact block goes beside the CSV as `.npy`; the manifest stores its modes and `key`."""
     cells = [(i + 1, c + 1) for i in range(len(traj.modes)) for c in range(3)]
     columns = ["t", *(f"{part}(k{i} u{c})" for i, c in cells for part in ("re", "im"))]
     # a (L, 3) complex sample viewed as floats is re, im per component, mode by mode
@@ -254,13 +240,12 @@ def write_trajectory(csv_path, manifest_path, traj: Trajectory, key: str):
         for t, row in zip(traj.times.tolist(), rows):
             fh.write(",".join(map(format_float, [t, *row.tolist()])) + "\n")
     np.save(Path(csv_path).with_suffix(".npy"), traj.coeffs, allow_pickle=False)
-    manifest = {"modes": traj.modes.tolist(), "solver": vars(traj.config), "key": key}
-    write_json(manifest_path, manifest)
+    write_json(manifest_path, {"modes": traj.modes.tolist(), "key": key})
 
 
-def read_trajectory(block_path, manifest_path) -> Trajectory:
-    """Trajectory from its coefficient block and manifest: exactly the samples `integrate`
-    writes under the manifest's solver block, or a ScenarioError naming the file."""
+def read_trajectory(block_path, manifest_path, config: SolverConfig) -> Trajectory:
+    """Trajectory from its coefficient block and manifest on the sample grid of `config`, the
+    solver block that the manifest's key covers, or a ScenarioError naming the file."""
     mpath, bpath = str(manifest_path), str(block_path)
     manifest = _object(load_json(manifest_path), mpath)
     modes = {}
@@ -273,22 +258,17 @@ def read_trajectory(block_path, manifest_path) -> Trajectory:
         if k in modes:
             raise ScenarioError(f"{mpath}.modes[{i}]", f"duplicate wavevector {list(k)}")
         modes[k] = i
-    config = solver_from_doc(_need(manifest, "solver", mpath), f"{mpath}.solver")
-    shape = (round(config.t_end / config.step) // config.sample_stride + 1, len(modes), 3)
     try:  # the .npy format only: no pickle, no archive
         with open(block_path, "rb") as fh:
             coeffs = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError) as exc:
         raise ScenarioError(bpath, f"unreadable block: {exc}") from None
-    if coeffs.dtype != np.complex128 or coeffs.shape != shape:
-        raise ScenarioError(bpath, f"expected complex128 {shape}, got {coeffs.dtype} {coeffs.shape}")
+    with _at(bpath):   # dtype and shape: complex128, one row per sample of `config`
+        traj = Trajectory(np.array(list(modes), np.int64).reshape(-1, 3), coeffs, config)
     if not (finite := np.isfinite(coeffs).all(axis=(0, 2))).all():
         raise ScenarioError(bpath, f"non-finite coefficient at {list(modes)[np.argmin(finite)]}")
     order = [modes[k] for k in sorted(modes)]   # manifest order into key order (tuple order)
-    if order != sorted(order):
-        coeffs = coeffs[:, order]
-    times = np.arange(shape[0]) * config.sample_stride * config.step
-    return Trajectory(times, np.array(sorted(modes), np.int64).reshape(-1, 3), coeffs, config)
+    return traj if order == sorted(order) else Trajectory(traj.modes[order], coeffs[:, order], config)
 
 
 # -- norm series outputs --------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_fields_close, ladder_force, levels_at, small_fields
@@ -47,8 +47,8 @@ def heat_trajectory(amplitude=0.8, t_end=3.0, stride=4):
 
 def fabricated_trajectory(states_fn, t_end=4.0, spacing=0.05):
     cfg = SolverConfig(8, spacing, t_end, sample_stride=1)
-    times = np.round(np.arange(0.0, t_end + spacing / 2, spacing), 12)
-    return Trajectory.from_states(times, [states_fn(float(t)) for t in times], cfg)
+    times = np.arange(cfg.steps + 1) * spacing   # the config's sample grid
+    return Trajectory.from_states([states_fn(float(t)) for t in times], cfg)
 
 
 # -- windows and series ------------------------------------------------------------
@@ -117,7 +117,7 @@ def _trajectory(draw, min_samples=2):
     if draw(st.booleans()):
         states = [SpectralField.zero()] * samples
     cfg = SolverConfig(4, spacing, spacing * (samples - 1))
-    return Trajectory.from_states(np.arange(samples) * spacing, states, cfg), states
+    return Trajectory.from_states(states, cfg), states
 
 
 @st.composite
@@ -182,7 +182,7 @@ def test_resonant_fit_keeps_the_signed_zeros_of_field_arithmetic():
     phi = leray_project(SpectralField({(1, 0, 0): [0.3, 0.5 - 0.2j, 0.1j]}))
     terms = ((1, FieldPolynomial([SpectralField.zero(), phi])),)  # q_1 = phi t
     states = [SpectralField.zero()] * 4
-    traj = Trajectory.from_states(np.arange(4) * 0.25, states, SolverConfig(4, 0.25, 0.75))
+    traj = Trajectory.from_states(states, SolverConfig(4, 0.25, 0.75))
     fit = fit_resonant_constant(traj, terms, 1, window=(0.0, 0.75))
     mean, _, _ = reference_resonant_fit(states, traj.times, terms, 1)
     assert dumps_json(field_to_literal(fit.constant)) == dumps_json(field_to_literal(mean))
@@ -478,16 +478,20 @@ def test_certificate_inapplicable_when_t_star_is_past_the_horizon():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 200), st.integers(1, 601), st.floats(0.0, 3.0), st.floats(0.0, 20.0))
+@example(7, 1, 0.5, 3.0)  # one sample
 def test_certificate_integrals_equal_per_window_trapezoid(steps, samples, decay, freq):
     # the window sums of np.trapezoid's terms give each unit window's integral to the bit
     cert = DecayCertificate(alpha=0.5, delta=0.5, lam=1.0)
     u0 = SpectralField({(1, 0, 0): [0, 0.1, 0.05j]})
     u1 = SpectralField({(1, 1, 0): [0.02, -0.02, 0.01j]})
-    times = np.arange(samples) / steps
+    # spacing 1/steps as two steps of 0.5/steps (step <= 0.5 is the config's own bound);
+    # the states are drawn on the config's grid, the only sample times a trajectory has.
+    # One sample is a one-step horizon under stride 2: empty integral margins, not skipped
+    cfg = SolverConfig(8, 0.5 / steps, max(samples - 1, 0.5) / steps, sample_stride=2)
+    times = np.arange(samples) * 2 * (0.5 / steps)
     states = [math.exp(-decay * t) * (u0 + math.cos(freq * t) * u1) for t in times]
-    # spacing 1/steps; step <= 0.5 is the config's own bound
-    cfg = SolverConfig(8, 0.5 / steps, float(times[-1]) or 1.0, sample_stride=2)
-    traj = Trajectory.from_states(times, states, cfg)
+    traj = Trajectory.from_states(states, cfg)
+    assert np.array_equal(traj.times, times)
     report = certificate_check(traj, cert, ForceExpansion(()))
 
     vals = norm_series(traj, NormSpec(1.0, 0.0)).values ** 2

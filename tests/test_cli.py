@@ -123,7 +123,7 @@ def test_simulate_writes_trajectory_and_norms(tmp_path, capsys):
 
 def test_simulate_into_a_complete_tree_integrates_nothing(tmp_path, capsys, monkeypatch):
     # simulate takes its flow from the same producer as verify and certify, so a
-    # second run reuses the tree's trajectory and rewrites the same bytes
+    # second run reuses the tree's trajectory, says so and rewrites the same bytes
     sp = write_doc(tmp_path, mini_ladder_doc(name="sim", t_end=2.0, sample_stride=20))
     out = tmp_path / "out"
     assert main(["simulate", "--scenario", sp, "--out", str(out)]) == EXIT_OK
@@ -135,7 +135,10 @@ def test_simulate_into_a_complete_tree_integrates_nothing(tmp_path, capsys, monk
 
     monkeypatch.setattr(cli, "integrate", no_integration)
     assert main(["simulate", "--scenario", sp, "--out", str(out)]) == EXIT_OK
-    assert capsys.readouterr() == (first, "")
+    written = f"trajectory written to {out / 'sim' / 'trajectory.csv'}\n"
+    reused = f"trajectory reused from {out / 'sim' / 'trajectory.npy'}\n"
+    assert first.endswith(written)
+    assert capsys.readouterr() == (first.replace(written, reused), "")
     assert tree_bytes(out / "sim") == cold
 
 
@@ -370,25 +373,6 @@ def save_pickled(path):
 
 # case: (subcommand, file in the run directory, corruption, what follows the file in the message)
 BAD_DOCUMENTS = {
-    "manifest-without-solver": (
-        "verify", "trajectory_modes.json", lambda p: edit_json(p, lambda d: d.pop("solver")),
-        ".solver: missing required key",
-    ),
-    "manifest-fractional-cutoff": (
-        "verify", "trajectory_modes.json",
-        lambda p: edit_json(p, lambda d: d["solver"].update(mode_cutoff=12.7)),
-        ".solver.mode_cutoff: expected an integer",
-    ),
-    "manifest-string-cutoff": (
-        "certify", "trajectory_modes.json",
-        lambda p: edit_json(p, lambda d: d["solver"].update(mode_cutoff="12")),
-        ".solver.mode_cutoff: expected a number",
-    ),
-    "manifest-boolean-stride": (
-        "verify", "trajectory_modes.json",
-        lambda p: edit_json(p, lambda d: d["solver"].update(sample_stride=True)),
-        ".solver.sample_stride: expected a number",
-    ),
     "manifest-fractional-mode": (
         "verify", "trajectory_modes.json",
         lambda p: edit_json(p, lambda d: d["modes"].__setitem__(1, [1.5, 0, 1])),
@@ -411,16 +395,6 @@ BAD_DOCUMENTS = {
     ),
     "invalid-json-manifest": (
         "certify", "trajectory_modes.json", lambda p: p.write_text("{ nope"), ": invalid JSON",
-    ),
-    "manifest-sub-step-horizon": (
-        "verify", "trajectory_modes.json",
-        lambda p: edit_json(p, lambda d: d["solver"].update(t_end=0.004)),
-        ".solver: t_end shorter than one step, got 0.004 with step 0.01",
-    ),
-    "manifest-overflowing-horizon": (
-        "verify", "trajectory_modes.json",
-        lambda p: edit_json(p, lambda d: d["solver"].update(t_end=1e308)),
-        ".solver.t_end: t_end / step = 1e+308 / 0.01 = inf steps, past the cap of 10000000",
     ),
 }
 # the mini tree holds 61 samples of 6 modes; each bad block fails verify and certify alike
@@ -512,6 +486,27 @@ def test_warm_runs_read_trees_written_with_the_old_duplicate_keys(tmp_path, caps
     assert results[0][0] == [EXIT_OK, EXIT_OK]
 
 
+def test_reuse_takes_the_sample_grid_from_the_scenario(tmp_path, capsys, mini_tree):
+    # Older manifests also held a solver block. The key covers the scenario's solver
+    # block, so the reader takes its grid from there: a manifest block edited to another
+    # step and horizon with the same 61 samples changes no report.
+    sp, tree = mini_tree
+    edited = {"mode_cutoff": 6, "step": 0.02, "t_end": 12.0, "sample_stride": 10}  # 600 steps
+    results = []
+    for name, solver in (("clean", None), ("edited", edited)):
+        out = tmp_path / name
+        shutil.copytree(tree, out)
+        if solver:
+            edit_json(out / "mini" / "trajectory_modes.json", lambda d: d.update(solver=solver))
+        capsys.readouterr()
+        codes = [main([c, "--scenario", sp, "--out", str(out)]) for c in ("verify", "certify")]
+        captured = capsys.readouterr()
+        assert not recomputed(out / "mini")
+        results.append((codes, captured.out, captured.err, tree_bytes(out / "mini" / "reports")))
+    assert results[0] == results[1]
+    assert results[0][0] == [EXIT_OK, EXIT_OK]
+
+
 def recomputed(run_dir: Path) -> bool:
     return json.loads((run_dir / "reports" / "verify.json").read_text())["trajectory_recomputed"]
 
@@ -548,6 +543,23 @@ def test_tree_without_its_csv_is_recomputed(tmp_path, capsys):
     assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().err == "recomputing the trajectory: no trajectory.csv\n"
     assert tree_bytes(out / "mini") == tree_bytes(cold / "mini")
+
+
+def test_tree_without_its_manifest_is_recomputed(tmp_path, capsys):
+    # the block and the CSV mean nothing without the manifest's modes and key: a tree
+    # that holds either file but no manifest integrates again and says why
+    sp = write_doc(tmp_path, mini_ladder_doc())
+    cold, out = tmp_path / "cold", tmp_path / "out"
+    assert main(["verify", "--scenario", sp, "--out", str(cold)]) == EXIT_OK
+    for lost in (["trajectory_modes.json"], ["trajectory_modes.json", "trajectory.npy"]):
+        shutil.rmtree(out, ignore_errors=True)
+        shutil.copytree(cold, out)
+        for name in lost:
+            (out / "mini" / name).unlink()
+        capsys.readouterr()
+        assert main(["verify", "--scenario", sp, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == "recomputing the trajectory: no trajectory_modes.json\n"
+        assert tree_bytes(out / "mini") == tree_bytes(cold / "mini")
 
 
 def test_block_without_a_key_is_recomputed(tmp_path, capsys):

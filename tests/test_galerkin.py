@@ -62,10 +62,12 @@ def test_solver_config_validation():
 
 def test_trajectory_length_mismatch():
     cfg = SolverConfig(4, 0.1, 1.0)
-    with pytest.raises(ValueError):
-        Trajectory.from_states(np.array([0.0, 0.1]), (SpectralField.zero(),), cfg)
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.1]), np.zeros((1, 3), np.int64), np.zeros((1, 1, 3)), cfg)
+    # the config's grid holds 11 samples, and a block is complex128
+    with pytest.raises(ValueError, match=r"expected complex128 \(11, 0, 3\), got complex128 \(1, 0, 3\)"):
+        Trajectory.from_states((SpectralField.zero(),), cfg)
+    with pytest.raises(ValueError, match=r"got float64 \(11, 1, 3\)"):
+        Trajectory(np.zeros((1, 3), np.int64), np.zeros((11, 1, 3)), cfg)
+    assert len(Trajectory(np.zeros((1, 3), np.int64), np.zeros((11, 1, 3), complex), cfg)) == 11
 
 
 # -- mode table ---------------------------------------------------------------------
@@ -313,9 +315,9 @@ def test_energy_ledger_matches_closed_form_on_heat_flow():
     u0 = single_mode(0.8)
     n0 = norm(u0)
     cfg = SolverConfig(4, 0.1, 1.0, sample_stride=2)
-    times = np.arange(0.0, 1.01, 0.2)
+    times = np.arange(6) * 2 * 0.1   # the config's sample grid
     states = tuple(math.exp(-float(t)) * u0 for t in times)
-    traj = Trajectory.from_states(times, states, cfg)
+    traj = Trajectory.from_states(states, cfg)
     defects = energy_ledger(traj, ForceExpansion(()))
     for i, d in enumerate(defects):
         a, b = times[i], times[i + 1]

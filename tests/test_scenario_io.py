@@ -189,7 +189,7 @@ def test_trajectory_round_trip_bitwise(tmp_path):
     traj = small_trajectory()
     csv, manifest = tmp_path / "traj.csv", tmp_path / "traj_modes.json"
     write_trajectory(csv, manifest, traj, "k0")
-    back = read_trajectory(tmp_path / "traj.npy", manifest)
+    back = read_trajectory(tmp_path / "traj.npy", manifest, traj.config)
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.modes, traj.modes)
     assert np.array_equal(back.coeffs, traj.coeffs)
@@ -201,8 +201,8 @@ def test_trajectory_round_trip_bitwise(tmp_path):
     assert header[1] == "re(k1 u1)"
     assert header[2] == "im(k1 u1)"
     assert len(header) == 1 + 6 * len(doc["modes"])
-    assert list(doc) == ["modes", "solver", "key"]  # the CSV header is the only column list
-    assert doc["solver"]["mode_cutoff"] == 6
+    # the CSV header is the only column list, and the reader's solver block the only grid
+    assert list(doc) == ["modes", "key"]
     assert doc["key"] == "k0"
 
 
@@ -216,13 +216,12 @@ def _trajectories(draw):
     if draw(st.booleans()):
         coeffs[draw(st.integers(0, samples - 1))] = 0
     cfg = SolverConfig(6, 0.5, 0.5 * (samples - 1))
-    return Trajectory(np.arange(samples) * 0.5, np.array(modes, np.int64), coeffs, cfg)
+    return Trajectory(np.array(modes, np.int64), coeffs, cfg)
 
 
 @settings(max_examples=50)
 @given(_trajectories())
 @example(Trajectory(
-    np.array([0.0, 0.5]),
     np.array([[0, 0, 1], [1, 0, 0]], np.int64),
     np.array([[[-0.0, 5e-324, 0], [-5e-324j, 0, 0]], [[0, 0, 0], [0, 0, 0]]], complex),
     SolverConfig(6, 0.5, 0.5),
@@ -231,7 +230,7 @@ def test_trajectory_block_round_trip_is_exact(traj):
     with tempfile.TemporaryDirectory() as tmp:
         csv, manifest = Path(tmp, "t.csv"), Path(tmp, "t_modes.json")
         write_trajectory(csv, manifest, traj, "k")
-        back = read_trajectory(Path(tmp, "t.npy"), manifest)
+        back = read_trajectory(Path(tmp, "t.npy"), manifest, traj.config)
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.modes, traj.modes)
     assert np.array_equal(back.coeffs, traj.coeffs)
@@ -248,7 +247,7 @@ def test_trajectory_reader_puts_manifest_modes_in_key_order(tmp_path):
     doc["modes"] = [doc["modes"][j] for j in perm]
     manifest.write_text(json.dumps(doc))
     np.save(block, np.load(block)[:, perm])  # the block columns follow the reversed manifest
-    back = read_trajectory(block, manifest)
+    back = read_trajectory(block, manifest, traj.config)
     assert np.array_equal(back.modes, traj.modes)
     assert np.array_equal(back.coeffs, traj.coeffs)
 
@@ -270,7 +269,7 @@ def test_read_trajectory_detects_manifest_mismatch(tmp_path):
     doc["modes"] = doc["modes"][:-1]
     manifest.write_text(json.dumps(doc))
     with pytest.raises(ScenarioError, match=r"traj\.npy: expected complex128 \(6, 9, 3\), got complex128 \(6, 10"):
-        read_trajectory(tmp_path / "traj.npy", manifest)
+        read_trajectory(tmp_path / "traj.npy", manifest, traj.config)
 
 
 def test_write_norm_csv(tmp_path):
