@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .expansion import ForceExpansion
 from .fieldpoly import _plus, assemble, level_support
 from .galerkin import Trajectory, evaluate_force
-from .spectral import NormSpec, SpectralField, eigenvalue, eigenvalues_up_to, norm
+from .spectral import NormSpec, SpectralField, _mode_rows, _mode_union, _norms, eigenvalues_up_to, norm
 
 __all__ = [
     "FLOOR_FACTOR",
@@ -102,23 +102,14 @@ def tail_window(t_end: float, lo: float = 0.6, hi: float = 0.95) -> tuple[float,
     return (lo * t_end, hi * t_end)
 
 
-def _joined(traj: Trajectory, polys, idx=slice(None), n=None):
-    """The trajectory's modes joined with the polynomials' supports (on |k|^2 = n if given),
-    as a (K, 3) array in key order, and per mode the trajectory's column at the samples idx."""
-    rows = {k: i for i, k in enumerate(map(tuple, traj.modes.tolist()))}
-    support = set(rows).union(*(c.support() for q in polys for c in q.coeffs()))
-    modes = sorted(k for k in support if n is None or eigenvalue(k) == n)
+def _joined(traj: Trajectory, terms, idx=slice(None), n=None):
+    """The trajectory's modes joined with the levels' support (on |k|^2 = n if given), as a
+    (K, 3) array in key order, and per mode the trajectory's column at the samples idx."""
+    modes = _mode_union(traj.modes, level_support(terms))
+    modes = modes if n is None else modes[(modes * modes).sum(axis=1) == n]
     zero = np.zeros((len(traj.times[idx]), 3), dtype=np.complex128)
-    u = [traj.coeffs[idx, rows[k]] if k in rows else zero for k in modes]
-    return np.array(modes, dtype=np.int64).reshape(-1, 3), u
-
-
-def _norms(columns, modes: np.ndarray, spec: NormSpec, samples: int) -> np.ndarray:
-    """norm(field_i, spec) per sample of the fields given by (S, 3) columns at the modes."""
-    weights = map(spec.weight, (modes * modes).sum(axis=1).tolist())
-    parts = [2.0 * w * w * (np.vecdot(c.real, c.real) + np.vecdot(c.imag, c.imag))
-             for w, c in zip(weights, columns)]
-    return np.sqrt([math.fsum(r.tolist()) for r in np.reshape(parts, (-1, samples)).T])
+    rows = _mode_rows(modes, traj.modes).tolist()
+    return modes, [traj.coeffs[idx, r] if r >= 0 else zero for r in rows]
 
 
 def norm_series(traj: Trajectory, spec: NormSpec) -> NormSeries:
@@ -137,10 +128,8 @@ def energy_ledger(traj: Trajectory, force: ForceExpansion) -> np.ndarray:
     t = traj.times
     energy = 0.5 * norm_series(traj, NormSpec(0.0, 0.0)).values ** 2
     enstrophy = norm_series(traj, NormSpec(0.5, 0.0)).values ** 2
-    # <F, u> = 2 sum_k Re(F(k) . conj(u(k))), over the modes that the force and the flow hold
-    modes = level_support(force.terms)
-    i, j = np.nonzero((traj.modes[:, None] == modes[None]).all(axis=2))
-    parts = 2.0 * np.vecdot(traj.coeffs[:, i], evaluate_force(force, modes, t)[:, j]).real
+    # <F, u> = 2 sum_k Re(F(k) . conj(u(k))) over the flow's modes; the force is zero off its own
+    parts = 2.0 * np.vecdot(traj.coeffs, evaluate_force(force, traj.modes, t)).real
     work = sum(parts.T, np.zeros(len(traj)))
     dt = np.diff(t)
     return (
@@ -155,10 +144,10 @@ def remainder_series(traj: Trajectory, terms, spec: NormSpec) -> NormSeries:
     """|u(t_i) - sum_n q_n(t_i) e^{-n t_i}| in the given norm; empty terms = plain norm.
     Equal to norm(state_i - levels_i, spec) with field arithmetic, formed one mode at a time."""
     terms = tuple(terms)
-    modes, u = _joined(traj, [q for _, q in terms])
-    held = set(map(tuple, level_support(terms).tolist()))
-    columns = (_plus(c, assemble(terms, k[None], traj.times)[:, 0] * -1.0)
-               if tuple(k) in held else c for k, c in zip(modes, u))
+    modes, u = _joined(traj, terms)
+    held = _mode_rows(modes, level_support(terms)) >= 0
+    columns = (_plus(c, assemble(terms, k[None], traj.times)[:, 0] * -1.0) if h else c
+               for k, c, h in zip(modes, u, held))
     return NormSeries(traj.times.copy(), _norms(columns, modes, spec, len(traj)))
 
 
@@ -235,7 +224,7 @@ def fit_resonant_constant(
         raise FitError(f"window [{a:.4g}, {b:.4g}] holds fewer than 2 samples")
     t, m = traj.times[idx], len(idx)
     # w_i = (u_i - sum_k q_k(t_i) e^{-k t_i}) e^{n t_i} on the |k|^2 = n eigenspace
-    kn, u = _joined(traj, [q for _, q in terms], idx, n)
+    kn, u = _joined(traj, terms, idx, n)
     grow = np.array([math.exp(n * x) for x in t.tolist()])[:, None, None]
     u = np.reshape(u, (len(kn), m, 3)).transpose(1, 0, 2)   # (sample, mode, component)
     w = _plus(u, assemble(terms, kn, t) * -1.0) * grow

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .spectral import SpectralField, bilinear
+from .spectral import SpectralField, _mode_union, bilinear
 
 __all__ = [
     "DEGREE_CAP",
@@ -187,8 +187,7 @@ def resolvent_solve(p: FieldPolynomial, beta: float) -> FieldPolynomial:
 
 def level_support(terms) -> np.ndarray:
     """The (K, 3) int64 wavevectors that any coefficient of the (n, q_n) pairs holds, key order."""
-    modes = sorted(set().union(*(c.support() for _, q in terms for c in q.coeffs())))
-    return np.array(modes, dtype=np.int64).reshape(-1, 3)
+    return _mode_union(*(c._k for _, q in terms for c in q.coeffs()))
 
 
 def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:

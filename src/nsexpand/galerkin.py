@@ -25,7 +25,7 @@ import numpy as np
 
 from .expansion import ForceExpansion
 from .fieldpoly import assemble, level_support
-from .spectral import SpectralField, eigenvalue, is_representative
+from .spectral import SpectralField, _ball, _mode_rows, _mode_union, eigenvalue
 
 __all__ = [
     "SolverConfig",
@@ -39,6 +39,7 @@ __all__ = [
 
 BLOWUP_NORM = 1e6
 MAX_STEPS = 10**7   # far past the longest run in the tests and benchmark (12,000 steps)
+MAX_CUTOFF = 1024   # 21 x the largest cutoff in use (48): the grid buffers scale as (3 isqrt(M) + 1)^3
 
 
 class BlowupError(RuntimeError):
@@ -54,6 +55,10 @@ class StepCountError(ValueError):
     """t_end / step is not finite or exceeds MAX_STEPS."""
 
 
+class _CutoffError(ValueError):
+    """mode_cutoff is not an integer in [1, MAX_CUTOFF]."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     mode_cutoff: int
@@ -62,8 +67,8 @@ class SolverConfig:
     sample_stride: int = 1
 
     def __post_init__(self):
-        if self.mode_cutoff < 1 or self.mode_cutoff != int(self.mode_cutoff):
-            raise ValueError(f"mode_cutoff must be a positive integer, got {self.mode_cutoff}")
+        if not 1 <= self.mode_cutoff <= MAX_CUTOFF or self.mode_cutoff != int(self.mode_cutoff):
+            raise _CutoffError(f"mode_cutoff must be an integer in [1, {MAX_CUTOFF}], got {self.mode_cutoff}")
         if not (0 < self.step <= 0.5):
             raise ValueError(f"step must lie in (0, 0.5], got {self.step}")
         if not (self.t_end > 0):
@@ -98,7 +103,7 @@ class Trajectory:
     @classmethod
     def from_states(cls, states, config: SolverConfig) -> "Trajectory":
         """The block of per-sample fields over the union of their supports."""
-        modes = np.array(sorted({k for s in states for k in s.support()}), np.int64).reshape(-1, 3)
+        modes = _mode_union(*{s._key.tobytes(): s._k for s in states}.values())   # each support once
         coeffs = np.zeros((len(states), len(modes), 3), dtype=np.complex128)
         for i, s in enumerate(states):   # one sample at a time: no list of row blocks
             coeffs[i] = s._rows(modes)
@@ -127,7 +132,7 @@ class Trajectory:
 class ModeTable:
     """Dense workspace over the representatives with |k|^2 <= cutoff.
 
-    Rows follow lexicographic order of the representative wavevectors.
+    Rows follow the key order of the representative wavevectors.
     `convolve` evaluates the advection term on a grid of n = 3r + 1 points
     per axis, where r = floor(sqrt(cutoff)). Every stored mode has
     |k_i| <= r, so a product of two fields has |k_i| <= 2r, and a product
@@ -159,20 +164,11 @@ class ModeTable:
     )
 
     def __init__(self, cutoff: int):
-        cutoff = int(cutoff)
-        reps = []
+        self.cutoff = cutoff = int(cutoff)
         r = math.isqrt(cutoff)
-        for a in range(-r, r + 1):
-            for b in range(-r, r + 1):
-                for c in range(-r, r + 1):
-                    k = (a, b, c)
-                    if is_representative(k) and eigenvalue(k) <= cutoff:
-                        reps.append(k)
-        reps.sort()
-        self.cutoff = cutoff
-        self.reps: list[tuple[int, int, int]] = reps
-        self.size = len(reps)
-        self.kvec = np.array(reps, dtype=float)            # (R, 3)
+        self._k = k = _ball(cutoff)
+        self.size = len(k)
+        self.kvec = k.astype(float)            # (R, 3)
         self.lam = np.einsum("rc,rc->r", self.kvec, self.kvec)
         # B_j(k) = i sum_i k_i (u_i u_j)^(k), then the Leray projection: one (3, 6) map per row
         leray = np.eye(3)[:, :, None] - self.kvec.T[:, None] * self.kvec.T / self.lam
@@ -181,8 +177,7 @@ class ModeTable:
         self._n = n = 3 * r + 1
         shape = (2 * r + 1, r + 1, 2 * r + 1)   # the spectral cube, axes (k_x, k_z, k_y)
         cube_at = lambda v: np.ravel_multi_index(tuple((v[:, [0, 2, 1]] + (r, 0, r)).T), shape)
-        self._k = k = np.array(reps, dtype=np.intp).reshape(-1, 3)
-        self._basis = SpectralField(zip(reps, np.ones((self.size, 3))))  # the rows as a field
+        self._basis = SpectralField(zip(k.tolist(), np.ones((self.size, 3))))  # the rows as a field
         # The cube keeps k_z >= 0: a row with k_z < 0 is read at -k, conjugated
         self._flip = k[:, 2] < 0
         self._slot = cube_at(np.where(self._flip[:, None], -k, k))
@@ -282,10 +277,9 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
     support = level_support(force.terms)
     reach = max([u0.max_eigenvalue(), *map(eigenvalue, support.tolist())])
     if reach > config.mode_cutoff:
-        raise ValueError(
-            f"initial state or force reaches eigenvalue {reach} beyond mode_cutoff {config.mode_cutoff}"
-        )
-    at = [table.reps.index(tuple(k)) for k in support.tolist()]   # the force's table rows
+        raise ValueError(f"initial state or force reaches eigenvalue {reach} "
+                         f"beyond mode_cutoff {config.mode_cutoff}")
+    at = _mode_rows(support, table._k)   # the force's table rows
     u = table.densify(u0)
 
     h = config.step

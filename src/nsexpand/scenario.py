@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .analysis import DecayCertificate
 from .expansion import ForceExpansion, check_resonant_data
-from .galerkin import SolverConfig, StepCountError
+from .galerkin import SolverConfig, StepCountError, _CutoffError
 from .serialize import (
     ScenarioError,
     _at,
@@ -160,7 +160,7 @@ def _parse_expansion(doc, path) -> ExpansionRequest:
 
 def _parse_solver(doc, path) -> SolverConfig:
     doc = _keys(doc, path, _SOLVER_KEYS)
-    with _at(path), _at(f"{path}.t_end", StepCountError):
+    with _at(path), _at(f"{path}.t_end", StepCountError), _at(f"{path}.mode_cutoff", _CutoffError):
         return SolverConfig(
             mode_cutoff=_number(_need(doc, "mode_cutoff", path), f"{path}.mode_cutoff", int),
             step=_number(_need(doc, "step", path), f"{path}.step"),

@@ -31,7 +31,7 @@ import numpy as np
 
 from .fieldpoly import FieldPolynomial
 from .galerkin import SolverConfig, Trajectory
-from .spectral import SpectralField, _wavevectors, is_representative
+from .spectral import SpectralField, _mode_rows, _mode_union, _wavevectors, is_representative
 
 __all__ = [
     "ScenarioError",
@@ -67,16 +67,15 @@ def format_float(x: float) -> str:
 # -- JSON with controlled float formatting ------------------------------------
 
 
-def dumps_json(obj, indent: int = 2) -> str:
+def dumps_json(obj) -> str:
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj, out: list[str], indent: int, level: int):
-    pad = " " * (indent * (level + 1))
-    closepad = " " * (indent * level)
+def _emit(obj, out: list[str], level: int):
+    pad, closepad = "  " * (level + 1), "  " * level   # two spaces per level
     if isinstance(obj, bool) or obj is None:
         out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
@@ -93,7 +92,7 @@ def _emit(obj, out: list[str], indent: int, level: int):
         out.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
             out.append(f"{pad}{json.dumps(str(k))}: ")
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closepad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -104,7 +103,7 @@ def _emit(obj, out: list[str], indent: int, level: int):
         out.append("[\n")
         for i, v in enumerate(seq):
             out.append(pad)
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(closepad + "]")
     else:
@@ -267,8 +266,8 @@ def read_trajectory(block_path, manifest_path, config: SolverConfig) -> Trajecto
         traj = Trajectory(np.array(list(modes), np.int64).reshape(-1, 3), coeffs, config)
     if not (finite := np.isfinite(coeffs).all(axis=(0, 2))).all():
         raise ScenarioError(bpath, f"non-finite coefficient at {list(modes)[np.argmin(finite)]}")
-    order = [modes[k] for k in sorted(modes)]   # manifest order into key order (tuple order)
-    return traj if order == sorted(order) else Trajectory(traj.modes[order], coeffs[:, order], config)
+    at = _mode_rows(traj.modes, keyed := _mode_union(traj.modes))   # each manifest mode's key rank
+    return traj if (np.diff(at) > 0).all() else Trajectory(keyed, coeffs[:, np.argsort(at)], config)
 
 
 # -- norm series outputs --------------------------------------------------------

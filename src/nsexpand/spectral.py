@@ -10,6 +10,8 @@ it is bounded on the fields we store.
 A field is stored as row-aligned arrays in lexicographic wavevector order: the
 wavevectors, an int64 key for each (components offset by 2**20 into 21 bits, so
 key order is tuple order) and the coefficients. Hence |k_i| < 2**20 throughout.
+Mode sets are ordered, merged, looked up and weighed only here (`_mode_union`,
+`_mode_rows`, `_ball`, `_norms`); every other module calls these.
 
 Norms follow the Parseval convention without the volume factor: |u|^2 is the
 plain sum of |c(k)|^2 over all modes, conjugate halves included.
@@ -52,6 +54,25 @@ _NO_K, _NO_KEY, _NO_C = np.empty((0, 3), np.int64), np.empty(0, np.int64), np.em
 def _pack(k: np.ndarray) -> np.ndarray:
     """One int64 per wavevector (last axis of k), ordered like the tuples."""
     return k @ _PACK + _KEY0
+
+
+def _mode_union(*modes: np.ndarray) -> np.ndarray:
+    """The distinct rows of the (n_i, 3) wavevector arrays, in key order."""
+    k = np.concatenate((_NO_K, *modes))
+    return k[np.unique(_pack(k), return_index=True)[1]]
+
+
+def _mode_rows(modes: np.ndarray, among: np.ndarray) -> np.ndarray:
+    """Each row's index in the key-ordered (m, 3) `among`, or -1 where it is absent."""
+    keys = _pack(among)
+    i = np.searchsorted(keys, key := _pack(modes))
+    return np.where(np.append(keys, -1)[i] == key, i, -1)   # keys are positive: -1 is no key
+
+
+def _ball(cutoff: int) -> np.ndarray:
+    """The representatives with |k|^2 <= cutoff as an (n, 3) int64 array, in key order."""
+    k = np.indices((2 * isqrt(cutoff) + 1,) * 3).reshape(3, -1).T - isqrt(cutoff)   # tuple order
+    return k[(_pack(k) > _KEY0) & (_eigenvalues(k) <= cutoff)]
 
 
 def _wavevectors(keys) -> np.ndarray:
@@ -173,14 +194,9 @@ class SpectralField:
         return SpectralField._adopt(self._k, self._key, c)._select(c.any(axis=1))
 
     def _rows(self, k: np.ndarray) -> np.ndarray:
-        """Coefficients at the sorted representative wavevectors k ((n, 3)), zero where unstored."""
-        out = np.zeros((len(k), 3), dtype=np.complex128)
-        if len(k):
-            key = _pack(k)
-            i = np.searchsorted(key, self._key)
-            hit = key.take(i, mode="clip") == self._key
-            out[i[hit]] = self._c[hit]
-        return out
+        """Coefficients at the representative wavevectors k ((n, 3)), zero where unstored."""
+        padded = np.concatenate((self._c, np.zeros((1, 3), complex)))   # row -1 is zero
+        return padded[_mode_rows(k, self._k)]
 
     # -- inspection -----------------------------------------------------------
 
@@ -202,11 +218,10 @@ class SpectralField:
         k = (int(k[0]), int(k[1]), int(k[2]))
         rep = is_representative(k)
         k = k if rep else (-k[0], -k[1], -k[2])
-        if max(map(abs, k)) < _K_BOUND:
-            c = self._rows(np.array([k]))[0]
-            if c.any():  # stored rows are never zero
-                return c if rep else np.conj(c)
-        return np.zeros(3, dtype=np.complex128)
+        i = _mode_rows(np.array([k]), self._k)[0] if max(map(abs, k)) < _K_BOUND else -1
+        if i < 0:
+            return np.zeros(3, dtype=np.complex128)
+        return self._c[i].copy() if rep else np.conj(self._c[i])
 
     @property
     def n_modes(self) -> int:
@@ -311,11 +326,17 @@ def leray_project(u: SpectralField) -> SpectralField:
     return u._reweighted(u._c - (dots / _eigenvalues(u._k))[:, None] * kf)
 
 
+def _norms(columns, modes: np.ndarray, spec: NormSpec, samples: int) -> np.ndarray:
+    """norm(field_i, spec) per sample of the fields given by (S, 3) columns at the modes."""
+    weights = map(spec.weight, _eigenvalues(modes).tolist())
+    parts = [2.0 * w * w * (np.vecdot(c.real, c.real) + np.vecdot(c.imag, c.imag))
+             for w, c in zip(weights, columns)]
+    return np.sqrt([math.fsum(r.tolist()) for r in np.reshape(parts, (-1, samples)).T])
+
+
 def norm(u: SpectralField, spec: NormSpec = _H0) -> float:
     """Weighted l2 norm over all modes (both pair halves), compensated summation."""
-    w = np.array([spec.weight(lam) for lam in _eigenvalues(u._k).tolist()])  # Python floats
-    mag2 = np.vecdot(u._c.real, u._c.real) + np.vecdot(u._c.imag, u._c.imag)
-    return math.sqrt(math.fsum((2.0 * w * w * mag2).tolist()))
+    return float(_norms(u._c[:, None], u._k, spec, 1)[0])
 
 
 def inner(u: SpectralField, v: SpectralField) -> float:

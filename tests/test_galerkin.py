@@ -31,6 +31,7 @@ from nsexpand import (
     truncate,
 )
 from nsexpand.galerkin import ModeTable
+from nsexpand.spectral import _ball
 
 
 def single_mode(scale=1.0):
@@ -75,8 +76,19 @@ def test_trajectory_length_mismatch():
 
 def test_mode_table_cutoff_one():
     table = ModeTable(1)
-    assert table.reps == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert table._k.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
     assert table.size == 3
+
+
+# Row counts 3, 40, 89, 242 and 682 at M = 1, 6, 12, 24 and 48.
+@pytest.mark.parametrize("cutoff", range(1, 49))
+def test_mode_table_rows_are_the_brute_force_ball(cutoff):
+    axis = range(-math.isqrt(cutoff), math.isqrt(cutoff) + 1)
+    want = [[a, b, c] for a in axis for b in axis for c in axis
+            if (a, b, c) > (0, 0, 0) and a * a + b * b + c * c <= cutoff]
+    assert _ball(cutoff).tolist() == want
+    assert ModeTable(cutoff)._k.tolist() == want
+    assert len(want) == {1: 3, 6: 40, 12: 89, 24: 242, 48: 682}.get(cutoff, len(want))
 
 
 def test_densify_round_trip_and_strictness():
@@ -99,7 +111,7 @@ def test_densify_round_trip_and_strictness():
 def ball_field(rng, table, picks):
     """Divergence-free field with random coefficients on the given rows of a mode table."""
     coeffs = {
-        table.reps[i]: rng.standard_normal(3) + 1j * rng.standard_normal(3) for i in picks
+        tuple(table._k[i].tolist()): rng.standard_normal(3) + 1j * rng.standard_normal(3) for i in picks
     }
     return leray_project(SpectralField(coeffs))
 
@@ -111,7 +123,7 @@ def reachable_rows(table, u):
         for m, _ in u.full_modes()
         for l, _ in u.full_modes()
     }
-    return {k for k in table.reps if k in sums or (-k[0], -k[1], -k[2]) in sums}
+    return {k for k in map(tuple, table._k.tolist()) if k in sums or (-k[0], -k[1], -k[2]) in sums}
 
 
 def product_bound(table, u):
@@ -174,7 +186,7 @@ def test_convolve_keeps_even_sublattice_exactly():
     # ladder force (on (1,1,0) and (1,0,1)) and its products never reach an
     # odd row: those rows must be exact zeros, not rounding noise.
     table = ModeTable(24)
-    odd = np.array([sum(k) % 2 == 1 for k in table.reps])
+    odd = np.array([sum(k) % 2 == 1 for k in table._k.tolist()])
     rng = np.random.default_rng(3)
     phi = table.densify(ladder_phi())
     picks = rng.choice(np.nonzero(~odd)[0], 10, replace=False)

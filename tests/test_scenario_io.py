@@ -406,6 +406,7 @@ def test_scenario_error_paths():
         (("expansion", "N_max"), math.nan, "expansion.N_max"),
         (("solver", "mode_cutoff"), 6.9, "solver.mode_cutoff"),
         (("solver", "mode_cutoff"), math.inf, "solver.mode_cutoff"),
+        (("solver", "mode_cutoff"), 10**6, "solver.mode_cutoff"),   # past MAX_CUTOFF
         (("solver", "t_end"), math.inf, "solver.t_end"),
         (("solver", "step"), -math.inf, "solver.step"),
         (("force", "terms", 0, "n"), 1.5, "force.terms[0].n"),

@@ -22,6 +22,7 @@ from nsexpand import (
     norm,
     truncate,
 )
+from nsexpand.spectral import _mode_rows, _mode_union
 
 
 def single(k, c):
@@ -481,6 +482,25 @@ def test_array_store_matches_dict_reference(support_a, support_b, seed, s):
     if pa and pb:  # a projection can leave rounding-level rows that the divergence gate refuses
         got = bilinear(SpectralField(pa), SpectralField(pb), check=False)
         assert_same(got, ref_bilinear(pa, pb))
+
+
+_EDGE = 2**20 - 1   # the largest component the packed key holds
+_mode_lists = st.lists(
+    st.tuples(*[st.integers(-3, 3) | st.sampled_from((-_EDGE, _EDGE))] * 3), max_size=12
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_mode_lists, max_size=4), _mode_lists)
+def test_mode_union_and_rows_match_a_tuple_oracle(parts, probe):
+    # key order is tuple order, empty inputs included: a sorted set and a dict are the oracle
+    union = sorted(set().union(*parts))
+    got = _mode_union(*(np.array(p, np.int64).reshape(-1, 3) for p in parts))
+    assert got.dtype == np.int64 and got.shape == (len(union), 3)
+    assert list(map(tuple, got.tolist())) == union
+    at = {k: i for i, k in enumerate(union)}
+    rows = _mode_rows(np.array(probe, np.int64).reshape(-1, 3), got)
+    assert rows.tolist() == [at.get(k, -1) for k in probe]
 
 
 def test_rows_from_modes_are_read_only():
