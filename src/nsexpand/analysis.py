@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .expansion import ForceExpansion
-from .fieldpoly import _plus, assemble, level_support
+from .fieldpoly import _decay, _plus, assemble, level_support
 from .galerkin import Trajectory, evaluate_force
 from .spectral import NormSpec, SpectralField, _mode_rows, _mode_union, _norms, eigenvalues_up_to, norm
 
@@ -225,9 +225,8 @@ def fit_resonant_constant(
     t, m = traj.times[idx], len(idx)
     # w_i = (u_i - sum_k q_k(t_i) e^{-k t_i}) e^{n t_i} on the |k|^2 = n eigenspace
     kn, u = _joined(traj, terms, idx, n)
-    grow = np.array([math.exp(n * x) for x in t.tolist()])[:, None, None]
     u = np.reshape(u, (len(kn), m, 3)).transpose(1, 0, 2)   # (sample, mode, component)
-    w = _plus(u, assemble(terms, kn, t) * -1.0) * grow
+    w = _plus(u, assemble(terms, kn, t) * -1.0) * _decay(-n, t)[:, None, None]
 
     mean_rows = functools.reduce(_plus, w) * (1.0 / m)   # summed in sample order
     mean = SpectralField(zip(kn.tolist(), mean_rows))
@@ -349,30 +348,26 @@ def certificate_check(
     modes = level_support(force.terms)
     forces = evaluate_force(force, modes, traj.times).transpose(1, 0, 2)
     fvals = _norms(forces, modes, NormSpec(cert.alpha - 0.5, cert.sigma), len(traj))
-    for t, fval in zip(traj.times.tolist(), fvals.tolist()):
-        bound = c1 * math.exp(-cert.lam * t)
-        if fval > bound * (1 + 1e-12) + 1e-300:
-            failures.append(
-                f"force at t = {t:.6g}: |f|_(alpha-1/2, sigma) = {fval:.6e} "
-                f"exceeds C1 e^(-lam t) = {bound:.6e}"
-            )
-            break
+    bound = c1 * _decay(cert.lam, traj.times)
+    over = np.flatnonzero(fvals > bound * (1 + 1e-12) + 1e-300)
+    if over.size:
+        i = over[0]
+        failures.append(
+            f"force at t = {traj.times[i]:.6g}: |f|_(alpha-1/2, sigma) = {fvals[i]:.6e} "
+            f"exceeds C1 e^(-lam t) = {bound[i]:.6e}"
+        )
 
     rate = 1.0 - cert.delta
-    pw_t, pw_m = [], []
-    for t, value in zip(traj.times, norm_series(traj, NormSpec(cert.alpha, cert.sigma)).values):
-        t = float(t)
-        if t < t_star - 1e-12:
-            continue
-        bound = math.sqrt(2.0) * c0 * math.exp(-rate * t)
-        pw_t.append(t)
-        pw_m.append(bound - value)
-    if not pw_t:
+    late = traj.times >= t_star - 1e-12
+    pw_t = traj.times[late]
+    values = norm_series(traj, NormSpec(cert.alpha, cert.sigma)).values[late]
+    pw_m = math.sqrt(2.0) * c0 * _decay(rate, pw_t) - values
+    if not pw_t.size:
         failures.append(f"no sample at or after t_star = {t_star:.6g}; last sample at {traj.t_end:.6g}")
 
     spacing = traj.spacing
     steps = int(round(1.0 / spacing))
-    it_t, it_m = [], []
+    it_t = it_m = np.empty(0)
     skipped = not (steps >= 1 and abs(steps * spacing - 1.0) <= 1e-6)
     if not skipped:
         vals = norm_series(traj, NormSpec(cert.alpha + 0.5, cert.sigma)).values ** 2
@@ -382,16 +377,7 @@ def certificate_check(
         terms = spacing * (vals[1:] + vals[:-1]) / 2.0
         if len(terms) >= steps:
             integrals = np.add.reduce(sliding_window_view(terms, steps), axis=1)
-            for t, integral in zip(traj.times.tolist(), integrals.tolist()):
-                if t >= t_star - 1e-12:
-                    it_t.append(t)
-                    it_m.append(coef * math.exp(-2.0 * rate * t) - integral)
-    return CertificateReport(
-        cert,
-        tuple(failures),
-        np.array(pw_t),
-        np.array(pw_m),
-        np.array(it_t),
-        np.array(it_m),
-        skipped,
-    )
+            late = late[: len(integrals)]
+            it_t = traj.times[: len(integrals)][late]
+            it_m = coef * _decay(2.0 * rate, it_t) - integrals[late]
+    return CertificateReport(cert, tuple(failures), pw_t, pw_m, it_t, it_m, skipped)

@@ -272,7 +272,8 @@ def run_verify(scenario: Scenario, out: str) -> int:
 def run_certify(scenario: Scenario, out: str) -> int:
     run_dir = run_dir_for(scenario, out)
     if not scenario.certificates:
-        write_json(run_dir / "reports" / "certify.json", {"scenario": scenario.name, "rows": []})
+        write_json(run_dir / "reports" / "certify.json",
+                   {"scenario": scenario.name, "rows": [], "exit_code": EXIT_OK})
         print("no certificates configured")
         return EXIT_OK
 
@@ -328,7 +329,11 @@ def run_certify(scenario: Scenario, out: str) -> int:
 
 
 def run_spectrum(nmax: int) -> int:
-    for n in eigenvalues_up_to(nmax):
+    try:
+        eigenvalues = eigenvalues_up_to(nmax)
+    except ValueError as exc:
+        raise ValueError(f"--nmax: {exc}") from None
+    for n in eigenvalues:
         print(n)
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fieldpoly import FieldPolynomial, level_support, poly_bilinear, resolvent_solve
-from .spectral import SpectralField, eigenspace_project, eigenvalue
+from .spectral import SpectralField, _eigenvalues, eigenspace_project, eigenvalue
 
 __all__ = [
     "ForceExpansion",
@@ -192,8 +192,8 @@ def build_expansion(
 
 
 def _stokes_shift(c: SpectralField, n: int) -> SpectralField:
-    """(A - n) applied to one coefficient field."""
-    return SpectralField({k: v * float(eigenvalue(k) - n) for k, v in c.modes()})
+    """(A - n) applied to one coefficient field: each row times its one float |k|^2 - n."""
+    return c._reweighted(c._c * (_eigenvalues(c._k) - n).astype(float)[:, None])
 
 
 def expansion_residual(terms, force: ForceExpansion, n: int) -> float:

@@ -200,6 +200,12 @@ def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _decay(rate: float, times) -> np.ndarray:
+    """e^{-rate t} at each of the times (any shape) by `math.exp`, as field arithmetic rounds it."""
+    t = np.asarray(times, dtype=float)
+    return np.reshape([math.exp(-rate * x) for x in t.ravel().tolist()], t.shape)
+
+
 def assemble(terms, modes: np.ndarray, times) -> np.ndarray:
     """sum_n q_n(t) e^{-n t} over the (n, q_n) pairs at the (K, 3) key-ordered modes and the
     S times, as an (S, K, 3) block, zero where a mode is absent. Each step is the field
@@ -210,6 +216,5 @@ def assemble(terms, modes: np.ndarray, times) -> np.ndarray:
         coeffs = [c._rows(modes) for c in reversed(q.coeffs())]
         if any(c.any() for c in coeffs):   # a level that lacks every mode adds nothing
             level = functools.reduce(lambda p, c: _plus(p * t, c), coeffs)   # Horner, top first
-            decay = [math.exp(-n * x) for x in t.ravel().tolist()]
-            acc = _plus(acc, level * np.reshape(decay, t.shape))
+            acc = _plus(acc, level * _decay(n, t))
     return acc

@@ -25,7 +25,7 @@ import numpy as np
 
 from .expansion import ForceExpansion
 from .fieldpoly import assemble, level_support
-from .spectral import SpectralField, _ball, _mode_rows, _mode_union, eigenvalue
+from .spectral import MAX_CUTOFF, SpectralField, _ball, _mode_rows, _mode_union, eigenvalue
 
 __all__ = [
     "SolverConfig",
@@ -39,7 +39,6 @@ __all__ = [
 
 BLOWUP_NORM = 1e6
 MAX_STEPS = 10**7   # far past the longest run in the tests and benchmark (12,000 steps)
-MAX_CUTOFF = 1024   # 21 x the largest cutoff in use (48): the grid buffers scale as (3 isqrt(M) + 1)^3
 
 
 class BlowupError(RuntimeError):
@@ -56,7 +55,7 @@ class StepCountError(ValueError):
 
 
 class _CutoffError(ValueError):
-    """mode_cutoff is not an integer in [1, MAX_CUTOFF]."""
+    """mode_cutoff or a scenario's N_max is not an integer in [1, MAX_CUTOFF]."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class SolverConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """States at times[i] = i * sample_stride * step of config, as one block: coeffs[i, l] is
-    sample i's coefficient at modes[l] ((L, 3) int64, key order), zero where it has none."""
+    sample i's coefficient at modes[l] ((L, 3) int64, distinct, key order), zero if absent."""
 
     modes: np.ndarray
     coeffs: np.ndarray
@@ -99,6 +98,8 @@ class Trajectory:
         shape = (len(self.times), len(self.modes), 3)
         if self.coeffs.dtype != np.complex128 or self.coeffs.shape != shape:
             raise ValueError(f"expected complex128 {shape}, got {self.coeffs.dtype} {self.coeffs.shape}")
+        if not np.array_equal(_mode_union(self.modes), self.modes):   # modes are looked up by key
+            raise ValueError("trajectory modes must be distinct and in key order")
 
     @classmethod
     def from_states(cls, states, config: SolverConfig) -> "Trajectory":

@@ -43,7 +43,7 @@ from .serialize import (
     load_json,
     poly_from_literal,
 )
-from .spectral import NormSpec, SpectralField
+from .spectral import MAX_CUTOFF, NormSpec, SpectralField
 
 __all__ = ["ExpansionRequest", "Scenario", "load_scenario", "scenario_from_doc"]
 
@@ -65,8 +65,8 @@ class ExpansionRequest:
     resonant_fit_window: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.n_max < 1 or self.n_max != int(self.n_max):
-            raise ValueError(f"N_max must be a positive integer, got {self.n_max}")
+        if not 1 <= self.n_max <= MAX_CUTOFF or self.n_max != int(self.n_max):
+            raise _CutoffError(f"N_max must be an integer in [1, {MAX_CUTOFF}], got {self.n_max}")
         if not (0 < self.target_epsilon < 1):
             raise ValueError(
                 f"target_epsilon must lie in (0, 1), got {self.target_epsilon}"
@@ -147,7 +147,7 @@ def _parse_expansion(doc, path) -> ExpansionRequest:
             specs.append(NormSpec(*_pair(pair, spath, "[alpha, sigma]")))
         if _norm_tag(specs[-1]) in map(_norm_tag, specs[:-1]):  # one series file per spec
             raise ScenarioError(spath, f"file tag {_norm_tag(specs[-1])} repeats an earlier spec")
-    with _at(path):
+    with _at(path), _at(f"{path}.N_max", _CutoffError):
         return ExpansionRequest(
             n_max,
             resonant,

@@ -262,11 +262,13 @@ def read_trajectory(block_path, manifest_path, config: SolverConfig) -> Trajecto
             coeffs = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError) as exc:
         raise ScenarioError(bpath, f"unreadable block: {exc}") from None
+    listed = np.array(list(modes), np.int64).reshape(-1, 3)
+    keyed = _mode_union(listed)
     with _at(bpath):   # dtype and shape: complex128, one row per sample of `config`
-        traj = Trajectory(np.array(list(modes), np.int64).reshape(-1, 3), coeffs, config)
+        traj = Trajectory(keyed, coeffs, config)   # columns in manifest order until the return
     if not (finite := np.isfinite(coeffs).all(axis=(0, 2))).all():
         raise ScenarioError(bpath, f"non-finite coefficient at {list(modes)[np.argmin(finite)]}")
-    at = _mode_rows(traj.modes, keyed := _mode_union(traj.modes))   # each manifest mode's key rank
+    at = _mode_rows(listed, keyed)   # each manifest mode's key rank
     return traj if (np.diff(at) > 0).all() else Trajectory(keyed, coeffs[:, np.argsort(at)], config)
 
 

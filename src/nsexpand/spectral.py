@@ -69,6 +69,11 @@ def _mode_rows(modes: np.ndarray, among: np.ndarray) -> np.ndarray:
     return np.where(np.append(keys, -1)[i] == key, i, -1)   # keys are positive: -1 is no key
 
 
+# the largest ball: 21 x the largest cutoff in use (48); the grid buffers of a mode table
+# scale as (3 isqrt(M) + 1)^3
+MAX_CUTOFF = 1024
+
+
 def _ball(cutoff: int) -> np.ndarray:
     """The representatives with |k|^2 <= cutoff as an (n, 3) int64 array, in key order."""
     k = np.indices((2 * isqrt(cutoff) + 1,) * 3).reshape(3, -1).T - isqrt(cutoff)   # tuple order
@@ -412,23 +417,10 @@ def truncate(u: SpectralField, max_eigenvalue: int) -> SpectralField:
 def eigenvalues_up_to(nmax: int) -> list[int]:
     """Stokes eigenvalues <= nmax, ascending: integers expressible as a sum of three squares.
 
-    Enumerated directly from the lattice, so gaps (7, 15, 23, ...) fall out of
-    the enumeration rather than a number-theoretic formula.
+    Read off the mode ball, so gaps (7, 15, 23, ...) fall out of the lattice
+    rather than a number-theoretic formula. nmax must lie in [0, MAX_CUTOFF].
     """
     nmax = int(nmax)
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    hit = bytearray(nmax + 1)
-    r = isqrt(nmax)
-    for a in range(r + 1):
-        aa = a * a
-        for b in range(a, r + 1):
-            ab = aa + b * b
-            if ab > nmax:
-                break
-            for c in range(b, r + 1):
-                s = ab + c * c
-                if s > nmax:
-                    break
-                hit[s] = 1
-    return [n for n in range(1, nmax + 1) if hit[n]]
+    if not 0 <= nmax <= MAX_CUTOFF:
+        raise ValueError(f"nmax must lie in [0, {MAX_CUTOFF}], got {nmax}")
+    return sorted(set(_eigenvalues(_ball(nmax)).tolist()))

@@ -506,6 +506,83 @@ def test_certificate_integrals_equal_per_window_trapezoid(steps, samples, decay,
     assert report.integral_margins.tolist() == expect
 
 
+def reference_certificate_check(traj, cert, force):
+    """Failures, (t, margin) pairs and skip flag of certificate_check as per-sample loops over
+    per-sample fields compute them: the oracle of its masked arrays."""
+    c0, c1, t_star, rate = cert.C0, cert.C1, cert.t_star, 1.0 - cert.delta
+    times, states = traj.times.tolist(), [traj.state(i) for i in range(len(traj))]
+    failures = []
+    lhs = norm(states[0], NormSpec(cert.alpha, 0.0))
+    if lhs > c0 * (1 + 1e-12):
+        failures.append(f"initial data: |A^alpha u0| = {lhs:.6e} exceeds C0 = {c0:.6e}")
+    for t in times:
+        fval = norm(levels_at(force.terms, t), NormSpec(cert.alpha - 0.5, cert.sigma))
+        bound = c1 * math.exp(-cert.lam * t)
+        if fval > bound * (1 + 1e-12) + 1e-300:
+            failures.append(f"force at t = {t:.6g}: |f|_(alpha-1/2, sigma) = {fval:.6e} "
+                            f"exceeds C1 e^(-lam t) = {bound:.6e}")
+            break
+    pointwise = [(t, math.sqrt(2.0) * c0 * math.exp(-rate * t) - norm(s, NormSpec(cert.alpha, cert.sigma)))
+                 for t, s in zip(times, states) if t >= t_star - 1e-12]
+    if not pointwise:
+        failures.append(f"no sample at or after t_star = {t_star:.6g}; last sample at {traj.t_end:.6g}")
+    steps = int(round(1.0 / traj.spacing))
+    skipped = not (steps >= 1 and abs(steps * traj.spacing - 1.0) <= 1e-6)
+    vals = np.array([norm(s, NormSpec(cert.alpha + 0.5, cert.sigma)) for s in states]) ** 2
+    coef = 3.0 * c0 * c0 / (2.0 * rate)
+    integral = [] if skipped else [
+        (t, coef * math.exp(-2.0 * rate * t) - float(np.trapezoid(vals[i : i + steps + 1], dx=traj.spacing)))
+        for i, t in enumerate(times[: max(len(times) - steps, 0)]) if t >= t_star - 1e-12
+    ]
+    return tuple(failures), pointwise, integral, skipped
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spacing=st.sampled_from([0.125, 0.2, 0.25, 0.3, 0.5]),   # 0.3 does not divide 1
+    samples=st.integers(1, 40),
+    amplitude=st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+    decay=st.floats(0.0, 2.0),
+    alpha=st.sampled_from([0.5, 1.0]),
+    delta=st.sampled_from([0.1, 0.5, 0.9]),
+    lam_share=st.sampled_from([0.5, 1.0]),   # lam = 1 - delta + lam_share delta
+    sigma=st.sampled_from([0.0, 0.05, 0.3]),
+    a=st.sampled_from([0.0, 0.01, 0.1]),
+    b=st.sampled_from([0.0, 0.1, 1.0]),
+)
+# t_star = 18 past the horizon at 4.75
+@example(0.25, 20, 0.0, 0.5, 0.5, 0.1, 1.0, 0.3, 0.0, 0.0)
+# spacing 0.3 does not divide 1: pointwise margins only
+@example(0.3, 12, 0.01, 0.5, 0.5, 0.5, 1.0, 0.0, 0.0, 0.0)
+# |a + b t| e^{-t} first exceeds C1 e^{-t} at t = 0.375, the fourth of nine samples
+@example(0.125, 9, 0.01, 0.5, 0.5, 0.5, 1.0, 0.0, 0.01, 0.1)
+def test_certificate_check_equals_per_sample_loops(
+    spacing, samples, amplitude, decay, alpha, delta, lam_share, sigma, a, b
+):
+    cert = DecayCertificate(alpha=alpha, delta=delta, lam=1.0 - delta + lam_share * delta, sigma=sigma)
+    u0 = SpectralField({(1, 0, 0): [0, 1.0, 0.5j]})
+    u1 = SpectralField({(1, 1, 0): [0.2, -0.2, 0.1j]})
+    # spacing as two steps of spacing / 2, so that one sample is a one-step horizon
+    cfg = SolverConfig(8, spacing / 2, max(samples - 1, 0.5) * spacing, sample_stride=2)
+    times = np.arange(samples) * spacing
+    states = [amplitude * math.exp(-decay * t) * (u0 + math.cos(t) * u1) for t in times]
+    traj = Trajectory.from_states(states, cfg)
+    e = SpectralField({(1, 0, 0): [0, 1.0, 0]})
+    force = ForceExpansion(((1, FieldPolynomial([a * e, b * e])),))
+
+    report = certificate_check(traj, cert, force)
+    failures, pointwise, integral, skipped = reference_certificate_check(traj, cert, force)
+    assert report.hypothesis_failures == failures
+    assert report.integral_skipped == skipped
+    for got_t, got_m, want in [
+        (report.pointwise_times, report.pointwise_margins, pointwise),
+        (report.integral_times, report.integral_margins, integral),
+    ]:
+        want_t, want_m = np.reshape(want, (-1, 2)).T
+        assert got_t.dtype == got_m.dtype == np.float64
+        assert (got_t.tobytes(), got_m.tobytes()) == (want_t.tobytes(), want_m.tobytes())
+
+
 # -- long-horizon properties of the driven cascade -------------------------------------
 
 

@@ -64,6 +64,15 @@ def test_spectrum_default_bound(capsys):
     assert len(values) == 85  # 15 gap values below 100
 
 
+@pytest.mark.parametrize("nmax", ["-1", "100000000000"])
+def test_spectrum_rejects_bounds_past_the_cap(nmax, capsys):
+    # the lattice ball holds (2 isqrt(nmax) + 1)^3 points: outside [0, 1024] none is built
+    assert main(["spectrum", "--nmax", nmax]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --nmax: nmax must lie in [0, 1024], got {nmax}\n"
+
+
 # -- expand -------------------------------------------------------------------------
 
 
@@ -705,7 +714,9 @@ def test_certify_without_certificates(tmp_path, capsys):
     doc = mini_ladder_doc(name="nocert", t_end=1.0)
     sp = write_doc(tmp_path, doc)
     assert main(["certify", "--scenario", sp, "--out", str(tmp_path / "o")]) == EXIT_OK
-    assert "no certificates configured" in capsys.readouterr().out
+    assert capsys.readouterr().out == "no certificates configured\n"
+    report = json.loads((tmp_path / "o" / "nocert" / "reports" / "certify.json").read_text())
+    assert report == {"scenario": "nocert", "rows": [], "exit_code": EXIT_OK}
     assert not list((tmp_path / "o" / "nocert").glob("trajectory.*"))  # no flow integrated
 
 

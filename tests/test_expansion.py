@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import ladder_force, ladder_phi, random_div_free_field
+from conftest import ladder_force, ladder_phi, random_div_free_field, small_fields
 from nsexpand import (
     FieldPolynomial,
     ForceExpansion,
@@ -20,6 +22,7 @@ from nsexpand import (
     poly_bilinear,
     solve_level,
 )
+from nsexpand.expansion import _stokes_shift
 
 
 def two_mode_unit_field():
@@ -199,6 +202,18 @@ def test_expansion_residual_detects_perturbation():
 
 def test_expansion_residual_zero_scale():
     assert expansion_residual([], ForceExpansion(()), 1) == 0.0
+
+
+@given(small_fields, st.integers(0, 5))
+@example(SpectralField({(1, 0, 0): [-0.0, 0.5, -1j], (1, 1, 0): [0.25j, 0.0, -0.5]}), 1)
+@example(SpectralField({(1, 0, 0): [-0.5, 0.5j, 0.0], (1, 1, 0): [-0.0, 0.5, -1j]}), 4)
+def test_stokes_shift_equals_the_per_mode_constructor(c, n):
+    # one row-scaled array against one SpectralField built mode by mode: the |k|^2 = n rows
+    # drop and every other row is scaled by its single float |k|^2 - n, signed zeros included
+    got = _stokes_shift(c, n)
+    want = SpectralField({k: v * float(eigenvalue(k) - n) for k, v in c.modes()})
+    assert got.support() == want.support()
+    assert got._c.tobytes() == want._c.tobytes()
 
 
 # -- ladder structure ----------------------------------------------------------------

@@ -71,6 +71,20 @@ def test_trajectory_length_mismatch():
     assert len(Trajectory(np.zeros((1, 3), np.int64), np.zeros((11, 1, 3), complex), cfg)) == 11
 
 
+@pytest.mark.parametrize("modes", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],   # distinct, but in reverse key order
+    [[0, 1, 0], [1, 0, 0], [1, 0, 0]],   # a repeated mode
+])
+def test_trajectory_rejects_modes_out_of_key_order(modes):
+    # the analysis looks modes up by binary search on their keys: out of order, a norm
+    # series would weigh columns by the wrong |k|^2 and a level lookup would miss
+    cfg = SolverConfig(4, 0.5, 1.0)
+    with pytest.raises(ValueError, match="trajectory modes must be distinct and in key order"):
+        Trajectory(np.array(modes, np.int64), np.ones((3, 3, 3), complex), cfg)
+    keyed = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], np.int64)   # key order is tuple order
+    assert len(Trajectory(keyed, np.ones((3, 3, 3), complex), cfg)) == 3
+
+
 # -- mode table ---------------------------------------------------------------------
 
 

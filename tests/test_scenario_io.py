@@ -404,6 +404,8 @@ def test_scenario_error_paths():
     for where, value, path in [
         (("expansion", "N_max"), 2.7, "expansion.N_max"),
         (("expansion", "N_max"), math.nan, "expansion.N_max"),
+        (("expansion", "N_max"), 1025, "expansion.N_max"),   # past MAX_CUTOFF
+        (("expansion", "N_max"), 0, "expansion.N_max"),
         (("solver", "mode_cutoff"), 6.9, "solver.mode_cutoff"),
         (("solver", "mode_cutoff"), math.inf, "solver.mode_cutoff"),
         (("solver", "mode_cutoff"), 10**6, "solver.mode_cutoff"),   # past MAX_CUTOFF

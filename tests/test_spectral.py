@@ -347,11 +347,14 @@ def test_eigenvalues_up_to_small():
 
 
 def test_eigenvalues_up_to_matches_three_square_oracle():
-    got = eigenvalues_up_to(100)
-    expect = [n for n in range(1, 101) if sum_of_three_squares(n)]
-    assert got == expect
-    missing = sorted(set(range(1, 101)) - set(got))
+    for nmax in (100, 1024):   # 1024: the whole mode-table cap
+        expect = [n for n in range(1, nmax + 1) if sum_of_three_squares(n)]
+        assert eigenvalues_up_to(nmax) == expect
+    missing = sorted(set(range(1, 101)) - set(eigenvalues_up_to(100)))
     assert missing == [7, 15, 23, 28, 31, 39, 47, 55, 60, 63, 71, 79, 87, 92, 95]
+    for nmax in (-1, 1025):   # the ball is not built past the cap
+        with pytest.raises(ValueError, match=rf"nmax must lie in \[0, 1024\], got {nmax}"):
+            eigenvalues_up_to(nmax)
 
 
 # -- the array store against the former dict store -------------------------------------
