@@ -338,8 +338,15 @@ def run_spectrum(nmax: int) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: main reports it as one `error: ` line and exits 1."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nse-expand",
         description="Slow-decay expansions, Galerkin simulation and decay verification "
         "for forced periodic flows.",
@@ -357,8 +364,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("spectrum", help="print the Stokes eigenvalues up to a bound")
     p.add_argument("--nmax", type=int, default=100, help="largest eigenvalue to include")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "spectrum":
             return run_spectrum(args.nmax)
         run = {"expand": run_expand, "simulate": run_simulate, "verify": run_verify,

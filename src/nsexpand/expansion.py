@@ -105,7 +105,10 @@ def check_resonant_data(resonant) -> dict[int, SpectralField]:
                 f"resonant constant for level {n} has support off the eigenspace: "
                 f"mode {bad[0]} has |k|^2 = {eigenvalue(bad[0])}"
             )
-        f.require_divergence_free()
+        try:
+            f.require_divergence_free()
+        except ValueError as exc:
+            raise ValueError(f"resonant constant for level {n}: {exc}") from None
         out[n] = f
     return out
 

@@ -7,12 +7,16 @@ RK4 advances w. All exponential factors that appear are decaying, so the
 scheme is stable for any step; accuracy is the usual O(h^4).
 
 Coefficients live in a dense array over a fixed representative basis (one row
-per conjugate pair, so realness stays structural). The advection term is a
-pseudo-spectral product: B(u, u) = P div(u (x) u) is formed on a physical
-grid of n = 3 floor(sqrt(M)) + 1 points per axis (the 3/2 rule), so no aliased
-mode reaches the ball and the result equals the exact finite-support sum of
-`spectral.bilinear` truncated to the ball, to rounding. The grid transforms
-are pruned DFTs, one small matmul per axis, not FFTs.
+per conjugate pair, so realness stays structural). That basis is the closure
+of the initial state's and the force's modes: the ball rows their sums and
+differences reach, which are the only rows the flow can reach. Two kernels
+give the advection term B(u, u) = P div(u (x) u) on it, both equal to the
+exact finite-support sum of `spectral.bilinear` truncated to the ball, to
+rounding:
+- up to PAIR_CROSSOVER ordered pairs, that sum itself, over pairs fixed once;
+- past it, on the whole ball, a pseudo-spectral product on a physical grid of
+  n = 3 floor(sqrt(M)) + 1 points per axis (the 3/2 rule), so no aliased mode
+  reaches the ball. Its transforms are pruned DFTs, one small matmul per axis.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .expansion import ForceExpansion
 from .fieldpoly import assemble, level_support
-from .spectral import MAX_CUTOFF, SpectralField, _ball, _mode_rows, _mode_union, eigenvalue
+from .spectral import MAX_CUTOFF, SpectralField, _ball, _mode_rows, _mode_union, _pair_sums, eigenvalue
 
 __all__ = [
     "SolverConfig",
@@ -39,6 +43,10 @@ __all__ = [
 
 BLOWUP_NORM = 1e6
 MAX_STEPS = 10**7   # far past the longest run in the tests and benchmark (12,000 steps)
+# Steps whose force is evaluated in one call. A whole-run block grows with the run (2 x 10^7
+# times at MAX_STEPS); on the ladder (M = 12, 1,200 steps) `integrate` took 271 minor page
+# faults with one, 142 with 256-step chunks and 138 with one call per step.
+FORCE_CHUNK = 256
 
 
 class BlowupError(RuntimeError):
@@ -130,16 +138,53 @@ class Trajectory:
         return float(self.times[-1])
 
 
-class ModeTable:
-    """Dense workspace over the representatives with |k|^2 <= cutoff.
+# The pair count past which the exact pair sum costs more per `convolve` call than the grid
+# product. Measured on the same rows (2 cores, numpy 2.4.6, best of 7 x 300 calls; pair sum
+# vs grid): ladder closure at M = 12, 81 pairs, 36 vs 117 us; at M = 24, 474 pairs, 61 vs
+# 215 us; ball M = 5, 645 pairs, 75 vs 89 us; ball M = 6, 1,461 pairs, 122 vs 93 us; ball
+# M = 12, 7,257 pairs, 835 vs 109 us.
+PAIR_CROSSOVER = 1000
 
-    Rows follow the key order of the representative wavevectors.
-    `convolve` evaluates the advection term on a grid of n = 3r + 1 points
-    per axis, where r = floor(sqrt(cutoff)). Every stored mode has
-    |k_i| <= r, so a product of two fields has |k_i| <= 2r, and a product
-    mode that wraps around the grid lands at |k_i| >= n - 2r > r on some
-    axis: outside the ball. This is the 3/2 rule of dealiased pseudo-spectral
-    products.
+
+def _closure(cutoff: int, seed: np.ndarray):
+    """The rows S of the ball that hold the seed and every k + m and k - m of two of their
+    rows that lies in the ball, in key order, with the pairs of [S; -S] that sum into S
+    (`_pair_sums` indices and keys); None once those pairs pass PAIR_CROSSOVER."""
+    s = _mode_union(seed)
+    # S's (2 |S|)^2 candidate sums: a compact set keeps about a fifth of them (ball M = 3:
+    # 132 of 676, M = 6: 1,461 of 6,400), so a set past this bound is past the crossover
+    while 4 * len(s) ** 2 <= 16 * PAIR_CROSSOVER:
+        full = np.concatenate((s, -s))
+        pair, key = _pair_sums(full, full)
+        sums = full[pair // len(full)] + full[pair % len(full)]
+        inside = np.einsum("ij,ij->i", sums, sums) <= cutoff
+        if np.count_nonzero(inside) > PAIR_CROSSOVER:
+            return None
+        grown = _mode_union(s, sums[inside])
+        if len(grown) == len(s):
+            return s, pair[inside], key[inside]
+        s = grown
+    return None
+
+
+class ModeTable:
+    """Dense workspace over representative rows with |k|^2 <= cutoff, and the projected
+    advection on them. Rows follow the key order of the wavevectors.
+
+    `ModeTable(cutoff)` holds the whole ball. `ModeTable(cutoff, seed)` holds the
+    closure S of the seed wavevectors: the ball rows that sums and differences of
+    S's rows reach. A flow whose initial state and force live on the seed stays on
+    S, because every product mode outside S leaves the ball. While at most
+    PAIR_CROSSOVER ordered pairs of S's modes (both halves) sum into S, `convolve`
+    is the exact pair sum over them: the arithmetic of `spectral.bilinear`, with
+    its pairs, their wavevectors and the targets' Leray maps fixed here. Past the
+    crossover the table is the whole ball with the grid product below.
+
+    The grid product evaluates the advection term on n = 3r + 1 points per
+    axis, where r = floor(sqrt(cutoff)). Every stored mode has |k_i| <= r, so a
+    product of two fields has |k_i| <= 2r, and a product mode that wraps around
+    the grid lands at |k_i| >= n - 2r > r on some axis: outside the ball. This
+    is the 3/2 rule of dealiased pseudo-spectral products.
 
     The ball fills only the frequencies |k_i| <= r of each axis, so the
     transforms are pruned separable DFTs on a (2r+1, r+1, 2r+1) cube (k_z >= 0;
@@ -147,11 +192,10 @@ class ModeTable:
     here, n x (2r+1) complex on x and y, and on z a real one over interleaved
     (re, im) columns, weight 2 off k_z = 0. Forward uses conjugates over n.
 
-    Rows that no pair of live input modes m + l reaches are set to exact
-    zero (the support mask), so the output support is that of the exact
-    convolution and not a ball filled with rounding noise. The mask is the
-    square of the live-row indicator and is recomputed only when the pattern
-    changes.
+    With either kernel, rows that no pair of live input modes m + l reaches
+    are +0.0, so the output support is that of the exact convolution and not a
+    ball filled with rounding noise. The grid product sets them through a
+    support mask, recomputed only when the live-row pattern changes.
 
     Transforms run in buffers owned by the table, so one table must not be
     used by two threads at once.
@@ -164,13 +208,26 @@ class ModeTable:
         np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]]),
     )
 
-    def __init__(self, cutoff: int):
+    def __init__(self, cutoff: int, seed: np.ndarray | None = None):
         self.cutoff = cutoff = int(cutoff)
-        r = math.isqrt(cutoff)
-        self._k = k = _ball(cutoff)
+        closure = None if seed is None else _closure(cutoff, seed)
+        self._k = k = _ball(cutoff) if closure is None else closure[0]
         self.size = len(k)
         self.kvec = k.astype(float)            # (R, 3)
         self.lam = np.einsum("rc,rc->r", self.kvec, self.kvec)
+        self._basis = SpectralField(zip(k.tolist(), np.ones((self.size, 3))))  # the rows as a field
+        self._pairs = closure is not None
+        if self._pairs:
+            pair, key = closure[1:]
+            full = np.concatenate((k, -k))   # rows of [u; conj u]
+            self._p, self._q = np.divmod(pair, len(full))
+            self._l = full[self._q].astype(float)
+            self._starts = np.flatnonzero(np.diff(key, prepend=0))   # keys are positive
+            self._target = _mode_rows(full[self._p[self._starts]] + full[self._q[self._starts]], k)
+            kt = self.kvec[self._target]
+            self._leray = np.eye(3) - kt[:, :, None] * kt[:, None, :] / self.lam[self._target, None, None]
+            return
+        r = math.isqrt(cutoff)
         # B_j(k) = i sum_i k_i (u_i u_j)^(k), then the Leray projection: one (3, 6) map per row
         leray = np.eye(3)[:, :, None] - self.kvec.T[:, None] * self.kvec.T / self.lam
         div = np.einsum("ijp,ri->jpr", np.eye(6)[self._SYMMETRIC[1]], self.kvec)
@@ -178,7 +235,6 @@ class ModeTable:
         self._n = n = 3 * r + 1
         shape = (2 * r + 1, r + 1, 2 * r + 1)   # the spectral cube, axes (k_x, k_z, k_y)
         cube_at = lambda v: np.ravel_multi_index(tuple((v[:, [0, 2, 1]] + (r, 0, r)).T), shape)
-        self._basis = SpectralField(zip(k.tolist(), np.ones((self.size, 3))))  # the rows as a field
         # The cube keeps k_z >= 0: a row with k_z < 0 is read at -k, conjugated
         self._flip = k[:, 2] < 0
         self._slot = cube_at(np.where(self._flip[:, None], -k, k))
@@ -251,6 +307,15 @@ class ModeTable:
         The product is taken in divergence form, div(u (x) u), which equals
         (u . grad) u because u is divergence-free; pass only such u.
         """
+        if self._pairs:   # sum over m + l = k of i (c(m) . l) c(l), then Leray
+            both = np.concatenate((u, np.conj(u)))
+            dots = 1j * np.einsum("pc,pc->p", both[self._p], self._l)
+            acc = np.add.reduceat(dots[:, None] * both[self._q], self._starts, axis=0)
+            out = np.zeros((self.size, 3), dtype=np.complex128)
+            # einsum sums from +0.0, so a row that no pair of live modes reaches, whose
+            # terms are all +-0.0, comes out +0.0
+            out[self._target] = np.einsum("tij,tj->ti", self._leray, acc)
+            return out
         dead = self._dead_rows(np.any(u != 0, axis=1))
         phys = self._to_grid(u.T)
         for p, (i, j) in enumerate(self._SYMMETRIC[0]):
@@ -271,15 +336,16 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
 
     u0 must be divergence-free and supported inside the cutoff; the expanded
     force levels must fit inside the cutoff too (otherwise the truncation
-    would silently drop driven modes).
+    would silently drop driven modes). The march runs on the rows of
+    `ModeTable(cutoff, supp u0 + supp force)`, the only rows the flow reaches.
     """
-    table = ModeTable(config.mode_cutoff)
     u0.require_divergence_free()
     support = level_support(force.terms)
     reach = max([u0.max_eigenvalue(), *map(eigenvalue, support.tolist())])
     if reach > config.mode_cutoff:
         raise ValueError(f"initial state or force reaches eigenvalue {reach} "
                          f"beyond mode_cutoff {config.mode_cutoff}")
+    table = ModeTable(config.mode_cutoff, _mode_union(u0._k, support))
     at = _mode_rows(support, table._k)   # the force's table rows
     u = table.densify(u0)
 
@@ -290,22 +356,26 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
     states = [table.to_field(u)]
     f_start = np.zeros((table.size, 3), dtype=np.complex128)
     f_start[at] = evaluate_force(force, support, (0.0,))[0]
-    for step in range(1, config.steps + 1):
-        f_mid, f_end = np.zeros((2, table.size, 3), dtype=np.complex128)
-        f_mid[at], f_end[at] = evaluate_force(force, support, ((step - 1) * h + h / 2.0, step * h))
-        n1 = f_start - table.convolve(u)
-        a2 = half * (u + (h / 2.0) * n1)
-        n2 = f_mid - table.convolve(a2)
-        a3 = half * u + (h / 2.0) * n2
-        n3 = f_mid - table.convolve(a3)
-        a4 = full * u + h * (half * n3)
-        n4 = f_end - table.convolve(a4)
-        f_start = f_end   # each force time is evaluated once
-        u = full * u + (h / 6.0) * (full * n1 + 2.0 * (half * (n2 + n3)) + n4)
-        value = math.sqrt(2.0 * float(np.vdot(u, u).real))
-        if not (value <= BLOWUP_NORM):
-            raise BlowupError(step * h, value)
-        if step % config.sample_stride == 0:
-            states.append(table.to_field(u))
+    for first in range(1, config.steps + 1, FORCE_CHUNK):
+        chunk = np.arange(first, min(first + FORCE_CHUNK, config.steps + 1))
+        # each step's midpoint and end, in the order of the steps
+        times = np.stack(((chunk - 1) * h + h / 2.0, chunk * h), axis=1).reshape(-1)
+        forces = evaluate_force(force, support, times).reshape(len(chunk), 2, len(support), 3)
+        for step, (mid, end) in zip(chunk.tolist(), forces):
+            f_mid, f_end = np.zeros((2, table.size, 3), dtype=np.complex128)
+            f_mid[at], f_end[at] = mid, end
+            n1 = f_start - table.convolve(u)
+            a2 = half * (u + (h / 2.0) * n1)
+            n2 = f_mid - table.convolve(a2)
+            a3 = half * u + (h / 2.0) * n2
+            n3 = f_mid - table.convolve(a3)
+            a4 = full * u + h * (half * n3)
+            n4 = f_end - table.convolve(a4)
+            f_start = f_end   # each force time is evaluated once
+            u = full * u + (h / 6.0) * (full * n1 + 2.0 * (half * (n2 + n3)) + n4)
+            value = math.sqrt(2.0 * float(np.vdot(u, u).real))
+            if not (value <= BLOWUP_NORM):
+                raise BlowupError(step * h, value)
+            if step % config.sample_stride == 0:
+                states.append(table.to_field(u))
     return Trajectory.from_states(states, config)
-

@@ -10,8 +10,9 @@ it is bounded on the fields we store.
 A field is stored as row-aligned arrays in lexicographic wavevector order: the
 wavevectors, an int64 key for each (components offset by 2**20 into 21 bits, so
 key order is tuple order) and the coefficients. Hence |k_i| < 2**20 throughout.
-Mode sets are ordered, merged, looked up and weighed only here (`_mode_union`,
-`_mode_rows`, `_ball`, `_norms`); every other module calls these.
+Mode sets are ordered, merged, looked up, paired and weighed only here
+(`_mode_union`, `_mode_rows`, `_ball`, `_pair_sums`, `_norms`); every other module
+calls these.
 
 Norms follow the Parseval convention without the volume factor: |u|^2 is the
 plain sum of |c(k)|^2 over all modes, conjugate halves included.
@@ -351,6 +352,18 @@ def inner(u: SpectralField, v: SpectralField) -> float:
     return math.fsum((2.0 * dots).tolist())
 
 
+def _pair_sums(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ordered pairs whose sum a[i] + b[j] is a representative, as flat indices
+    i len(b) + j sorted by the sum's key, and those keys. The sort is stable, so each
+    sum's pairs keep their input order."""
+    # the key of each pair sum, without forming the (n m, 3) sums
+    key = (_pack(a)[:, None] + (_pack(b) - _KEY0)[None, :]).reshape(-1)
+    # representatives sort above k = 0: the zero mode is dropped and the negative half implied
+    pair = np.flatnonzero(key > _KEY0)
+    pair = pair[np.argsort(key[pair], kind="stable")]
+    return pair, key[pair]
+
+
 def bilinear(u: SpectralField, v: SpectralField, *, check: bool = True) -> SpectralField:
     """Projected advection term B(u, v): convolution sum_{m+l=k} i (c_u(m).l) c_v(l), then Leray.
 
@@ -369,13 +382,7 @@ def bilinear(u: SpectralField, v: SpectralField, *, check: bool = True) -> Spect
     mu, cu = np.concatenate((u._k, -u._k)), np.concatenate((u._c, np.conj(u._c)))
     lv, cv = np.concatenate((v._k, -v._k)), np.concatenate((v._c, np.conj(v._c)))
     n, m = len(mu), len(lv)
-    # the key of each pair sum m + l, without forming the (n m, 3) sums
-    key = (_pack(mu)[:, None] + (_pack(lv) - _KEY0)[None, :]).reshape(n * m)
-    # representatives sort above k = 0: the zero mode is dropped and the negative half implied
-    pair = np.flatnonzero(key > _KEY0)
-    # a stable sort keeps each target's contributions in input order
-    pair = pair[np.argsort(key[pair], kind="stable")]
-    key = key[pair]
+    pair, key = _pair_sums(mu, lv)
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     dots = np.multiply(1j, (cu @ lv.T.astype(np.complex128)).reshape(n * m)[pair])
     contrib = cv[pair % m]

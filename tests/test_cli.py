@@ -73,6 +73,23 @@ def test_spectrum_rejects_bounds_past_the_cap(nmax, capsys):
     assert err == f"error: --nmax: nmax must lie in [0, 1024], got {nmax}\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["spectrum", "--nmax", "1.5"], "nse-expand spectrum: argument --nmax: invalid int value: '1.5'"),
+    (["verify"], "nse-expand verify: the following arguments are required: --scenario"),
+])
+def test_usage_errors_exit_one_with_one_error_line(argv, err, capsys):
+    # a usage error is bad input like any other: exit 1, not argparse's 2 (a failed check)
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--scenario" in capsys.readouterr().out
+
+
 # -- expand -------------------------------------------------------------------------
 
 

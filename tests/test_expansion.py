@@ -79,6 +79,14 @@ def test_check_resonant_data_rejects_gap_eigenvalue():
         check_resonant_data({7: ladder_phi()})
 
 
+def test_check_resonant_data_names_the_level_of_a_compressible_constant():
+    # on the |k|^2 = 2 eigenspace but parallel to its wavevector: the message names the level,
+    # as the support error does, so a fitted constant that fails is traced to its level
+    bad = SpectralField({(1, 1, 0): [1.0, 1.0, 0.0]})
+    with pytest.raises(ValueError, match=r"^resonant constant for level 2: field is not divergence-free"):
+        check_resonant_data({2: bad})
+
+
 def test_check_resonant_data_type_and_range():
     with pytest.raises(TypeError):
         check_resonant_data({1: [1, 2, 3]})

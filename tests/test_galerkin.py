@@ -1,6 +1,7 @@
 """Truncated integrating-factor RK4 solver and its dealiased advection kernel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from nsexpand import (
     norm,
     truncate,
 )
-from nsexpand.galerkin import ModeTable
-from nsexpand.spectral import _ball
+from nsexpand import galerkin
+from nsexpand.galerkin import ModeTable, _closure
+from nsexpand.spectral import _ball, eigenvalue
 
 
 def single_mode(scale=1.0):
@@ -215,6 +217,93 @@ def test_ladder_trajectory_stays_on_even_sublattice():
     assert traj.state(-1).n_modes > 2
     # the block's modes are the union of every sample's support
     assert all(sum(k) % 2 == 0 for k in traj.modes.tolist())
+
+
+# -- the closure table -----------------------------------------------------------------
+
+
+def representative(k):
+    return k if k > (0, 0, 0) else (-k[0], -k[1], -k[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cutoff=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), n_u=st.integers(1, 3))
+def test_closure_table_is_the_grid_product_on_the_closure(cutoff, seed, n_u):
+    ball = ModeTable(cutoff)
+    rng = np.random.default_rng(seed)
+    u = ball_field(rng, ball, rng.choice(ball.size, n_u, replace=False))
+    table = ModeTable(cutoff, u._k)
+    rows = set(map(tuple, table._k.tolist()))
+    assert set(u.support()) <= rows
+    if not table._pairs:   # past the crossover: the whole ball and its grid product
+        assert table.size == ball.size and np.array_equal(table._k, ball._k)
+        return
+    # S is closed under sums and differences that stay inside the ball
+    full = [*rows, *((-a, -b, -c) for a, b, c in rows)]
+    for m in full:
+        for l in full:
+            s = (m[0] + l[0], m[1] + l[1], m[2] + l[2])
+            if s != (0, 0, 0) and eigenvalue(s) <= cutoff:
+                assert representative(s) in rows
+
+    got = table.convolve(table.densify(u))
+    grid = ball.convolve(ball.densify(u))
+    at = np.array([ball._k.tolist().index(k) for k in table._k.tolist()])
+    off = np.ones(ball.size, dtype=bool)
+    off[at] = False
+    assert not grid[off].any()   # off S the grid product is exactly zero
+    # a bound on every coefficient's sum of term magnitudes |c(m)| |l| |c(l)|
+    scale = (sum(float(np.abs(c).sum()) for _, c in u.full_modes())
+             * sum(float(np.abs(l).sum() * np.abs(c).max()) for l, c in u.full_modes()))
+    assert np.abs(got - grid[at]).max() <= 1e-15 * scale
+    # rows no pair of live modes reaches are +0.0, signs included
+    dead = [i for i, k in enumerate(table._k.tolist()) if tuple(k) not in reachable_rows(table, u)]
+    assert not got[dead].any() and not np.signbit(got[dead].view(float)).any()
+    assert abs(inner(table.to_field(got), u)) <= 1e-15 * scale * norm(u)
+
+
+def test_closure_of_the_ladder_force():
+    # the ladder's pair sums lie in the plane {(a + b, a, b)}: 9 rows of the M = 12 ball
+    # (of 89) and 21 of the M = 24 ball (of 242)
+    for cutoff, size, pairs in ((12, 9, 81), (24, 21, 474)):
+        table = ModeTable(cutoff, ladder_phi()._k)
+        assert (table.size, len(table._p)) == (size, pairs)
+        assert all(k[0] == k[1] + k[2] for k in table._k.tolist())
+
+
+def test_closure_past_the_crossover_is_the_ball_and_its_grid():
+    # the closure of the |k|^2 <= 3 shells fills the M = 12 ball: 7,257 pairs
+    table, ball = ModeTable(12, _ball(3)), ModeTable(12)
+    assert not table._pairs and np.array_equal(table._k, ball._k)
+    u = table.densify(ball_field(np.random.default_rng(4), table, range(13)))
+    assert np.array_equal(table.convolve(u), ball.convolve(u))
+
+
+def test_closure_never_pairs_a_large_set():
+    # the M = 48 ball pairs into 1,364^2 sums (45 MB as wavevectors); it is refused unpaired
+    tracemalloc.start()
+    try:
+        assert _closure(48, _ball(48)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_force_times_are_the_step_expressions(monkeypatch):
+    # the force is evaluated in chunks of steps, at the bits of (step - 1) h + h / 2 and step h
+    calls = []
+
+    def recorded(force, modes, times):
+        calls.append(list(times))
+        return evaluate_force(force, modes, times)
+
+    monkeypatch.setattr(galerkin, "evaluate_force", recorded)
+    h, steps = 0.01, 600
+    integrate(SpectralField.zero(), ladder_force(), SolverConfig(12, h, steps * h, 100))
+    want = [0.0] + [t for step in range(1, steps + 1) for t in ((step - 1) * h + h / 2.0, step * h)]
+    assert [t for c in calls for t in c] == want
+    assert len(calls) == 1 + math.ceil(steps / galerkin.FORCE_CHUNK)
 
 
 # -- force evaluation ----------------------------------------------------------------
