@@ -115,7 +115,7 @@ class Trajectory:
         modes = _mode_union(*{s._key.tobytes(): s._k for s in states}.values())   # each support once
         coeffs = np.zeros((len(states), len(modes), 3), dtype=np.complex128)
         for i, s in enumerate(states):   # one sample at a time: no list of row blocks
-            coeffs[i] = s._rows(modes)
+            coeffs[i] = s._c if len(s._c) == len(modes) else s._rows(modes)   # a full support is `modes`
         return cls(modes, coeffs, config)
 
     def state(self, i: int) -> SpectralField:
@@ -197,7 +197,7 @@ class ModeTable:
     ball filled with rounding noise. The grid product sets them through a
     support mask, recomputed only when the live-row pattern changes.
 
-    Transforms run in buffers owned by the table, so one table must not be
+    Both kernels run in buffers owned by the table, so one table must not be
     used by two threads at once.
     """
 
@@ -221,11 +221,15 @@ class ModeTable:
             pair, key = closure[1:]
             full = np.concatenate((k, -k))   # rows of [u; conj u]
             self._p, self._q = np.divmod(pair, len(full))
-            self._l = full[self._q].astype(float)
+            self._il = 1j * full[self._q]   # i l for each pair's second mode l
             self._starts = np.flatnonzero(np.diff(key, prepend=0))   # keys are positive
             self._target = _mode_rows(full[self._p[self._starts]] + full[self._q[self._starts]], k)
             kt = self.kvec[self._target]
             self._leray = np.eye(3) - kt[:, :, None] * kt[:, None, :] / self.lam[self._target, None, None]
+            self._pq = np.concatenate((self._p, self._q))
+            buf = np.empty((2 * self.size + len(self._pq), 3), dtype=np.complex128)
+            self._both, self._at_pq = np.split(buf, [2 * self.size])
+            self._at_p, self._at_q = np.split(self._at_pq, 2)
             return
         r = math.isqrt(cutoff)
         # B_j(k) = i sum_i k_i (u_i u_j)^(k), then the Leray projection: one (3, 6) map per row
@@ -308,13 +312,19 @@ class ModeTable:
         (u . grad) u because u is divergence-free; pass only such u.
         """
         if self._pairs:   # sum over m + l = k of i (c(m) . l) c(l), then Leray
-            both = np.concatenate((u, np.conj(u)))
-            dots = 1j * np.einsum("pc,pc->p", both[self._p], self._l)
-            acc = np.add.reduceat(dots[:, None] * both[self._q], self._starts, axis=0)
-            out = np.zeros((self.size, 3), dtype=np.complex128)
+            both, at_q = self._both, self._at_q
+            both[:self.size] = u
+            np.conjugate(u, out=both[self.size:])
+            both.take(self._pq, axis=0, out=self._at_pq)
+            dots = np.einsum("pc,pc->p", self._at_p, self._il)
+            acc = np.add.reduceat(np.multiply(dots[:, None], at_q, out=at_q), self._starts, axis=0)
             # einsum sums from +0.0, so a row that no pair of live modes reaches, whose
             # terms are all +-0.0, comes out +0.0
-            out[self._target] = np.einsum("tij,tj->ti", self._leray, acc)
+            leray = np.einsum("tij,tj->ti", self._leray, acc)
+            if len(self._target) == self.size:   # every row is some pair's target
+                return leray
+            out = np.zeros((self.size, 3), dtype=np.complex128)
+            out[self._target] = leray
             return out
         dead = self._dead_rows(np.any(u != 0, axis=1))
         phys = self._to_grid(u.T)
@@ -350,8 +360,9 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
     u = table.densify(u0)
 
     h = config.step
-    half = np.exp(-(h / 2.0) * table.lam)[:, None]
-    full = np.exp(-h * table.lam)[:, None]
+    # complex (R, 3) factors: each product runs numpy's complex loop with no cast or broadcast
+    half, full = (np.broadcast_to(np.exp(-s * table.lam)[:, None], u.shape).astype(np.complex128)
+                  for s in (h / 2.0, h))
 
     states = [table.to_field(u)]
     f_start = np.zeros((table.size, 3), dtype=np.complex128)

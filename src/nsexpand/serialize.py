@@ -229,15 +229,19 @@ def trajectory_key(force, initial: SpectralField, solver: SolverConfig) -> str:
 
 def write_trajectory(csv_path, manifest_path, traj: Trajectory, key: str):
     """CSV columns: t, then re/im per component of each manifest mode, named only in the header.
-    The exact block goes beside the CSV as `.npy`; the manifest stores its modes and `key`."""
+    The exact block goes beside the CSV as `.npy`; the manifest stores its modes and `key`.
+
+    A row is one "%.17g" template, the text of `format_float` except that -0.0 comes out
+    as "-0"; no other value's text ends in "-0", so "-0" before a separator becomes "-0.0"."""
     cells = [(i + 1, c + 1) for i in range(len(traj.modes)) for c in range(3)]
     columns = ["t", *(f"{part}(k{i} u{c})" for i, c in cells for part in ("re", "im"))]
     # a (L, 3) complex sample viewed as floats is re, im per component, mode by mode
     rows = np.ascontiguousarray(traj.coeffs).view(float).reshape(len(traj), -1)
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(csv_path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for t, row in zip(traj.times.tolist(), rows):
-            fh.write(",".join(map(format_float, [t, *row.tolist()])) + "\n")
+        for t, row in zip(traj.times.tolist(), rows):   # row by row: no whole-block list
+            fh.write((template % (t, *row.tolist())).replace("-0,", "-0.0,").replace("-0\n", "-0.0\n"))
     np.save(Path(csv_path).with_suffix(".npy"), traj.coeffs, allow_pickle=False)
     write_json(manifest_path, {"modes": traj.modes.tolist(), "key": key})
 

@@ -32,8 +32,9 @@ from nsexpand import (
     truncate,
 )
 from nsexpand import galerkin
+from nsexpand.fieldpoly import level_support
 from nsexpand.galerkin import ModeTable, _closure
-from nsexpand.spectral import _ball, eigenvalue
+from nsexpand.spectral import _ball, _mode_rows, _mode_union, eigenvalue
 
 
 def single_mode(scale=1.0):
@@ -85,6 +86,25 @@ def test_trajectory_rejects_modes_out_of_key_order(modes):
         Trajectory(np.array(modes, np.int64), np.ones((3, 3, 3), complex), cfg)
     keyed = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], np.int64)   # key order is tuple order
     assert len(Trajectory(keyed, np.ones((3, 3, 3), complex), cfg)) == 3
+
+
+_POOL = [(0, 0, 1), (0, 1, -1), (0, 1, 0), (1, -1, 0), (1, 0, 0)]   # key order
+
+
+@settings(max_examples=40, deadline=None)
+@given(picks=st.lists(st.sets(st.integers(0, len(_POOL) - 1)), max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_from_states_equals_the_per_sample_rows_block(picks, seed):
+    # an empty sample (u0 = 0 on the ladder), the full support (every later ladder sample)
+    # and partial ones: a full-support sample is stored as its own rows, the rest through
+    # `_rows`, and the block must be the `_rows` block either way, signed zeros included
+    rng = np.random.default_rng(seed)
+    c = lambda: np.where(rng.random(3) < 0.3, -0.0, rng.standard_normal(3)) + 1j * rng.standard_normal(3)
+    states = [SpectralField({_POOL[i]: c() for i in rows}) for rows in [set(), set(range(len(_POOL))), *picks]]
+    cfg = SolverConfig(4, 0.5, 0.5 * (len(states) - 1))
+    traj = Trajectory.from_states(states, cfg)
+    assert traj.modes.tolist() == [list(k) for k in _POOL]
+    want = np.stack([s._rows(traj.modes) for s in states])
+    assert traj.coeffs.tobytes() == want.tobytes()
 
 
 # -- mode table ---------------------------------------------------------------------
@@ -290,6 +310,37 @@ def test_closure_never_pairs_a_large_set():
     assert peak < 1e6
 
 
+def convolve_oracle(table, u):
+    """The pair sum without table buffers: fresh [u; conj u], gathered pairs and products."""
+    both = np.concatenate((u, np.conj(u)))
+    l = np.concatenate((table._k, -table._k))[table._q].astype(float)
+    dots = 1j * np.einsum("pc,pc->p", both[table._p], l)
+    acc = np.add.reduceat(dots[:, None] * both[table._q], table._starts, axis=0)
+    out = np.zeros((table.size, 3), dtype=np.complex128)
+    out[table._target] = np.einsum("tij,tj->ti", table._leray, acc)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(cutoff=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), n_u=st.integers(1, 3))
+def test_pair_sum_buffers_leave_earlier_results_alone(cutoff, seed, n_u):
+    ball = ModeTable(cutoff)
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(ball.size, n_u, replace=False)
+    u, v = (ball_field(rng, ball, picks) for _ in range(2))
+    table = ModeTable(cutoff, u._k)
+    if not table._pairs:
+        return
+    du, dv = table.densify(u), table.densify(v)
+    first = table.convolve(du)
+    kept = first.copy()
+    second = table.convolve(dv)
+    # the table reuses its buffers: a result is the caller's, unchanged by the next call
+    assert first.tobytes() == kept.tobytes()
+    assert first.tobytes() == convolve_oracle(table, du).tobytes()
+    assert second.tobytes() == convolve_oracle(table, dv).tobytes()
+
+
 def test_force_times_are_the_step_expressions(monkeypatch):
     # the force is evaluated in chunks of steps, at the bits of (step - 1) h + h / 2 and step h
     calls = []
@@ -304,6 +355,54 @@ def test_force_times_are_the_step_expressions(monkeypatch):
     want = [0.0] + [t for step in range(1, steps + 1) for t in ((step - 1) * h + h / 2.0, step * h)]
     assert [t for c in calls for t in c] == want
     assert len(calls) == 1 + math.ceil(steps / galerkin.FORCE_CHUNK)
+
+
+def integrate_oracle(u0, force, config):
+    """The march with real (R, 1) decay factors, broadcast over the components, and the
+    buffer-free pair sum: the samples as fields, one per sample of `config`."""
+    support = level_support(force.terms)
+    table = ModeTable(config.mode_cutoff, _mode_union(u0._k, support))
+    assert table._pairs
+    at = _mode_rows(support, table._k)
+    u = table.densify(u0)
+    h = config.step
+    half = np.exp(-(h / 2.0) * table.lam)[:, None]
+    full = np.exp(-h * table.lam)[:, None]
+    states = [table.to_field(u)]
+    f_start = np.zeros((table.size, 3), dtype=np.complex128)
+    f_start[at] = evaluate_force(force, support, (0.0,))[0]
+    for first in range(1, config.steps + 1, galerkin.FORCE_CHUNK):
+        chunk = np.arange(first, min(first + galerkin.FORCE_CHUNK, config.steps + 1))
+        times = np.stack(((chunk - 1) * h + h / 2.0, chunk * h), axis=1).reshape(-1)
+        forces = evaluate_force(force, support, times).reshape(len(chunk), 2, len(support), 3)
+        for step, (mid, end) in zip(chunk.tolist(), forces):
+            f_mid, f_end = np.zeros((2, table.size, 3), dtype=np.complex128)
+            f_mid[at], f_end[at] = mid, end
+            n1 = f_start - convolve_oracle(table, u)
+            a2 = half * (u + (h / 2.0) * n1)
+            n2 = f_mid - convolve_oracle(table, a2)
+            a3 = half * u + (h / 2.0) * n2
+            n3 = f_mid - convolve_oracle(table, a3)
+            a4 = full * u + h * (half * n3)
+            n4 = f_end - convolve_oracle(table, a4)
+            f_start = f_end
+            u = full * u + (h / 6.0) * (full * n1 + 2.0 * (half * (n2 + n3)) + n4)
+            if step % config.sample_stride == 0:
+                states.append(table.to_field(u))
+    return states
+
+
+@pytest.mark.parametrize("scale", [0.0, 20.0])   # u0 = 0 as on the ladder, or |u0| = 1 on the force's rows
+def test_integrate_equals_the_real_factor_march_bit_for_bit(scale):
+    # complex (R, 3) decay factors run numpy's complex multiply on the values that the real
+    # (R, 1) factors are cast to, so the march must not move by a bit
+    cfg = SolverConfig(6, 0.02, 1.0)   # 50 steps on the ladder's M = 6 closure
+    u0 = scale * ladder_phi()
+    traj = integrate(u0, ladder_force(), cfg)
+    states = integrate_oracle(u0, ladder_force(), cfg)
+    assert traj.modes.tolist() == _mode_union(*(s._k for s in states)).tolist()
+    want = np.stack([s._rows(traj.modes) for s in states])
+    assert traj.coeffs.tobytes() == want.tobytes()
 
 
 # -- force evaluation ----------------------------------------------------------------

@@ -208,10 +208,10 @@ def test_trajectory_round_trip_bitwise(tmp_path):
 
 # A trajectory block over 1-4 modes and 2-5 samples, any finite doubles.
 @st.composite
-def _trajectories(draw):
+def _trajectories(draw, elements=_finite):
     modes = sorted(draw(st.sets(_wavevector, min_size=1, max_size=4)))
     samples = draw(st.integers(2, 5))
-    parts = draw(arrays(np.float64, (samples, len(modes), 3, 2), elements=_finite))
+    parts = draw(arrays(np.float64, (samples, len(modes), 3, 2), elements=elements))
     coeffs = parts.view(np.complex128)[..., 0]   # (re, im) pairs, bits kept
     if draw(st.booleans()):
         coeffs[draw(st.integers(0, samples - 1))] = 0
@@ -235,6 +235,39 @@ def test_trajectory_block_round_trip_is_exact(traj):
     assert np.array_equal(back.modes, traj.modes)
     assert np.array_equal(back.coeffs, traj.coeffs)
     assert np.array_equal(np.signbit(back.coeffs.view(float)), np.signbit(traj.coeffs.view(float)))
+
+
+def csv_by_value(traj) -> str:
+    """The trajectory CSV spelled with one `format_float` call per value."""
+    names = [f"{part}(k{i + 1} u{c + 1})" for i in range(len(traj.modes)) for c in range(3) for part in ("re", "im")]
+    lines = [",".join(["t", *names])]
+    for t, sample in zip(traj.times, traj.coeffs):
+        lines.append(",".join(map(format_float, [t, *sample.view(float).ravel()])))
+    return "\n".join(lines) + "\n"
+
+
+# any finite float64 bit pattern, besides hypothesis's own choice of doubles
+_bit_patterns = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))).filter(math.isfinite)
+_EDGES = [-0.0, -0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308,
+          -1.7976931348623157e308, 0.1, 1 / 3, -1e-05, 2.0**-1074 * 3, -0.0]   # 0.1 and 1/3 need 17 digits
+
+
+@settings(max_examples=60)
+@given(_trajectories(st.one_of(_finite, _bit_patterns)))
+@example(Trajectory(   # -0.0 twice in a row, at a row's end and beside the extremes
+    np.array([[0, 0, 1], [1, 0, 0]], np.int64),
+    np.array([_EDGES, _EDGES[::-1]]).view(complex).reshape(2, 2, 3),
+    SolverConfig(6, 0.5, 0.5),
+))
+def test_trajectory_csv_is_format_float_per_value(traj):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp, "t.csv")
+        write_trajectory(csv, Path(tmp, "t_modes.json"), traj, "k")
+        text = csv.read_bytes()
+    assert text == csv_by_value(traj).encode()
+    lines = text.decode().splitlines()
+    assert len(lines) == 1 + len(traj)
+    assert len(lines[0].split(",")) == 1 + 6 * len(traj.modes)
 
 
 def test_trajectory_reader_puts_manifest_modes_in_key_order(tmp_path):
