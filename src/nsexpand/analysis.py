@@ -35,7 +35,6 @@ __all__ = [
     "CertificateReport",
     "tail_window",
     "norm_series",
-    "energy_ledger",
     "remainder_series",
     "fit_rate",
     "rate_claim_passes",
@@ -60,9 +59,6 @@ class NormSeries:
     def __post_init__(self):
         if len(self.times) != len(self.values):
             raise ValueError("times and values length mismatch")
-
-    def __len__(self):
-        return len(self.times)
 
     def peak(self) -> float:
         return float(np.max(self.values)) if len(self.values) else 0.0
@@ -115,29 +111,6 @@ def _joined(traj: Trajectory, terms, idx=slice(None), n=None):
 def norm_series(traj: Trajectory, spec: NormSpec) -> NormSeries:
     values = _norms(traj.coeffs.transpose(1, 0, 2), traj.modes, spec, len(traj))
     return NormSeries(traj.times.copy(), values)
-
-
-def energy_ledger(traj: Trajectory, force: ForceExpansion) -> np.ndarray:
-    """Per-interval defect of the energy balance on the sample grid.
-
-    Interval i reports
-        1/2|u_{i+1}|^2 - 1/2|u_i|^2 + int ||u||^2 - int <F, u>
-    with both integrals by the trapezoid rule, so the defect of an exact
-    trajectory is pure quadrature error: O(spacing^2) per unit time.
-    """
-    t = traj.times
-    energy = 0.5 * norm_series(traj, NormSpec(0.0, 0.0)).values ** 2
-    enstrophy = norm_series(traj, NormSpec(0.5, 0.0)).values ** 2
-    # <F, u> = 2 sum_k Re(F(k) . conj(u(k))) over the flow's modes; the force is zero off its own
-    parts = 2.0 * np.vecdot(traj.coeffs, evaluate_force(force, traj.modes, t)).real
-    work = sum(parts.T, np.zeros(len(traj)))
-    dt = np.diff(t)
-    return (
-        energy[1:]
-        - energy[:-1]
-        + 0.5 * dt * (enstrophy[1:] + enstrophy[:-1])
-        - 0.5 * dt * (work[1:] + work[:-1])
-    )
 
 
 def remainder_series(traj: Trajectory, terms, spec: NormSpec) -> NormSeries:

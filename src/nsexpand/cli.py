@@ -38,8 +38,8 @@ from .expansion import ExpansionResult, LevelEquationError, build_expansion
 from .galerkin import BlowupError, integrate
 from .scenario import Scenario, ScenarioError, _norm_tag, load_scenario
 from .serialize import (
+    _format_float,
     _object,
-    format_float,
     level_to_doc,
     load_json,
     read_trajectory,
@@ -48,7 +48,7 @@ from .serialize import (
     write_norm_csv,
     write_trajectory,
 )
-from .spectral import NormSpec, SpectralField, eigenvalues_up_to, norm
+from .spectral import NormSpec, SpectralField, eigenvalues_up_to, leray_project, norm
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -118,8 +118,9 @@ def fitted_constants(scenario: Scenario, traj, fit_log: dict):
     """Free-constant provider for verify: the scenario's constant, else one fitted on `traj`.
 
     Fits run on Stokes-eigenvalue levels only; a fitted constant no larger than
-    SNAP_FACTOR x the trajectory's peak norm is snapped to zero. Each fit is
-    recorded in `fit_log` under its level, in the resonant_fits.json format.
+    SNAP_FACTOR x the trajectory's peak norm is snapped to zero, and any other is
+    Leray-projected, since a window mean is divergence-free only to rounding. Each
+    fit is recorded in `fit_log` under its level, in the resonant_fits.json format.
     """
     req = scenario.expansion
     spectrum = set(eigenvalues_up_to(req.n_max))
@@ -142,7 +143,7 @@ def fitted_constants(scenario: Scenario, traj, fit_log: dict):
             "n_samples": fit.n_samples,
             "snapped_to_zero": snapped,
         }
-        return SpectralField.zero() if snapped else fit.constant
+        return SpectralField.zero() if snapped else leray_project(fit.constant)
 
     return constant
 
@@ -158,7 +159,7 @@ def run_expand(scenario: Scenario, out: str) -> int:
         marker = " (resonant)" if n in hits else ""
         print(
             f"level {n}: degree {poly.degree}, "
-            f"residual {format_float(result.residuals[n])}{marker}"
+            f"residual {_format_float(result.residuals[n])}{marker}"
         )
     print(f"expansion written to {run_dir / 'expansion'}")
     return EXIT_OK
@@ -171,9 +172,9 @@ def run_simulate(scenario: Scenario, out: str) -> int:
         series = norm_series(traj, spec)
         write_norm_csv(run_dir / "norms" / f"norm_{_norm_tag(spec)}.csv", series)
     print(
-        f"simulated {len(traj)} samples to t = {format_float(traj.t_end)} "
+        f"simulated {len(traj)} samples to t = {_format_float(traj.t_end)} "
         f"(cutoff {scenario.solver.mode_cutoff}, step {scenario.solver.step:g}); "
-        f"final norm {format_float(norm(traj.state(-1)))}"
+        f"final norm {_format_float(norm(traj.state(-1)))}"
     )
     print(f"trajectory written to {run_dir / 'trajectory.csv'}" if fresh
           else f"trajectory reused from {run_dir / 'trajectory.npy'}")
@@ -317,7 +318,7 @@ def run_certify(scenario: Scenario, out: str) -> int:
     )
     lines = [f"scenario {scenario.name}: decay certificates"]
     for r in rows:
-        mm = format_float(r["min_margin"]) if r["min_margin"] is not None else "-"
+        mm = _format_float(r["min_margin"]) if r["min_margin"] is not None else "-"
         lines.append(
             f"alpha={r['alpha']:g} delta={r['delta']:g} lambda={r['lambda']:g} "
             f"sigma={r['sigma']:g} K={r['K']:g}: {r['verdict']} (min margin {mm})"

@@ -34,7 +34,6 @@ __all__ = [
     "solve_level",
     "build_expansion",
     "expansion_residual",
-    "finite_approximation_plan",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -222,30 +221,3 @@ def expansion_residual(terms, force: ForceExpansion, n: int) -> float:
         return 0.0
     return r.max_abs() / scale
 
-
-def finite_approximation_plan(
-    alpha_star: float, mu_star: float, n_levels: int
-) -> list[tuple[int, float, float]]:
-    """Per-level regularity budget (n, alpha_n, mu_n) for an n_levels expansion.
-
-    Each level costs half an order of smoothness in both indices:
-    alpha_n = alpha_* - (n-1)/2 and mu_n = mu_* - (n-1)/2. Admissibility
-    requires mu_* >= alpha_* >= n_levels / 2, so that even the deepest level
-    retains a positive budget.
-    """
-    n_levels = int(n_levels)
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
-    if not (mu_star >= alpha_star):
-        raise ValueError(
-            f"inadmissible plan: need mu_* >= alpha_*, got mu_*={mu_star}, alpha_*={alpha_star}"
-        )
-    if not (alpha_star >= n_levels / 2):
-        raise ValueError(
-            f"inadmissible plan: need alpha_* >= n_levels/2 = {n_levels / 2}, "
-            f"got alpha_*={alpha_star}; reduce the level count or raise the regularity"
-        )
-    return [
-        (n, alpha_star - (n - 1) / 2, mu_star - (n - 1) / 2)
-        for n in range(1, n_levels + 1)
-    ]

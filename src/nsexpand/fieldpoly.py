@@ -71,18 +71,6 @@ class FieldPolynomial:
     def coeffs(self) -> tuple[SpectralField, ...]:
         return self._coeffs
 
-    def coeff(self, j: int) -> SpectralField:
-        if 0 <= j < len(self._coeffs):
-            return self._coeffs[j]
-        return SpectralField.zero()
-
-    def __call__(self, t: float) -> SpectralField:
-        # Horner, field-valued
-        acc = SpectralField.zero()
-        for c in reversed(self._coeffs):
-            acc = acc * t + c
-        return acc
-
     def derivative(self) -> "FieldPolynomial":
         return FieldPolynomial(
             [c * float(j) for j, c in enumerate(self._coeffs) if j > 0]
@@ -114,9 +102,6 @@ class FieldPolynomial:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return (-1.0) * self
-
     def __eq__(self, other):
         if not isinstance(other, FieldPolynomial):
             return NotImplemented
@@ -126,9 +111,6 @@ class FieldPolynomial:
 
     def max_abs(self) -> float:
         return max((c.max_abs() for c in self._coeffs), default=0.0)
-
-    def __repr__(self):
-        return f"FieldPolynomial(degree={self.degree})"
 
 
 def poly_bilinear(p: FieldPolynomial, q: FieldPolynomial) -> FieldPolynomial:
@@ -209,7 +191,7 @@ def _decay(rate: float, times) -> np.ndarray:
 def assemble(terms, modes: np.ndarray, times) -> np.ndarray:
     """sum_n q_n(t) e^{-n t} over the (n, q_n) pairs at the (K, 3) key-ordered modes and the
     S times, as an (S, K, 3) block, zero where a mode is absent. Each step is the field
-    arithmetic of `FieldPolynomial.__call__`, so each row equals the per-time field's bits."""
+    arithmetic of Horner's rule, so each row equals the per-time field's bits."""
     t = np.asarray(times, dtype=float).reshape(-1, 1, 1)
     acc = np.zeros((len(t), len(modes), 3), dtype=np.complex128)
     for n, q in terms:

@@ -35,7 +35,6 @@ from .spectral import SpectralField, _mode_rows, _mode_union, _wavevectors, is_r
 
 __all__ = [
     "ScenarioError",
-    "format_float",
     "dumps_json",
     "write_json",
     "load_json",
@@ -59,7 +58,7 @@ class ScenarioError(ValueError):
         self.path = path
 
 
-def format_float(x: float) -> str:
+def _format_float(x: float) -> str:
     text = format(float(x), ".17g")
     return "-0.0" if text == "-0" else text   # "-0" would read back as the integer 0
 
@@ -82,7 +81,7 @@ def _emit(obj, out: list[str], level: int):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        out.append(format_float(x) if math.isfinite(x) else "null")
+        out.append(_format_float(x) if math.isfinite(x) else "null")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -231,7 +230,7 @@ def write_trajectory(csv_path, manifest_path, traj: Trajectory, key: str):
     """CSV columns: t, then re/im per component of each manifest mode, named only in the header.
     The exact block goes beside the CSV as `.npy`; the manifest stores its modes and `key`.
 
-    A row is one "%.17g" template, the text of `format_float` except that -0.0 comes out
+    A row is one "%.17g" template, the text of `_format_float` except that -0.0 comes out
     as "-0"; no other value's text ends in "-0", so "-0" before a separator becomes "-0.0"."""
     cells = [(i + 1, c + 1) for i in range(len(traj.modes)) for c in range(3)]
     columns = ["t", *(f"{part}(k{i} u{c})" for i, c in cells for part in ("re", "im"))]
@@ -283,7 +282,7 @@ def write_norm_csv(path, series):
     with open(path, "w") as fh:
         fh.write("t,value\n")
         for t, v in zip(series.times, series.values):
-            fh.write(f"{format_float(t)},{format_float(v)}\n")
+            fh.write(f"{_format_float(t)},{_format_float(v)}\n")
 
 
 def level_to_doc(n: int, poly: FieldPolynomial) -> dict:

@@ -38,7 +38,6 @@ __all__ = [
     "bilinear",
     "bilinear_norm_ratio",
     "eigenspace_project",
-    "truncate",
     "eigenvalues_up_to",
 ]
 
@@ -210,24 +209,8 @@ class SpectralField:
         """Iterate (k, coefficient) over stored representatives, lexicographic order."""
         return zip(self.support(), self._c)
 
-    def full_modes(self):
-        """Iterate (k, coefficient) over both halves of every pair."""
-        for k, c in self.modes():
-            yield k, c
-            yield (-k[0], -k[1], -k[2]), np.conj(c)
-
     def support(self) -> tuple[Wavevector, ...]:
         return tuple(map(tuple, self._k.tolist()))
-
-    def coeff(self, k) -> np.ndarray:
-        """Coefficient at any wavevector, conjugating across the pair as needed."""
-        k = (int(k[0]), int(k[1]), int(k[2]))
-        rep = is_representative(k)
-        k = k if rep else (-k[0], -k[1], -k[2])
-        i = _mode_rows(np.array([k]), self._k)[0] if max(map(abs, k)) < _K_BOUND else -1
-        if i < 0:
-            return np.zeros(3, dtype=np.complex128)
-        return self._c[i].copy() if rep else np.conj(self._c[i])
 
     @property
     def n_modes(self) -> int:
@@ -281,22 +264,12 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return (-1.0) * self
-
     def __eq__(self, other):
         if not isinstance(other, SpectralField):
             return NotImplemented
         return np.array_equal(self._key, other._key) and np.array_equal(self._c, other._c)
 
     __hash__ = None
-
-    def allclose(self, other, rtol=1e-12, atol=0.0) -> bool:
-        scale = max(self.max_abs(), other.max_abs())
-        return (self - other).max_abs() <= atol + rtol * scale
-
-    def __repr__(self):
-        return f"SpectralField({self.n_modes} mode pairs)"
 
     # -- pointwise constraints --------------------------------------------------
 
@@ -414,11 +387,6 @@ def eigenspace_project(u: SpectralField, n: int) -> SpectralField:
     if n != int(n) or n < 1:
         raise ValueError(f"eigenspace index must be a positive integer, got {n}")
     return u._select(_eigenvalues(u._k) == int(n))
-
-
-def truncate(u: SpectralField, max_eigenvalue: int) -> SpectralField:
-    """Drop every mode with |k|^2 > max_eigenvalue (Galerkin low-mode projection)."""
-    return u._select(_eigenvalues(u._k) <= max_eigenvalue)
 
 
 def eigenvalues_up_to(nmax: int) -> list[int]:

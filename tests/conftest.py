@@ -16,13 +16,17 @@ from hypothesis import strategies as st
 from nsexpand import (
     FieldPolynomial,
     ForceExpansion,
+    NormSpec,
     SolverConfig,
     SpectralField,
+    Trajectory,
     integrate,
     leray_project,
     norm,
+    norm_series,
 )
 from nsexpand.cli import fitted_constants, write_expansion
+from nsexpand.galerkin import evaluate_force
 from nsexpand.scenario import scenario_from_doc
 from nsexpand.serialize import field_to_literal, poly_to_literal
 
@@ -48,20 +52,20 @@ small_fields = st.dictionaries(
 # -- independent oracles -------------------------------------------------------
 
 
+def full_modes(u: SpectralField):
+    """Iterate (k, coefficient) over both halves of every pair: c(-k) = conj c(k)."""
+    for k, c in u.modes():
+        yield k, c
+        yield (-k[0], -k[1], -k[2]), np.conj(c)
+
+
 def brute_force_bilinear(u: SpectralField, v: SpectralField) -> dict:
     """Reference convolution: plain dict over every ordered full-mode pair.
 
     Returns a representative-keyed dict of numpy 3-vectors (Leray-projected),
     built without using spectral.bilinear or the solver's FFT kernel.
     """
-    full_u = {}
-    for k, c in u.modes():
-        full_u[k] = np.array(c)
-        full_u[(-k[0], -k[1], -k[2])] = np.conj(c)
-    full_v = {}
-    for k, c in v.modes():
-        full_v[k] = np.array(c)
-        full_v[(-k[0], -k[1], -k[2])] = np.conj(c)
+    full_u, full_v = dict(full_modes(u)), dict(full_modes(v))
     acc = {}
     for m, cu in full_u.items():
         for l, cv in full_v.items():
@@ -113,7 +117,7 @@ def resolvent_oracle(p: FieldPolynomial, beta: float) -> FieldPolynomial:
             mat[j, j + 1] = j + 1
     out_coeffs = [dict() for _ in range(d)]
     for k in support:
-        rhs = np.array([c.coeff(k) for c in p.coeffs()])  # (d, 3)
+        rhs = np.array([c._rows(np.array([k]))[0] for c in p.coeffs()])  # (d, 3)
         sol = np.linalg.solve(mat, rhs)
         for j in range(d):
             out_coeffs[j][k] = sol[j]
@@ -124,7 +128,7 @@ def eval_physical(u: SpectralField, x) -> np.ndarray:
     """Evaluate the velocity field at a physical point by direct mode summation."""
     x = np.asarray(x, dtype=float)
     total = np.zeros(3, dtype=complex)
-    for k, c in u.full_modes():
+    for k, c in full_modes(u):
         total += c * np.exp(1j * (k[0] * x[0] + k[1] * x[1] + k[2] * x[2]))
     return total
 
@@ -233,5 +237,66 @@ def assert_fields_close(a: SpectralField, b: SpectralField, rtol=1e-12, atol=0.0
 
 
 def levels_at(terms, t: float) -> SpectralField:
-    """sum_n q_n(t) e^{-n t} as one field: the per-time reference for `assemble`."""
-    return sum((q(t) * math.exp(-n * t) for n, q in terms), SpectralField.zero())
+    """sum_n q_n(t) e^{-n t} as one field, each q_n(t) by Horner's rule in field
+    arithmetic: the per-time reference for `assemble`."""
+    total = SpectralField.zero()
+    for n, q in terms:
+        qt = SpectralField.zero()
+        for c in reversed(q.coeffs()):
+            qt = qt * t + c
+        total = total + qt * math.exp(-n * t)
+    return total
+
+
+# -- the energy and regularity gates (criteria 6 and 9) -----------------------------
+
+
+def energy_ledger(traj: Trajectory, force: ForceExpansion) -> np.ndarray:
+    """Per-interval defect of the energy balance on the sample grid.
+
+    Interval i reports
+        1/2|u_{i+1}|^2 - 1/2|u_i|^2 + int ||u||^2 - int <F, u>
+    with both integrals by the trapezoid rule, so the defect of an exact
+    trajectory is pure quadrature error: O(spacing^2) per unit time.
+    """
+    t = traj.times
+    energy = 0.5 * norm_series(traj, NormSpec(0.0, 0.0)).values ** 2
+    enstrophy = norm_series(traj, NormSpec(0.5, 0.0)).values ** 2
+    # <F, u> = 2 sum_k Re(F(k) . conj(u(k))) over the flow's modes; the force is zero off its own
+    parts = 2.0 * np.vecdot(traj.coeffs, evaluate_force(force, traj.modes, t)).real
+    work = sum(parts.T, np.zeros(len(traj)))
+    dt = np.diff(t)
+    return (
+        energy[1:]
+        - energy[:-1]
+        + 0.5 * dt * (enstrophy[1:] + enstrophy[:-1])
+        - 0.5 * dt * (work[1:] + work[:-1])
+    )
+
+
+def finite_approximation_plan(
+    alpha_star: float, mu_star: float, n_levels: int
+) -> list[tuple[int, float, float]]:
+    """Per-level regularity budget (n, alpha_n, mu_n) for an n_levels expansion.
+
+    Each level costs half an order of smoothness in both indices:
+    alpha_n = alpha_* - (n-1)/2 and mu_n = mu_* - (n-1)/2. Admissibility
+    requires mu_* >= alpha_* >= n_levels / 2, so that even the deepest level
+    retains a positive budget.
+    """
+    n_levels = int(n_levels)
+    if n_levels < 1:
+        raise ValueError("n_levels must be >= 1")
+    if not (mu_star >= alpha_star):
+        raise ValueError(
+            f"inadmissible plan: need mu_* >= alpha_*, got mu_*={mu_star}, alpha_*={alpha_star}"
+        )
+    if not (alpha_star >= n_levels / 2):
+        raise ValueError(
+            f"inadmissible plan: need alpha_* >= n_levels/2 = {n_levels / 2}, "
+            f"got alpha_*={alpha_star}; reduce the level count or raise the regularity"
+        )
+    return [
+        (n, alpha_star - (n - 1) / 2, mu_star - (n - 1) / 2)
+        for n in range(1, n_levels + 1)
+    ]

@@ -12,31 +12,27 @@ from nsexpand import (
     DecayCertificate,
     FieldPolynomial,
     ForceExpansion,
-    NormSeries,
     NormSpec,
-    RateFit,
     SolverConfig,
     SpectralField,
     Trajectory,
     bilinear,
     build_expansion,
     certificate_check,
-    eigenspace_project,
     fit_rate,
     fit_resonant_constant,
     integrate,
     leray_project,
-    level_source,
     norm,
     norm_series,
     rate_claim_passes,
     remainder_series,
-    solve_level,
-    tail_window,
 )
-from nsexpand.analysis import FitError
+from nsexpand.analysis import FitError, NormSeries, RateFit, tail_window
+from nsexpand.expansion import level_source, solve_level
 from nsexpand.galerkin import ModeTable
 from nsexpand.serialize import dumps_json, field_to_literal
+from nsexpand.spectral import eigenspace_project
 
 
 def heat_trajectory(amplitude=0.8, t_end=3.0, stride=4):
@@ -280,7 +276,8 @@ def test_fit_resonant_constant_exact_recovery():
     q1 = term1[1]
 
     def state(t):
-        return math.exp(-t) * q1(t) + math.exp(-2 * t) * (q2(t) + xi2)
+        q1t, q2t = levels_at([(0, q1)], t), levels_at([(0, q2)], t)
+        return math.exp(-t) * q1t + math.exp(-2 * t) * (q2t + xi2)
 
     traj = fabricated_trajectory(state)
     fit = fit_resonant_constant(traj, [term1, (2, q2)], 2)
@@ -297,7 +294,8 @@ def test_fit_resonant_constant_flags_contamination():
     eta = xi2  # contaminant the same size as the constant itself
 
     def state(t):
-        clean = math.exp(-t) * q1(t) + math.exp(-2 * t) * (q2(t) + xi2)
+        q1t, q2t = levels_at([(0, q1)], t), levels_at([(0, q2)], t)
+        clean = math.exp(-t) * q1t + math.exp(-2 * t) * (q2t + xi2)
         return clean + math.exp(-3 * t) * eta
 
     traj = fabricated_trajectory(state)
@@ -340,7 +338,8 @@ def test_fit_resonant_constant_needs_samples():
     q1 = term1[1]
 
     def state(t):
-        return math.exp(-t) * q1(t) + math.exp(-2 * t) * q2(t)
+        q1t, q2t = levels_at([(0, q1)], t), levels_at([(0, q2)], t)
+        return math.exp(-t) * q1t + math.exp(-2 * t) * q2t
 
     traj = fabricated_trajectory(state)
     with pytest.raises(FitError, match="fewer than 2"):

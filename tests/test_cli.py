@@ -808,3 +808,19 @@ def test_readme_output_listing_matches_the_tree(tmp_path, capsys):
     expanded = {pat: {p.relative_to(run).as_posix() for p in run.glob(pat)} for pat in patterns}
     assert [pattern for pattern, files in expanded.items() if not files] == []
     assert set(tree_bytes(run)) == set().union(*expanded.values())
+
+
+def test_readme_scenario_at_n_max_six_ends_with_verdicts(tmp_path, capsys):
+    # the fitted level-6 constant of the README's flow is a window mean of projected
+    # states, divergence-free only to rounding; verify projects it, so the run ends
+    # with a verdict on every row, not with the divergence gate's input error
+    doc = json.loads(re.search(r"^```json\n(.*?)^```$", README.read_text(), re.M | re.S).group(1))
+    doc["expansion"]["N_max"] = 6
+    sp = write_doc(tmp_path, doc)
+    code = main(["verify", "--scenario", sp, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (EXIT_FAILED, EXIT_INCONCLUSIVE), err
+    report = json.loads((tmp_path / "out" / doc["name"] / "reports" / "verify.json").read_text())
+    assert report["exit_code"] == code
+    assert sorted({row["level"] for row in report["rows"]}) == [1, 2, 3, 4, 5, 6]
+    assert all(row["verdict"] in ("pass", "fail", "inconclusive") for row in report["rows"])

@@ -10,30 +10,28 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_fields_close,
+    energy_ledger,
     eval_physical,
+    full_modes,
     ladder_force,
     ladder_phi,
     random_div_free_field,
 )
 from nsexpand import (
-    BlowupError,
     FieldPolynomial,
     ForceExpansion,
     SolverConfig,
     SpectralField,
     Trajectory,
     bilinear,
-    energy_ledger,
-    evaluate_force,
     inner,
     integrate,
     leray_project,
     norm,
-    truncate,
 )
 from nsexpand import galerkin
 from nsexpand.fieldpoly import level_support
-from nsexpand.galerkin import ModeTable, _closure
+from nsexpand.galerkin import BlowupError, ModeTable, _closure, evaluate_force
 from nsexpand.spectral import _ball, _mode_rows, _mode_union, eigenvalue
 
 
@@ -156,15 +154,15 @@ def reachable_rows(table, u):
     """Representatives of the table that some pair of live full modes m + l equals."""
     sums = {
         (m[0] + l[0], m[1] + l[1], m[2] + l[2])
-        for m, _ in u.full_modes()
-        for l, _ in u.full_modes()
+        for m, _ in full_modes(u)
+        for l, _ in full_modes(u)
     }
     return {k for k in map(tuple, table._k.tolist()) if k in sums or (-k[0], -k[1], -k[2]) in sums}
 
 
 def product_bound(table, u):
     """sqrt(M) (sum|c_u|)^2: bounds every coefficient of B(u, u) on the ball."""
-    mu = sum(float(np.abs(c).sum()) for _, c in u.full_modes())
+    mu = sum(float(np.abs(c).sum()) for _, c in full_modes(u))
     return math.sqrt(table.cutoff) * mu * mu
 
 
@@ -175,7 +173,7 @@ def test_convolve_matches_projected_truncated_product(cutoff):
     table = ModeTable(cutoff)
     for n_modes in (min(table.size, 12), table.size):
         u = ball_field(rng, table, rng.choice(table.size, n_modes, replace=False))
-        want = truncate(bilinear(u, u), cutoff)
+        want = SpectralField({k: c for k, c in bilinear(u, u).modes() if eigenvalue(k) <= cutoff})
         assert_fields_close(table.to_field(table.convolve(table.densify(u))), want, atol=1e-15)
 
 
@@ -196,15 +194,15 @@ def test_convolve_properties_on_random_supports(cutoff, seed, n_u):
     rng = np.random.default_rng(seed)
     u = ball_field(rng, table, rng.choice(table.size, min(n_u, table.size), replace=False))
     got = table.to_field(table.convolve(table.densify(u)))
-    want = truncate(bilinear(u, u), cutoff)
+    want = SpectralField({k: c for k, c in bilinear(u, u).modes() if eigenvalue(k) <= cutoff})
     floor = 1e-14 * product_bound(table, u)   # rounding level of any output coefficient
 
     assert_fields_close(got, want, rtol=1e-12, atol=floor)
     # exact zeros off the pairs' reach; elsewhere the supports differ only
     # where the exact sum cancels to rounding
     assert set(got.support()) <= reachable_rows(table, u)
-    for k in set(got.support()) ^ set(want.support()):
-        assert max(np.abs(got.coeff(k)).max(), np.abs(want.coeff(k)).max()) <= floor
+    odd = np.array(sorted(set(got.support()) ^ set(want.support())), np.int64).reshape(-1, 3)
+    assert np.abs(np.concatenate((got._rows(odd), want._rows(odd)))).max(initial=0.0) <= floor
     assert abs(inner(got, u)) <= floor * norm(u)
 
 
@@ -273,8 +271,8 @@ def test_closure_table_is_the_grid_product_on_the_closure(cutoff, seed, n_u):
     off[at] = False
     assert not grid[off].any()   # off S the grid product is exactly zero
     # a bound on every coefficient's sum of term magnitudes |c(m)| |l| |c(l)|
-    scale = (sum(float(np.abs(c).sum()) for _, c in u.full_modes())
-             * sum(float(np.abs(l).sum() * np.abs(c).max()) for l, c in u.full_modes()))
+    scale = (sum(float(np.abs(c).sum()) for _, c in full_modes(u))
+             * sum(float(np.abs(l).sum() * np.abs(c).max()) for l, c in full_modes(u)))
     assert np.abs(got - grid[at]).max() <= 1e-15 * scale
     # rows no pair of live modes reaches are +0.0, signs included
     dead = [i for i, k in enumerate(table._k.tolist()) if tuple(k) not in reachable_rows(table, u)]
@@ -419,7 +417,7 @@ def test_evaluate_force_levels_and_remainder():
     block = evaluate_force(force, modes, [0.0, t])
     assert block.shape == (2, 1, 3)
     assert_fields_close(SpectralField(zip(modes.tolist(), block[1])), want, rtol=1e-14)
-    assert block[0, 0].tolist() == (a + b0).coeff((1, 0, 0)).tolist()
+    assert block[0, 0].tolist() == (a + b0)._rows(modes)[0].tolist()
 
 
 # -- exactness on the pure heat flow ---------------------------------------------------

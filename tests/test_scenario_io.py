@@ -17,20 +17,18 @@ from nsexpand import (
     FieldPolynomial,
     ForceExpansion,
     NormSpec,
-    ScenarioError,
     SolverConfig,
     SpectralField,
     Trajectory,
     integrate,
-    is_representative,
-    load_scenario,
 )
-from nsexpand.scenario import scenario_from_doc
+from nsexpand.scenario import load_scenario, scenario_from_doc
 from nsexpand.serialize import (
+    ScenarioError,
+    _format_float,
     dumps_json,
     field_from_literal,
     field_to_literal,
-    format_float,
     level_to_doc,
     poly_from_literal,
     poly_to_literal,
@@ -38,6 +36,7 @@ from nsexpand.serialize import (
     write_norm_csv,
     write_trajectory,
 )
+from nsexpand.spectral import is_representative
 
 
 # -- float formatting and JSON emission ------------------------------------------
@@ -45,8 +44,8 @@ from nsexpand.serialize import (
 
 def test_format_float_round_trips():
     for x in (1 / 3, 0.1, -1e-300, 6.02214076e23, math.pi, 2.0, -0.0, 5e-324):
-        assert float(format_float(x)) == x
-    assert math.copysign(1.0, json.loads(format_float(-0.0))) == -1.0
+        assert float(_format_float(x)) == x
+    assert math.copysign(1.0, json.loads(_format_float(-0.0))) == -1.0
 
 
 def test_dumps_json_frozen_layout():
@@ -238,11 +237,11 @@ def test_trajectory_block_round_trip_is_exact(traj):
 
 
 def csv_by_value(traj) -> str:
-    """The trajectory CSV spelled with one `format_float` call per value."""
+    """The trajectory CSV spelled with one `_format_float` call per value."""
     names = [f"{part}(k{i + 1} u{c + 1})" for i in range(len(traj.modes)) for c in range(3) for part in ("re", "im")]
     lines = [",".join(["t", *names])]
     for t, sample in zip(traj.times, traj.coeffs):
-        lines.append(",".join(map(format_float, [t, *sample.view(float).ravel()])))
+        lines.append(",".join(map(_format_float, [t, *sample.view(float).ravel()])))
     return "\n".join(lines) + "\n"
 
 
@@ -306,7 +305,7 @@ def test_read_trajectory_detects_manifest_mismatch(tmp_path):
 
 
 def test_write_norm_csv(tmp_path):
-    from nsexpand import NormSeries
+    from nsexpand.analysis import NormSeries
 
     series = NormSeries(np.array([0.0, 0.5]), np.array([1.0, 1 / 3]))
     path = tmp_path / "norm.csv"
@@ -314,7 +313,7 @@ def test_write_norm_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,value"
     assert lines[1] == "0,1"
-    assert lines[2] == f"0.5,{format_float(1 / 3)}"
+    assert lines[2] == f"0.5,{_format_float(1 / 3)}"
 
 
 # -- scenario documents ----------------------------------------------------------------
