@@ -30,6 +30,7 @@ __all__ = [
     "ExpansionResult",
     "LevelEquationError",
     "check_resonant_data",
+    "coupling_products",
     "level_source",
     "solve_level",
     "build_expansion",
@@ -112,19 +113,25 @@ def check_resonant_data(resonant) -> dict[int, SpectralField]:
     return out
 
 
-def _coupling_pairs(qmap: dict, n: int):
-    """Nonzero (q_k, q_m) with k + m = n, by increasing k; callers form one product at a time."""
+def coupling_products(terms, n: int) -> list[FieldPolynomial]:
+    """B~(q_k, q_m) for each nonzero pair of built (k, q_k) levels with k + m = n, by increasing k.
+
+    A level's products are formed once and passed to both `level_source` and
+    `expansion_residual`."""
+    qmap = dict(terms)
+    products = []
     for k in range(1, n):
         qk, qm = qmap.get(k), qmap.get(n - k)
         if qk is not None and qm is not None and not (qk.is_zero or qm.is_zero):
-            yield qk, qm
+            products.append(poly_bilinear(qk, qm))
+    return products
 
 
-def level_source(prior_terms, force: ForceExpansion, n: int) -> FieldPolynomial:
-    """Driving polynomial p_n = f_n - sum_{k+m=n} B~(q_k, q_m) from built (k, q_k) levels."""
+def level_source(force: ForceExpansion, n: int, products) -> FieldPolynomial:
+    """Driving polynomial p_n = f_n - sum_{k+m=n} B~(q_k, q_m) from the level's `coupling_products`."""
     p = force.level(n)
-    for qk, qm in _coupling_pairs(dict(prior_terms), n):
-        p = p - poly_bilinear(qk, qm)
+    for b in products:
+        p = p - b
     return p
 
 
@@ -156,8 +163,9 @@ def build_expansion(
     either a mapping n -> xi_n, or a callable (n, levels) -> xi_n or None,
     asked once per level with the (k, q_k) pairs up to and including the
     zero-constant level n. A missing constant is zero. Every constant passes
-    `check_resonant_data`, and the result's level equations are re-checked
-    independently and must hold to RESIDUAL_TOL relative (LevelEquationError
+    `check_resonant_data`. Each level's coupling products are formed once,
+    for its source and its residual; the level equation is re-checked on the
+    final q_n and must hold to RESIDUAL_TOL relative (LevelEquationError
     otherwise).
     """
     levels = int(levels)
@@ -173,17 +181,17 @@ def build_expansion(
 
     terms: list[tuple[int, FieldPolynomial]] = []
     log: list[tuple[int, int]] = []
+    residuals: dict[int, float] = {}
     for n in range(1, levels + 1):
-        q, hit = solve_level(level_source(terms, force, n), n)
+        products = coupling_products(terms, n)   # q_1..q_{n-1} are final
+        q, hit = solve_level(level_source(force, n, products), n)
         xi = constant(n, (*terms, (n, q)))
         if xi is not None and not check_resonant_data({n: xi})[n].is_zero:
             q, hit = q + FieldPolynomial.constant(xi), True
         if hit:
             log.append((n, n))
         terms.append((n, q))
-    residuals = {
-        n: expansion_residual(terms, force, n) for n in range(1, levels + 1)
-    }
+        residuals[n] = expansion_residual(q, force, n, products)
     worst = max(residuals.values(), default=0.0)
     if worst > RESIDUAL_TOL:
         raise LevelEquationError(
@@ -198,25 +206,22 @@ def _stokes_shift(c: SpectralField, n: int) -> SpectralField:
     return c._reweighted(c._c * (_eigenvalues(c._k) - n).astype(float)[:, None])
 
 
-def expansion_residual(terms, force: ForceExpansion, n: int) -> float:
-    """Max relative coefficient defect of level n's equation, checked from scratch.
+def expansion_residual(qn: FieldPolynomial, force: ForceExpansion, n: int, products) -> float:
+    """Max relative coefficient defect of level n's equation, re-checked on the built q_n.
 
-    Forms q_n' + (A - n) q_n + sum_{k+m=n} B~(q_k, q_m) - f_n and compares
-    its largest coefficient against the largest coefficient of the operands,
-    so an exactly-solved level reports rounding-level numbers regardless of
-    the force's scale. `terms` holds (k, q_k) pairs.
+    Forms q_n' + (A - n) q_n + sum_{k+m=n} B~(q_k, q_m) - f_n, the sum over the
+    level's `coupling_products`, and compares its largest coefficient against
+    the largest coefficient of the operands, so an exactly-solved level reports
+    rounding-level numbers regardless of the force's scale.
     """
-    qmap = dict(terms)
-    qn = qmap.get(n, FieldPolynomial.zero())
     fn = force.level(n)
     interaction = FieldPolynomial.zero()
-    for qk, qm in _coupling_pairs(qmap, n):
-        interaction = interaction + poly_bilinear(qk, qm)
+    for b in products:
+        interaction = interaction + b
+    dq = qn.derivative()
     shifted = qn.map_coeffs(lambda c: _stokes_shift(c, n))
-    r = qn.derivative() + shifted + interaction - fn
-    scale = max(
-        qn.derivative().max_abs(), shifted.max_abs(), interaction.max_abs(), fn.max_abs()
-    )
+    r = dq + shifted + interaction - fn
+    scale = max(dq.max_abs(), shifted.max_abs(), interaction.max_abs(), fn.max_abs())
     if scale == 0.0:
         return 0.0
     return r.max_abs() / scale

@@ -10,7 +10,12 @@ key; `scenario` holds only the scenario schema on top.
 
 Every float is printed with 17 significant digits so files round-trip to the
 exact same doubles; writers emit keys and rows in fixed orders and carry no
-wall-clock content, so identical inputs give byte-identical files. Each fact is
+wall-clock content, so identical inputs give byte-identical files. A
+`SpectralField` inside a document is printed from its arrays: one per-mode
+"%d"/"%.17g" template at the current indent, formatted once over the field's
+(k, re, im) rows, then "-0" respelled "-0.0". Its text is exactly that of its
+field literal, so level documents and the trajectory key's text hold fields
+themselves and a field has one text on every path. Each fact is
 written once: a series file holds only its samples (its rate fit lives in the
 verify report), and a level document only its level and polynomial. Level
 documents and the trajectory CSV are output only: no program path reads one
@@ -75,7 +80,9 @@ def dumps_json(obj) -> str:
 
 def _emit(obj, out: list[str], level: int):
     pad, closepad = "  " * (level + 1), "  " * level   # two spaces per level
-    if isinstance(obj, bool) or obj is None:
+    if isinstance(obj, SpectralField):
+        out.append(_field_text(obj, level))
+    elif isinstance(obj, bool) or obj is None:
         out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
@@ -107,6 +114,22 @@ def _emit(obj, out: list[str], level: int):
         out.append(closepad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _field_text(field: SpectralField, level: int) -> str:
+    """The text of `_emit(field_to_literal(field))` at `level`: one mode template, repeated,
+    formatted once over the rows (k, re, im). As in `write_trajectory`, "%.17g" prints -0.0
+    as "-0", and no other value's text ends in "-0"; a coefficient is never non-finite."""
+    if field.is_zero:
+        return "[]"
+    p1, p2, p3 = ("  " * (level + i) for i in (1, 2, 3))
+    triple = "[\n" + ",\n".join([p3 + "%s"] * 3) + f"\n{p2}]"
+    ints, floats = triple % (("%d",) * 3), triple % (("%.17g",) * 3)
+    mode = f'{p1}{{\n{p2}"k": {ints},\n{p2}"re": {floats},\n{p2}"im": {floats}\n{p1}}}'
+    rows = np.concatenate((field._k, field._c.real, field._c.imag), axis=1)   # k exact as floats
+    text = ",\n".join([mode] * field.n_modes) % tuple(rows.ravel().tolist())
+    text = text.replace("-0,\n", "-0.0,\n").replace("-0\n", "-0.0\n")
+    return f"[\n{text}\n{'  ' * level}]"
 
 
 def write_json(path, obj):
@@ -200,13 +223,18 @@ def field_from_literal(lit, path: str = "field") -> SpectralField:
         im = _triple(_need(entry, "im", epath), f"{epath}.im", float)
         if k in coeffs:
             raise ScenarioError(f"{epath}.k", f"duplicate wavevector {list(k)}")
-        coeffs[k] = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+        coeffs[k] = list(map(complex, re, im))   # keeps signed zeros; re + 1j * im does not
     with _at(path):
         return SpectralField(coeffs)
 
 
 def poly_to_literal(poly: FieldPolynomial) -> dict:
     return {"degree_coeffs": [field_to_literal(c) for c in poly.coeffs()]}
+
+
+def _poly_doc(poly: FieldPolynomial) -> dict:
+    """`poly_to_literal(poly)` with the fields themselves, which `dumps_json` prints the same."""
+    return {"degree_coeffs": poly.coeffs()}
 
 
 def poly_from_literal(lit, path: str = "poly") -> FieldPolynomial:
@@ -221,8 +249,8 @@ def poly_from_literal(lit, path: str = "poly") -> FieldPolynomial:
 
 def trajectory_key(force, initial: SpectralField, solver: SolverConfig) -> str:
     """sha256 of what fixes a flow and its sample grid: force levels, initial data, solver block."""
-    doc = {"force": [[n, poly_to_literal(q)] for n, q in force.terms]}
-    doc.update(initial=field_to_literal(initial), solver=vars(solver))
+    doc = {"force": [[n, _poly_doc(q)] for n, q in force.terms]}
+    doc.update(initial=initial, solver=vars(solver))
     return hashlib.sha256(dumps_json(doc).encode()).hexdigest()
 
 
@@ -286,5 +314,5 @@ def write_norm_csv(path, series):
 
 
 def level_to_doc(n: int, poly: FieldPolynomial) -> dict:
-    """Document for one expansion level q_n(t) e^{-n t}."""
-    return {"level": n, "poly": poly_to_literal(poly)}
+    """Document for one expansion level q_n(t) e^{-n t}; its text is that of the literal."""
+    return {"level": n, "poly": _poly_doc(poly)}

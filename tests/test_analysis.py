@@ -29,7 +29,7 @@ from nsexpand import (
     remainder_series,
 )
 from nsexpand.analysis import FitError, NormSeries, RateFit, tail_window
-from nsexpand.expansion import level_source, solve_level
+from nsexpand.expansion import coupling_products, level_source, solve_level
 from nsexpand.galerkin import ModeTable
 from nsexpand.serialize import dumps_json, field_to_literal
 from nsexpand.spectral import eigenspace_project
@@ -266,7 +266,7 @@ def manufactured_two_levels():
     xi2 = leray_project(
         SpectralField({(1, 1, 0): [0.03, -0.03, 0.01], (1, -1, 0): [0.02, 0.02, 0.005j]})
     )
-    q2, hit = solve_level(level_source([term1], force, 2), 2)
+    q2, hit = solve_level(level_source(force, 2, coupling_products([term1], 2)), 2)
     assert hit
     return term1, q2, xi2
 

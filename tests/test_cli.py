@@ -12,7 +12,8 @@ from conftest import ladder_phi, ladder_scenario_doc
 from nsexpand import SpectralField, bilinear, cli, eigenvalues_up_to, expansion
 from nsexpand.cli import EXIT_ERROR, EXIT_FAILED, EXIT_INCONCLUSIVE, EXIT_OK, main
 from nsexpand.fieldpoly import FieldPolynomial
-from nsexpand.serialize import field_to_literal, poly_to_literal
+from nsexpand.scenario import scenario_from_doc
+from nsexpand.serialize import field_to_literal, poly_to_literal, trajectory_key
 
 
 def write_doc(tmp_path, doc, stem="scenario"):
@@ -808,6 +809,15 @@ def test_readme_output_listing_matches_the_tree(tmp_path, capsys):
     expanded = {pat: {p.relative_to(run).as_posix() for p in run.glob(pat)} for pat in patterns}
     assert [pattern for pattern, files in expanded.items() if not files] == []
     assert set(tree_bytes(run)) == set().union(*expanded.values())
+
+
+def test_readme_scenario_keeps_its_trajectory_key():
+    # the reuse key is the sha256 of the scenario's canonical text; if a field's text
+    # drifted, every tree written before would be recomputed ("key mismatch")
+    doc = json.loads(re.search(r"^```json\n(.*?)^```$", README.read_text(), re.M | re.S).group(1))
+    scenario = scenario_from_doc(doc)
+    key = trajectory_key(scenario.force, scenario.initial, scenario.solver)
+    assert key == "9912af9106363a1ba6c2f00e08bb270fb6fc4bfb28e6788286b5fd9c1523d351"
 
 
 def test_readme_scenario_at_n_max_six_ends_with_verdicts(tmp_path, capsys):

@@ -26,6 +26,7 @@ from nsexpand import (
 from nsexpand.expansion import (
     _stokes_shift,
     check_resonant_data,
+    coupling_products,
     expansion_residual,
     level_source,
     solve_level,
@@ -158,7 +159,7 @@ def test_supplied_constant_adds_to_the_zero_constant_level():
     )
     for n, xi, hit in cases:
         result = build_expansion(force, n, {n: xi})
-        p = level_source(result.terms[: n - 1], force, n)
+        p = level_source(force, n, coupling_products(result.terms[: n - 1], n))
         assert result.polynomial(n) == solve_level(p, n)[0] + FieldPolynomial.constant(xi)
         assert result.resonance_log == (((n, n),) if hit else ())
     assert solve_level(force.level(1), 1) == (FieldPolynomial.constant(phi), False)
@@ -187,8 +188,10 @@ def test_level_source_composition():
     f2 = poly_bilinear(FieldPolynomial.constant(q), FieldPolynomial.constant(q))
     force = ForceExpansion(((2, f2),))
     terms = [(1, FieldPolynomial.constant(q))]
-    assert level_source([], force, 1).is_zero
-    p2 = level_source(terms, force, 2)
+    assert coupling_products(terms, 1) == []
+    assert level_source(force, 1, []).is_zero
+    assert coupling_products(terms, 2) == [f2]
+    p2 = level_source(force, 2, coupling_products(terms, 2))
     assert p2.is_zero  # f_2 - B~(q_1, q_1) cancels exactly
 
 
@@ -209,14 +212,37 @@ def test_expansion_residual_detects_perturbation():
     phi = ladder_phi()
     force = ForceExpansion(((1, FieldPolynomial.constant(phi)),))
     result = build_expansion(force, 1)
-    good = expansion_residual(result.terms, force, 1)
+    good = expansion_residual(result.polynomial(1), force, 1, [])
     assert good <= 1e-15
-    tampered = [(1, 1.0001 * result.polynomial(1))]
-    assert expansion_residual(tampered, force, 1) >= 5e-5
+    tampered = 1.0001 * result.polynomial(1)
+    assert expansion_residual(tampered, force, 1, []) >= 5e-5
 
 
 def test_expansion_residual_zero_scale():
-    assert expansion_residual([], ForceExpansion(()), 1) == 0.0
+    assert expansion_residual(FieldPolynomial.zero(), ForceExpansion(()), 1, []) == 0.0
+
+
+def test_each_coupling_product_is_formed_once(monkeypatch):
+    # Four nonzero levels couple in 1 + 2 + 3 pairs (levels 2, 3, 4); each product
+    # feeds both the level's source and its residual, so it is formed once.
+    f1 = random_div_free_field(np.random.default_rng(5), 2, 4)
+    force = ForceExpansion(((1, FieldPolynomial.constant(f1)),))
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return poly_bilinear(p, q)
+
+    monkeypatch.setattr("nsexpand.expansion.poly_bilinear", counted)
+    result = build_expansion(force, 4)
+    assert all(not q.is_zero for _, q in result.terms)
+    assert len(calls) == 6
+    monkeypatch.undo()
+    q = dict(result.terms)
+    for n in range(1, 5):
+        products = [poly_bilinear(q[k], q[n - k]) for k in range(1, n)]
+        want = expansion_residual(q[n], force, n, products)
+        assert result.residuals[n].hex() == want.hex()
 
 
 @given(small_fields, st.integers(0, 5))

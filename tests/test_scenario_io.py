@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -121,7 +122,7 @@ def test_poly_literal_round_trip_and_errors():
 
 def test_expansion_term_doc_round_trip():
     poly = FieldPolynomial([random_div_free_field(np.random.default_rng(9), 1, 2)])
-    doc = level_to_doc(2, poly)
+    doc = json.loads(dumps_json(level_to_doc(2, poly)))
     assert list(doc) == ["level", "poly"]
     assert doc["level"] == 2
     assert poly_from_literal(doc["poly"]) == poly
@@ -129,13 +130,19 @@ def test_expansion_term_doc_round_trip():
 
 # -- literal round trips (property tests) ----------------------------------------------
 
+
+def _complex(re, im):
+    # complex(r, i) keeps a -0.0 imaginary part, which r + 1j * i turns into +0.0
+    return [complex(r, i) for r, i in zip(re, im)]
+
+
 # Any finite double, subnormals included, must survive the text format, the
 # sign of zero too: -0.0 is written "-0.0", since JSON reads "-0" as the
 # integer 0.
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _wavevector = st.tuples(*[st.integers(-3, 3)] * 3).filter(is_representative)
 _fields = st.dictionaries(_wavevector, st.lists(_finite, min_size=6, max_size=6), max_size=5).map(
-    lambda d: SpectralField({k: np.array(v[:3]) + 1j * np.array(v[3:]) for k, v in d.items()})
+    lambda d: SpectralField({k: _complex(v[:3], v[3:]) for k, v in d.items()})
 )
 
 
@@ -150,6 +157,34 @@ def test_field_literal_round_trip_is_exact(field):
     assert field_from_literal(_through_text(field_to_literal(field))) == field
 
 
+def _nested(obj, depth):
+    """`obj` under `depth` alternating list and dict levels."""
+    for i in range(depth):
+        obj = [obj] if i % 2 else {"x": obj}
+    return obj
+
+
+_DBL_MAX, _TINY = sys.float_info.max, 5e-324
+
+
+def _one_mode(re, im, k=(0, 1, -1)):
+    return SpectralField({k: _complex(re, im)})
+
+
+@settings(max_examples=100)
+@given(_fields, st.integers(0, 4))
+@example(SpectralField.zero(), 0)
+@example(SpectralField.zero(), 3)
+@example(_one_mode([-0.0, 1.0, 0.0], [0.0, 2.0, -0.0]), 0)
+@example(_one_mode([0.0, 1.0, -0.0], [-0.0, 2.0, 0.0], k=(1, -2, 3)), 4)
+@example(_one_mode([-0.0, -0.0, -0.0], [-0.0, -1.0, -0.0]), 2)
+@example(_one_mode([_TINY, -_TINY, 2.2250738585072014e-308], [-1e-310, 0.0, _TINY]), 1)
+@example(_one_mode([_DBL_MAX, -_DBL_MAX, 1.0], [-_DBL_MAX, 0.0, _DBL_MAX]), 2)
+@example(_one_mode([0.1, 1 / 3, -2 / 3], [1.2345678901234567e-5, -9.876543210987654e21, 0.1 + 0.2]), 3)
+def test_field_text_is_the_text_of_its_literal(field, depth):
+    assert dumps_json(_nested(field, depth)) == dumps_json(_nested(field_to_literal(field), depth))
+
+
 @settings(max_examples=50)
 @given(st.lists(_fields, max_size=4))
 def test_poly_literal_round_trip_is_exact(coeffs):
@@ -160,6 +195,7 @@ def test_poly_literal_round_trip_is_exact(coeffs):
 @settings(max_examples=50)
 @given(st.lists(_fields, max_size=4))
 @example([SpectralField({(0, 0, 1): np.array([-0.0, 0, 0]) + 1j * np.array([-1.0, 0, 0])})])
+@example([_one_mode([-0.0, 0.0, 0.0], [0.0, 1.0, -0.0])])
 def test_poly_literal_text_survives_re_emission(coeffs):
     text = dumps_json(poly_to_literal(FieldPolynomial(coeffs)))
     assert dumps_json(json.loads(text)) == text
