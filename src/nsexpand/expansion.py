@@ -99,11 +99,12 @@ def check_resonant_data(resonant) -> dict[int, SpectralField]:
             raise ValueError(f"resonant level must be a positive integer, got {n}")
         if not isinstance(f, SpectralField):
             raise TypeError("resonant constants must be SpectralField values")
-        bad = [k for k in f.support() if eigenvalue(k) != n]
-        if bad:
+        off = f - eigenspace_project(f, n)
+        if not off.is_zero:
+            bad = off.support()[0]
             raise ValueError(
                 f"resonant constant for level {n} has support off the eigenspace: "
-                f"mode {bad[0]} has |k|^2 = {eigenvalue(bad[0])}"
+                f"mode {bad} has |k|^2 = {eigenvalue(bad)}"
             )
         try:
             f.require_divergence_free()
@@ -136,18 +137,14 @@ def level_source(force: ForceExpansion, n: int, products) -> FieldPolynomial:
 
 
 def solve_level(p: FieldPolynomial, n: int) -> tuple[FieldPolynomial, bool]:
-    """Solve q' + (A - n) q = p eigenspace by eigenspace, with a zero free constant.
+    """Solve q' + (A - n) q = p with a zero free constant: one resolvent solve whose
+    beta on each mode of p is |k|^2 - n.
 
-    Blocks are enumerated from the support of p. Returns the level polynomial
-    and whether the free-constant branch (the lam = n block) ran.
+    Returns the level polynomial and whether the free-constant branch ran, that
+    is whether p has a mode on |k|^2 = n.
     """
-    lams = set(map(eigenvalue, level_support([(n, p)]).tolist()))
-    # the blocks' solutions have disjoint supports, so summing them is exact
-    q = FieldPolynomial.zero()
-    for lam in sorted(lams):
-        block = p.map_coeffs(lambda c, lam=lam: eigenspace_project(c, lam))
-        q = q + resolvent_solve(block, float(lam - n))
-    return q, n in lams
+    shift = _eigenvalues(level_support([(n, p)])) - n
+    return resolvent_solve(p, shift.astype(float)), bool((shift == 0).any())
 
 
 def build_expansion(
@@ -165,8 +162,8 @@ def build_expansion(
     zero-constant level n. A missing constant is zero. Every constant passes
     `check_resonant_data`. Each level's coupling products are formed once,
     for its source and its residual; the level equation is re-checked on the
-    final q_n and must hold to RESIDUAL_TOL relative (LevelEquationError
-    otherwise).
+    final q_n and must hold to RESIDUAL_TOL relative, or LevelEquationError
+    names the level and no later level is built.
     """
     levels = int(levels)
     if levels < 0:
@@ -192,12 +189,11 @@ def build_expansion(
             log.append((n, n))
         terms.append((n, q))
         residuals[n] = expansion_residual(q, force, n, products)
-    worst = max(residuals.values(), default=0.0)
-    if worst > RESIDUAL_TOL:
-        raise LevelEquationError(
-            f"level equations violated: max relative residual {worst:.3e} "
-            f"(construction should be exact; this indicates a bug)"
-        )
+        if residuals[n] > RESIDUAL_TOL:   # later levels would be built on a broken one
+            raise LevelEquationError(
+                f"level equations violated: level {n} relative residual {residuals[n]:.3e} "
+                f"(construction should be exact; this indicates a bug)"
+            )
     return ExpansionResult(tuple(terms), residuals, tuple(log))
 
 

@@ -3,7 +3,7 @@
 These carry the slow part of one decay level: a field-valued q(t) multiplying
 e^{-n t}, and `assemble` is the one evaluator of such levels, the force's and the
 expansion's. The resolvent solve below inverts d/dt + beta on such polynomials
-exactly, coefficient by coefficient, which is the whole reason the expansion
+exactly, mode by mode, which is the whole reason the expansion
 construction is exact linear algebra rather than numerics.
 """
 
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .spectral import SpectralField, _mode_union, bilinear
+from .spectral import SpectralField, _mode_union, _pack, _pair_geometry, bilinear
 
 __all__ = [
     "DEGREE_CAP",
@@ -117,7 +117,8 @@ def poly_bilinear(p: FieldPolynomial, q: FieldPolynomial) -> FieldPolynomial:
     """Cauchy product of two field polynomials under the advection form.
 
     Coefficient r of the result is sum_{i+j=r} B(p_i, q_j); evaluating the
-    result at any t equals B(p(t), q(t)).
+    result at any t equals B(p(t), q(t)). Coefficients often share a support,
+    so each pair of supports is enumerated once per call.
     """
     if p.is_zero or q.is_zero:
         return FieldPolynomial.zero()
@@ -127,49 +128,70 @@ def poly_bilinear(p: FieldPolynomial, q: FieldPolynomial) -> FieldPolynomial:
     for c in qc:
         c.require_divergence_free()
     out = [SpectralField.zero()] * (len(pc) + len(qc) - 1)
+    geometry = {}   # (support of p_i, support of q_j) -> their pair geometry
+    q_supports = [b._key.tobytes() for b in qc]
     for i, a in enumerate(pc):
         if a.is_zero:
             continue
+        a_support = a._key.tobytes()
         for j, b in enumerate(qc):
             if b.is_zero:
                 continue
-            out[i + j] = out[i + j] + bilinear(a, b, check=False)
+            pair = (a_support, q_supports[j])
+            if pair not in geometry:
+                geometry[pair] = _pair_geometry(a._k, b._k)
+            out[i + j] = out[i + j] + bilinear(a, b, check=False, geometry=geometry[pair])
     return FieldPolynomial(out)
 
 
-def resolvent_solve(p: FieldPolynomial, beta: float) -> FieldPolynomial:
-    """Polynomial solution q of q' + beta q = p; for beta = 0, the one with zero constant term.
+def resolvent_solve(p: FieldPolynomial, beta) -> FieldPolynomial:
+    """Polynomial solution q of q' + beta q = p, mode by mode, in one pass over p's rows.
+
+    beta is one float per mode of `level_support([(n, p)])` (key order), or one
+    float for every mode. Each row is solved as field arithmetic would solve it
+    alone, so a row's bits do not depend on the others.
 
     beta != 0: the polynomial solution is unique, found by back-substitution
     from the top degree (q_d = p_d / beta, then each lower coefficient picks
     up the derivative of the one above). It matches the particular solutions
     e^{-beta t} integral_{-inf}^t e^{beta s} p(s) ds (beta > 0) and
-    -e^{-beta t} integral_t^inf e^{beta s} p(s) ds (beta < 0); the degree of
-    q equals the degree of p.
+    -e^{-beta t} integral_t^inf e^{beta s} p(s) ds (beta < 0); the row's
+    degree stays.
 
-    beta = 0: q is the antiderivative of p with zero constant term, and the
-    degree rises by one. Any other constant gives a solution too; the caller
-    adds it.
+    beta = 0: the row is the antiderivative of p's row with zero constant term,
+    and its degree rises by one. Any other constant gives a solution too; the
+    caller adds it.
     """
-    beta = float(beta)
-    if beta == 0.0:
-        out = [SpectralField.zero()]
-        for j, c in enumerate(p.coeffs()):
-            out.append(c * (1.0 / (j + 1)))
-        return FieldPolynomial(out)
     pc = p.coeffs()
-    out: list[SpectralField] = [SpectralField.zero()] * len(pc)
-    above = SpectralField.zero()
-    for j in range(len(pc) - 1, -1, -1):
-        cur = (pc[j] - float(j + 1) * above) * (1.0 / beta)
-        out[j] = cur
-        above = cur
-    return FieldPolynomial(out)
+    if not pc:
+        return FieldPolynomial.zero()
+    k = level_support([(0, p)])
+    beta = np.broadcast_to(beta, len(k))
+    resonant = beta == 0.0
+    # 1 / beta is 0 on beta = 0 rows: the back-substitution leaves them zero, constant term included
+    inv = np.divide(1.0, beta, out=np.zeros(len(k)), where=~resonant)[:, None]
+    if not np.isfinite(inv).all():
+        raise ValueError(f"1 / beta overflows at {tuple(k[np.isfinite(inv).argmin()].tolist())}")
+    # a coefficient that holds as many modes as the union holds all of them, in its order
+    rows = [c._c if c.n_modes == len(k) else c._rows(k) for c in pc]
+    d = len(pc) - 1
+    out = np.zeros((d + 1 + resonant.any(), len(k), 3), dtype=np.complex128)   # beta = 0 rows rise
+    out[d] = rows[d] * inv
+    for j in range(d - 1, -1, -1):   # q_j = (p_j - (j + 1) q_{j+1}) / beta
+        out[j] = _plus(rows[j], out[j + 1] * float(j + 1) * -1.0) * inv
+    if resonant.any():
+        for j, r in enumerate(rows):
+            out[j + 1, resonant] = r[resonant] * (1.0 / (j + 1))
+    key = _pack(k)
+    return FieldPolynomial([SpectralField._adopt(k, key, c)._select(c.any(axis=1)) for c in out])
 
 
 def level_support(terms) -> np.ndarray:
     """The (K, 3) int64 wavevectors that any coefficient of the (n, q_n) pairs holds, key order."""
-    return _mode_union(*(c._k for _, q in terms for c in q.coeffs()))
+    supports = {c._key.tobytes(): c._k for _, q in terms for c in q.coeffs()}
+    if len(supports) == 1:   # one field's rows are distinct and in key order already
+        return next(iter(supports.values()))
+    return _mode_union(*supports.values())
 
 
 def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:

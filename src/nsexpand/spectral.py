@@ -337,34 +337,46 @@ def _pair_sums(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pair, key[pair]
 
 
-def bilinear(u: SpectralField, v: SpectralField, *, check: bool = True) -> SpectralField:
+def _pair_geometry(uk: np.ndarray, vk: np.ndarray) -> tuple:
+    """What `bilinear` needs of two nonempty supports alone: the transposed complex
+    wavevectors of v's halves, the pair sums' flat indices, their columns and group starts,
+    and the distinct targets (wavevectors, keys, float rows as real and complex, |k|^2)."""
+    # the largest |component| of a pair sum is the sum of the factors' largest
+    _wavevectors([np.abs(uk).max(axis=0) + np.abs(vk).max(axis=0)])
+    # both halves of every pair
+    mu, lv = np.concatenate((uk, -uk)), np.concatenate((vk, -vk))
+    m = len(lv)
+    pair, key = _pair_sums(mu, lv)
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    first = pair[starts]
+    uniq = mu[first // m] + lv[first % m]
+    kf = uniq.astype(float)
+    return (lv.T.astype(np.complex128), pair, pair % m, starts,
+            uniq, key[starts], kf, kf.astype(np.complex128), _eigenvalues(uniq))
+
+
+def bilinear(u: SpectralField, v: SpectralField, *, check: bool = True,
+             geometry: tuple | None = None) -> SpectralField:
     """Projected advection term B(u, v): convolution sum_{m+l=k} i (c_u(m).l) c_v(l), then Leray.
 
     Exact over the finite supports, no truncation: the result lives on all
     pairwise mode sums. Requires divergence-free inputs; with those,
-    inner(bilinear(u, v), v) vanishes to rounding.
+    inner(bilinear(u, v), v) vanishes to rounding. `geometry` is
+    `_pair_geometry(u._k, v._k)` when the caller already holds it.
     """
     if check:
         u.require_divergence_free()
         v.require_divergence_free()
     if u.is_zero or v.is_zero:
         return SpectralField.zero()
-    # the largest |component| of a pair sum is the sum of the factors' largest
-    _wavevectors([np.abs(u._k).max(axis=0) + np.abs(v._k).max(axis=0)])
-    # both halves of every pair
-    mu, cu = np.concatenate((u._k, -u._k)), np.concatenate((u._c, np.conj(u._c)))
-    lv, cv = np.concatenate((v._k, -v._k)), np.concatenate((v._c, np.conj(v._c)))
-    n, m = len(mu), len(lv)
-    pair, key = _pair_sums(mu, lv)
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    dots = np.multiply(1j, (cu @ lv.T.astype(np.complex128)).reshape(n * m)[pair])
-    contrib = cv[pair % m]
+    lvT, pair, cols, starts, uniq, key, kf, kfc, lam = geometry or _pair_geometry(u._k, v._k)
+    cu = np.concatenate((u._c, np.conj(u._c)))
+    cv = np.concatenate((v._c, np.conj(v._c)))
+    dots = np.multiply(1j, (cu @ lvT).reshape(-1)[pair])
+    contrib = cv[cols]
     acc = np.add.reduceat(np.multiply(dots[:, None], contrib, out=contrib), starts, axis=0)
-    pair, key = pair[starts], key[starts]
-    uniq = mu[pair // m] + lv[pair % m]
-    kf = uniq.astype(float)
-    shear = np.einsum("ij,ij->i", acc, kf.astype(np.complex128))
-    acc = acc - (shear / _eigenvalues(uniq))[:, None] * kf
+    shear = np.einsum("ij,ij->i", acc, kfc)
+    acc = acc - (shear / lam)[:, None] * kf
     return SpectralField._adopt(uniq, key, acc)._select(np.any(acc != 0, axis=1))
 
 

@@ -20,6 +20,7 @@ from nsexpand import (
     SolverConfig,
     SpectralField,
     Trajectory,
+    eigenvalue,
     integrate,
     leray_project,
     norm,
@@ -29,6 +30,7 @@ from nsexpand.cli import fitted_constants, write_expansion
 from nsexpand.galerkin import evaluate_force
 from nsexpand.scenario import scenario_from_doc
 from nsexpand.serialize import field_to_literal, poly_to_literal
+from nsexpand.spectral import eigenspace_project
 
 # One profile for every property test: the same examples on every run, so two
 # runs of the suite (say, before and after a change) test the same inputs, and
@@ -122,6 +124,40 @@ def resolvent_oracle(p: FieldPolynomial, beta: float) -> FieldPolynomial:
         for j in range(d):
             out_coeffs[j][k] = sol[j]
     return FieldPolynomial([SpectralField(oc) for oc in out_coeffs])
+
+
+def field_resolvent_oracle(p: FieldPolynomial, beta: float) -> FieldPolynomial:
+    """Solve q' + beta q = p for one beta on every mode, in field arithmetic: the
+    back-substitution q_j = (p_j - (j + 1) q_{j+1}) / beta, or for beta = 0 the
+    antiderivative with zero constant term."""
+    pc = p.coeffs()
+    if beta == 0.0:
+        return FieldPolynomial([SpectralField.zero()] + [c * (1.0 / (j + 1)) for j, c in enumerate(pc)])
+    out = [SpectralField.zero()] * len(pc)
+    above = SpectralField.zero()
+    for j in range(len(pc) - 1, -1, -1):
+        above = out[j] = (pc[j] - float(j + 1) * above) * (1.0 / beta)
+    return FieldPolynomial(out)
+
+
+def eigenspace_solve_oracle(p: FieldPolynomial, n: int) -> tuple[FieldPolynomial, bool]:
+    """Level n's zero-constant solve of q' + (A - n) q = p eigenspace by eigenspace: each
+    block |k|^2 = lam of p solved with beta = lam - n, the disjoint solutions summed.
+    Also whether p has a block at lam = n."""
+    lams = sorted({eigenvalue(k) for c in p.coeffs() for k in c.support()})
+    q = FieldPolynomial.zero()
+    for lam in lams:
+        block = p.map_coeffs(lambda c, lam=lam: eigenspace_project(c, lam))
+        q = q + field_resolvent_oracle(block, float(lam - n))
+    return q, n in lams
+
+
+def assert_same_bits(p: FieldPolynomial, q: FieldPolynomial):
+    """The two polynomials hold the same modes and the same coefficient bits, signed zeros included."""
+    assert len(p.coeffs()) == len(q.coeffs())
+    for a, b in zip(p.coeffs(), q.coeffs()):
+        assert a.support() == b.support()
+        assert np.array_equal(a._c.view(np.int64), b._c.view(np.int64))
 
 
 def eval_physical(u: SpectralField, x) -> np.ndarray:

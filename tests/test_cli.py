@@ -1,6 +1,9 @@
 """End-to-end driver tests: subcommands, exit codes, file tree, determinism."""
 
+import hashlib
+import itertools
 import json
+import math
 import re
 import shutil
 from pathlib import Path
@@ -9,7 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import ladder_phi, ladder_scenario_doc
-from nsexpand import SpectralField, bilinear, cli, eigenvalues_up_to, expansion
+from nsexpand import (
+    SpectralField, bilinear, cli, eigenvalue, eigenvalues_up_to, expansion, leray_project,
+)
 from nsexpand.cli import EXIT_ERROR, EXIT_FAILED, EXIT_INCONCLUSIVE, EXIT_OK, main
 from nsexpand.fieldpoly import FieldPolynomial
 from nsexpand.scenario import scenario_from_doc
@@ -130,6 +135,55 @@ def test_expand_rejects_off_eigenspace_constant(tmp_path, capsys):
     assert main(["expand", "--scenario", sp, "--out", str(tmp_path / "o")]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: expansion.resonant")
+
+
+def shell(n):
+    """Representatives with |k|^2 = n, in key order."""
+    r = math.isqrt(n)
+    return [k for k in itertools.product(range(-r, r + 1), repeat=3)
+            if k > (0, 0, 0) and eigenvalue(k) == n]
+
+
+def deep_expand_doc(seed):
+    """Two force levels of degree 1 with seeded divergence-free coefficients on the
+    |k|^2 <= 2 shells (level 1) and the |k|^2 in {1, 3} shells (level 2), built to
+    N_max = 4 with a seeded constant on each |k|^2 = n shell."""
+    rng = np.random.default_rng(seed)
+
+    def field(modes):
+        raw = {k: 0.1 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)) for k in modes}
+        return leray_project(SpectralField(raw))
+
+    force = {1: shell(1) + shell(2), 2: shell(1) + shell(3)}
+    return {
+        "name": "deep",
+        "force": {"terms": [{"n": n, "poly": poly_to_literal(FieldPolynomial([field(m), field(m)]))}
+                            for n, m in force.items()]},
+        "initial": [],
+        "expansion": {"N_max": 4, "resonant": {str(n): field_to_literal(field(shell(n)))
+                                               for n in range(1, 5)}},
+        "solver": {"mode_cutoff": 12, "step": 0.01, "t_end": 1.0},
+    }
+
+
+# sha256 of each expansion document of deep_expand_doc(0), recorded before the levels were
+# solved in one pass over their rows: the exact arithmetic keeps every byte
+DEEP_EXPAND_DIGESTS = {
+    "level_01.json": "f5daafa726a7aba652c06179e5214901908517be6aac9a94ffbda0cde1ca2165",
+    "level_02.json": "cd6d5ad749124731546e8bf3f29e1b677249545c13c03c8d4b791a573487bd54",
+    "level_03.json": "27884e8eb5b95a9ddab07af71322c2f0ae88ff7e5d0e1179c902dfa5bca9e4fc",
+    "level_04.json": "00f2685271ebc458461566e7c8157cca048806371e8400cb7c0ca68c3dba0ab3",
+    "residuals.json": "cce78467b5795e429f7f988cf12aa3afaa1bc36da313f605f4d85a15fba8c549",
+}
+
+
+def test_expand_deep_documents_keep_their_bytes(tmp_path, capsys):
+    sp = write_doc(tmp_path, deep_expand_doc(0))
+    assert main(["expand", "--scenario", sp, "--out", str(tmp_path / "o")]) == EXIT_OK
+    capsys.readouterr()
+    files = sorted((tmp_path / "o" / "deep" / "expansion").glob("*.json"))
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    assert got == DEEP_EXPAND_DIGESTS
 
 
 # -- simulate -----------------------------------------------------------------------

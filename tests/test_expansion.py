@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_same_bits,
+    eigenspace_solve_oracle,
     finite_approximation_plan,
     ladder_force,
     ladder_phi,
@@ -19,11 +21,13 @@ from nsexpand import (
     bilinear,
     build_expansion,
     eigenvalue,
+    expansion,
     leray_project,
     level_support,
     poly_bilinear,
 )
 from nsexpand.expansion import (
+    LevelEquationError,
     _stokes_shift,
     check_resonant_data,
     coupling_products,
@@ -142,6 +146,34 @@ def test_solve_level_reports_resonant_hit():
     q, hit = solve_level(p, 3)
     assert not hit
     assert solve_level(FieldPolynomial.zero(), 1) == (FieldPolynomial.zero(), False)
+
+
+def test_build_stops_at_the_first_level_past_the_residual_gate(monkeypatch):
+    # only a negative tolerance trips the gate on exactly solved levels; level 1 trips it
+    # first, and no later level is solved on it
+    monkeypatch.setattr(expansion, "RESIDUAL_TOL", -1.0)
+    solved = []
+
+    def counted(p, n):
+        solved.append(n)
+        return solve_level(p, n)
+
+    monkeypatch.setattr(expansion, "solve_level", counted)
+    with pytest.raises(LevelEquationError, match=r"^level equations violated: level 1 relative"):
+        build_expansion(ladder_force(), 3)
+    assert solved == [1]
+
+
+@settings(max_examples=200)
+@given(st.lists(small_fields, max_size=5).map(FieldPolynomial), st.integers(1, 7))
+@example(FieldPolynomial.zero(), 1)
+def test_solve_level_matches_eigenspace_solve_bit_for_bit(p, n):
+    # FIELD_POOL holds |k|^2 in {1, 2, 4, 6}: beta = |k|^2 - n takes both signs and zero,
+    # mixed within one level, and n = 3, 5, 7 are levels with no row on |k|^2 = n
+    q, hit = solve_level(p, n)
+    want, want_hit = eigenspace_solve_oracle(p, n)
+    assert hit == want_hit
+    assert_same_bits(q, want)
 
 
 def test_supplied_constant_adds_to_the_zero_constant_level():

@@ -10,14 +10,19 @@ from hypothesis import strategies as st
 from conftest import (
     FIELD_POOL,
     assert_fields_close,
+    assert_same_bits,
+    field_resolvent_oracle,
     levels_at,
     random_div_free_field,
     resolvent_oracle,
     small_fields,
 )
-from nsexpand import FieldPolynomial, SpectralField, assemble, bilinear, poly_bilinear
+from nsexpand import (
+    FieldPolynomial, SpectralField, assemble, bilinear, leray_project, poly_bilinear,
+)
 from nsexpand.fieldpoly import DEGREE_CAP, DegreeCapError, resolvent_solve
 from nsexpand.serialize import dumps_json
+from nsexpand.spectral import DIVERGENCE_TOL
 
 
 def const_field(c2=1.0):
@@ -180,6 +185,62 @@ def test_resolvent_degree_cap_via_bump():
     p = FieldPolynomial([a] * (DEGREE_CAP + 1))  # degree 64
     with pytest.raises(DegreeCapError):
         resolvent_solve(p, 0.0)  # bump would reach 65
+
+
+def test_per_mode_beta_bumps_only_the_zero_rows():
+    a, b = const_field(), SpectralField({(1, 0, 0): [0, 1.0, 0]})   # on (1, 1, 0) and (1, 0, 0)
+    top = FieldPolynomial([a + b] * (DEGREE_CAP + 1))   # degree 64 on both rows
+    with pytest.raises(DegreeCapError):
+        resolvent_solve(top, np.array([0.0, -1.0]))     # (1, 0, 0) first: its bump reaches 65
+    assert resolvent_solve(top, np.array([-1.0, 2.0])).degree == DEGREE_CAP
+    low = FieldPolynomial([a + b] + [a] * DEGREE_CAP)   # (1, 0, 0) only at degree 0
+    q = resolvent_solve(low, np.array([0.0, 3.0]))
+    assert q.degree == DEGREE_CAP
+    assert q.coeffs()[0].support() == ((1, 1, 0),)      # the zero row has no constant term
+    assert_same_bits(q, field_resolvent_oracle(FieldPolynomial([b]), 0.0)
+                     + field_resolvent_oracle(FieldPolynomial([a] * (DEGREE_CAP + 1)), 3.0))
+
+
+small_polys = st.lists(small_fields, max_size=5).map(FieldPolynomial)
+
+
+@given(small_polys, st.sampled_from([-3.0, -0.5, 0.0, 0.25, 2.0]))
+@example(FieldPolynomial.zero(), 0.0)
+def test_float_beta_solve_matches_field_arithmetic(p, beta):
+    # one float beta is the same beta on every mode, solved bit for bit as field arithmetic would
+    assert_same_bits(resolvent_solve(p, beta), field_resolvent_oracle(p, beta))
+
+
+# -- the product against its plain sum --------------------------------------------------
+
+div_free_fields = small_fields.map(leray_project).filter(
+    lambda u: u.divergence_defect() <= DIVERGENCE_TOL * u.max_abs()
+)
+
+
+@st.composite
+def shared_support_polys(draw):
+    """Field polynomials whose coefficients are scalings of one field, so several share one
+    support, mixed with fields drawn on supports of their own (zero coefficients included)."""
+    base = draw(div_free_fields)
+    coeff = st.one_of(div_free_fields, st.sampled_from([0.0, -1.0, 0.5, 3.0]).map(lambda s: base * s))
+    return FieldPolynomial(draw(st.lists(coeff, max_size=4)))
+
+
+def plain_product(p, q):
+    """sum_{i+j=r} B(p_i, q_j), one bilinear call per pair of coefficients, in the product's order."""
+    out = [SpectralField.zero()] * (len(p.coeffs()) + len(q.coeffs()) - 1)
+    for i, a in enumerate(p.coeffs()):
+        for j, b in enumerate(q.coeffs()):
+            out[i + j] = out[i + j] + bilinear(a, b)
+    return FieldPolynomial(out)
+
+
+@settings(max_examples=150)
+@given(shared_support_polys(), shared_support_polys())
+def test_poly_bilinear_matches_plain_sum_bit_for_bit(p, q):
+    assert_same_bits(poly_bilinear(p, q), plain_product(p, q))
+    assert_same_bits(poly_bilinear(p, p), plain_product(p, p))   # p_i and p_j share supports
 
 
 # -- terms and assembly -------------------------------------------------------------------
