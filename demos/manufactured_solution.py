@@ -55,7 +55,7 @@ def main():
     spec = NormSpec(0.0, 0.0)
     modes = level_support(result.terms)
     exact = Trajectory(modes, assemble(result.terms, modes, traj.times), config)
-    gap = remainder_series(traj, result.terms, spec).values
+    gap = remainder_series(traj, result.terms, [spec])[0].values
     worst = float(np.max(gap / norm_series(exact, spec).values))
     print(f"solver vs q e^(-t) over [0, {args.t_end:g}]: "
           f"max relative gap {worst:.2e} ({len(traj)} samples, {elapsed:.1f}s)")

@@ -66,7 +66,7 @@ def main():
 
     spec = NormSpec(0.5, 0.0)
     for n_levels in (0, 1, 2):
-        series = remainder_series(traj, terms[:n_levels], spec)
+        series = remainder_series(traj, terms[:n_levels], [spec])[0]
         fit = fit_rate(series)
         claim = n_levels + 0.5
         verdict = "pass" if rate_claim_passes(fit, claim) else "fail"

@@ -113,15 +113,16 @@ def norm_series(traj: Trajectory, spec: NormSpec) -> NormSeries:
     return NormSeries(traj.times.copy(), values)
 
 
-def remainder_series(traj: Trajectory, terms, spec: NormSpec) -> NormSeries:
-    """|u(t_i) - sum_n q_n(t_i) e^{-n t_i}| in the given norm; empty terms = plain norm.
-    Equal to norm(state_i - levels_i, spec) with field arithmetic, formed one mode at a time."""
+def remainder_series(traj: Trajectory, terms, specs) -> list[NormSeries]:
+    """|u(t_i) - sum_n q_n(t_i) e^{-n t_i}| in each of the given norms, one series per spec;
+    empty terms = plain norm. Each equals norm(state_i - levels_i, spec) with field
+    arithmetic. The remainder is formed once, one mode at a time, for all the specs."""
     terms = tuple(terms)
     modes, u = _joined(traj, terms)
     held = _mode_rows(modes, level_support(terms)) >= 0
-    columns = (_plus(c, assemble(terms, k[None], traj.times)[:, 0] * -1.0) if h else c
-               for k, c, h in zip(modes, u, held))
-    return NormSeries(traj.times.copy(), _norms(columns, modes, spec, len(traj)))
+    columns = [_plus(c, assemble(terms, k[None], traj.times)[:, 0] * -1.0) if h else c
+               for k, c, h in zip(modes, u, held)]
+    return [NormSeries(traj.times.copy(), _norms(columns, modes, spec, len(traj))) for spec in specs]
 
 
 def fit_rate(series: NormSeries, window: tuple[float, float] | None = None) -> RateFit:

@@ -181,9 +181,7 @@ def run_simulate(scenario: Scenario, out: str) -> int:
     return EXIT_OK
 
 
-def _verify_row(traj, terms, N, spec, eps, window):
-    terms_N = tuple((n, q) for n, q in terms if n <= N)
-    series = remainder_series(traj, terms_N, spec)
+def _verify_row(series, N, spec, eps, window):
     target = N + eps
     row = {
         "level": N,
@@ -196,14 +194,14 @@ def _verify_row(traj, terms, N, spec, eps, window):
         fit = fit_rate(series, window)
     except FitError as exc:
         row.update(verdict="inconclusive", annotation=f"unusable window: {exc}")
-        return row, series
+        return row
     if fit.floor_dominated:
         row.update(
             slope=None,
             verdict="inconclusive",
             annotation="series at numerical floor: remainder matches to solver precision",
         )
-        return row, series
+        return row
     ok = rate_claim_passes(fit, target)
     row.update(
         slope=fit.slope,
@@ -219,7 +217,7 @@ def _verify_row(traj, terms, N, spec, eps, window):
             + (f" and rms <= {analysis.RMS_MAX:g}" if fit.rms_residual > analysis.RMS_MAX else "")
         ),
     )
-    return row, series
+    return row
 
 
 def run_verify(scenario: Scenario, out: str) -> int:
@@ -237,8 +235,9 @@ def run_verify(scenario: Scenario, out: str) -> int:
         stale.unlink()  # an earlier run's rows, maybe for levels past this N_max
     rows = []
     for N, _ in terms:
-        for spec in req.norm_specs:
-            row, series = _verify_row(traj, terms, N, spec, req.target_epsilon, req.fit_window)
+        terms_N = [(n, q) for n, q in terms if n <= N]
+        for spec, series in zip(req.norm_specs, remainder_series(traj, terms_N, req.norm_specs)):
+            row = _verify_row(series, N, spec, req.target_epsilon, req.fit_window)
             bad = ", ".join(f"level {n} (drift {d:.3g})" for n, d in tainted if n <= N)
             if bad:
                 row.update(verdict="inconclusive", annotation=f"contaminated resonant fit: {bad}")

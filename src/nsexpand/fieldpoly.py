@@ -207,7 +207,7 @@ def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _decay(rate: float, times) -> np.ndarray:
     """e^{-rate t} at each of the times (any shape) by `math.exp`, as field arithmetic rounds it."""
     t = np.asarray(times, dtype=float)
-    return np.reshape([math.exp(-rate * x) for x in t.ravel().tolist()], t.shape)
+    return np.reshape(list(map(math.exp, (-rate * t).ravel().tolist())), t.shape)
 
 
 def assemble(terms, modes: np.ndarray, times) -> np.ndarray:

@@ -10,12 +10,17 @@ key; `scenario` holds only the scenario schema on top.
 
 Every float is printed with 17 significant digits so files round-trip to the
 exact same doubles; writers emit keys and rows in fixed orders and carry no
-wall-clock content, so identical inputs give byte-identical files. A
-`SpectralField` inside a document is printed from its arrays: one per-mode
-"%d"/"%.17g" template at the current indent, formatted once over the field's
-(k, re, im) rows, then "-0" respelled "-0.0". Its text is exactly that of its
-field literal, so level documents and the trajectory key's text hold fields
-themselves and a field has one text on every path. Each fact is
+wall-clock content, so identical inputs give byte-identical files. Every
+float series is printed from one template formatted once over its values: a
+JSON list of finite floats, a norm CSV, a trajectory CSV row and a
+`SpectralField` inside a document (one per-mode "%d"/"%.17g" template at the
+current indent, over the field's (k, re, im) rows). "%.17g" spells -0.0 "-0",
+which JSON reads as the integer 0, so each such text goes through one
+respelling, `_negative_zeros`, to "-0.0". The text is exactly that of one
+`_format_float` call per value, so a field's text is that of its field
+literal, level documents and the trajectory key's text hold fields
+themselves, and a value has one text on every path. `write_json` writes the
+pieces of `dumps_json`'s text without joining them. Each fact is
 written once: a series file holds only its samples (its rate fit lives in the
 verify report), and a level document only its level and polynomial. Level
 documents and the trajectory CSV are output only: no program path reads one
@@ -68,14 +73,24 @@ def _format_float(x: float) -> str:
     return "-0.0" if text == "-0" else text   # "-0" would read back as the integer 0
 
 
+def _negative_zeros(text: str) -> str:
+    """Text of "%.17g" values, each followed by "," or a newline, with -0.0's "-0" spelled
+    "-0.0" as `_format_float` spells it. No other value's "%.17g" text ends in "-0"."""
+    return text.replace("-0,", "-0.0,").replace("-0\n", "-0.0\n")
+
+
 # -- JSON with controlled float formatting ------------------------------------
 
 
 def dumps_json(obj) -> str:
+    return "".join(_json_pieces(obj))
+
+
+def _json_pieces(obj) -> list[str]:
     out: list[str] = []
     _emit(obj, out, 0)
     out.append("\n")
-    return "".join(out)
+    return out
 
 
 def _emit(obj, out: list[str], level: int):
@@ -106,6 +121,11 @@ def _emit(obj, out: list[str], level: int):
         if not seq:
             out.append("[]")
             return
+        if set(map(type, seq)) <= {float, np.float64}:   # a float series: one template for all
+            text = ",\n".join([pad + "%.17g"] * len(seq)) % tuple(seq) + "\n"
+            if "n" not in text:   # "nan" and "inf" take the generic path, which prints null
+                out.append("[\n" + _negative_zeros(text) + closepad + "]")
+                return
         out.append("[\n")
         for i, v in enumerate(seq):
             out.append(pad)
@@ -118,8 +138,7 @@ def _emit(obj, out: list[str], level: int):
 
 def _field_text(field: SpectralField, level: int) -> str:
     """The text of `_emit(field_to_literal(field))` at `level`: one mode template, repeated,
-    formatted once over the rows (k, re, im). As in `write_trajectory`, "%.17g" prints -0.0
-    as "-0", and no other value's text ends in "-0"; a coefficient is never non-finite."""
+    formatted once over the rows (k, re, im); a coefficient is never non-finite."""
     if field.is_zero:
         return "[]"
     p1, p2, p3 = ("  " * (level + i) for i in (1, 2, 3))
@@ -128,13 +147,12 @@ def _field_text(field: SpectralField, level: int) -> str:
     mode = f'{p1}{{\n{p2}"k": {ints},\n{p2}"re": {floats},\n{p2}"im": {floats}\n{p1}}}'
     rows = np.concatenate((field._k, field._c.real, field._c.imag), axis=1)   # k exact as floats
     text = ",\n".join([mode] * field.n_modes) % tuple(rows.ravel().tolist())
-    text = text.replace("-0,\n", "-0.0,\n").replace("-0\n", "-0.0\n")
-    return f"[\n{text}\n{'  ' * level}]"
+    return f"[\n{_negative_zeros(text)}\n{'  ' * level}]"
 
 
 def write_json(path, obj):
     with open(path, "w") as fh:
-        fh.write(dumps_json(obj))
+        fh.writelines(_json_pieces(obj))   # the text of dumps_json, never joined into one string
 
 
 def load_json(path):
@@ -257,9 +275,7 @@ def trajectory_key(force, initial: SpectralField, solver: SolverConfig) -> str:
 def write_trajectory(csv_path, manifest_path, traj: Trajectory, key: str):
     """CSV columns: t, then re/im per component of each manifest mode, named only in the header.
     The exact block goes beside the CSV as `.npy`; the manifest stores its modes and `key`.
-
-    A row is one "%.17g" template, the text of `_format_float` except that -0.0 comes out
-    as "-0"; no other value's text ends in "-0", so "-0" before a separator becomes "-0.0"."""
+    A row is one "%.17g" template, the text of `_format_float` per value."""
     cells = [(i + 1, c + 1) for i in range(len(traj.modes)) for c in range(3)]
     columns = ["t", *(f"{part}(k{i} u{c})" for i, c in cells for part in ("re", "im"))]
     # a (L, 3) complex sample viewed as floats is re, im per component, mode by mode
@@ -268,7 +284,7 @@ def write_trajectory(csv_path, manifest_path, traj: Trajectory, key: str):
     with open(csv_path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for t, row in zip(traj.times.tolist(), rows):   # row by row: no whole-block list
-            fh.write((template % (t, *row.tolist())).replace("-0,", "-0.0,").replace("-0\n", "-0.0\n"))
+            fh.write(_negative_zeros(template % (t, *row.tolist())))
     np.save(Path(csv_path).with_suffix(".npy"), traj.coeffs, allow_pickle=False)
     write_json(manifest_path, {"modes": traj.modes.tolist(), "key": key})
 
@@ -307,10 +323,10 @@ def read_trajectory(block_path, manifest_path, config: SolverConfig) -> Trajecto
 
 
 def write_norm_csv(path, series):
+    """Header "t,value", then one "%.17g,%.17g" row per sample, the text of `_format_float`."""
+    pairs = np.column_stack((series.times, series.values)).ravel().tolist()
     with open(path, "w") as fh:
-        fh.write("t,value\n")
-        for t, v in zip(series.times, series.values):
-            fh.write(f"{_format_float(t)},{_format_float(v)}\n")
+        fh.write("t,value\n" + _negative_zeros(("%.17g,%.17g\n" * len(series.times)) % tuple(pairs)))
 
 
 def level_to_doc(n: int, poly: FieldPolynomial) -> dict:

@@ -29,7 +29,7 @@ from nsexpand import (
 from nsexpand.cli import fitted_constants, write_expansion
 from nsexpand.galerkin import evaluate_force
 from nsexpand.scenario import scenario_from_doc
-from nsexpand.serialize import field_to_literal, poly_to_literal
+from nsexpand.serialize import dumps_json, field_to_literal, poly_to_literal
 from nsexpand.spectral import eigenspace_project
 
 # One profile for every property test: the same examples on every run, so two
@@ -158,6 +158,20 @@ def assert_same_bits(p: FieldPolynomial, q: FieldPolynomial):
     for a, b in zip(p.coeffs(), q.coeffs()):
         assert a.support() == b.support()
         assert np.array_equal(a._c.view(np.int64), b._c.view(np.int64))
+
+
+def emit_by_value(obj, level: int = 0) -> str:
+    """`dumps_json`'s text of `obj` without its final newline, each sequence item emitted on
+    its own: the generic per-value list branch, kept as the reference for the float-series
+    template. Scalars take `dumps_json`'s own text."""
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        pad = "  " * (level + 1)
+        items = [pad + emit_by_value(v, level + 1) for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + "  " * level + "]"
+    return dumps_json(obj)[:-1]
 
 
 def eval_physical(u: SpectralField, x) -> np.ndarray:

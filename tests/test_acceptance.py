@@ -68,7 +68,7 @@ def remainder_slopes(run, spec):
     traj, terms = run["traj"], run["terms"]
     out = {}
     for N in (1, 2):
-        series = remainder_series(traj, [(n, q) for n, q in terms if n <= N], spec)
+        series = remainder_series(traj, [(n, q) for n, q in terms if n <= N], [spec])[0]
         out[N] = fit_rate(series)
     return out
 

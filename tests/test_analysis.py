@@ -60,8 +60,8 @@ def test_one_percent_error_in_q1_fails_the_second_rate_row():
 
     (_, q1), level2 = build_expansion(ladder_force(), 2, constant).terms
     spec = NormSpec(0.5, 0.0)
-    exact = fit_rate(remainder_series(traj, [(1, q1), level2], spec))
-    scaled = fit_rate(remainder_series(traj, [(1, 1.01 * q1), level2], spec))
+    exact = fit_rate(remainder_series(traj, [(1, q1), level2], [spec])[0])
+    scaled = fit_rate(remainder_series(traj, [(1, 1.01 * q1), level2], [spec])[0])
     assert rate_claim_passes(exact, 2.5)
     assert not rate_claim_passes(scaled, 2.5)
     assert scaled.slope == pytest.approx(-1.0, abs=0.1)
@@ -85,7 +85,7 @@ def test_norm_series_heat_closed_form():
 
 def test_remainder_series_empty_terms_is_plain_norm():
     _, traj = heat_trajectory()
-    a = remainder_series(traj, (), NormSpec(0.0, 0.0))
+    (a,) = remainder_series(traj, (), [NormSpec(0.0, 0.0)])
     b = norm_series(traj, NormSpec(0.0, 0.0))
     assert np.array_equal(a.values, b.values)
 
@@ -93,7 +93,7 @@ def test_remainder_series_empty_terms_is_plain_norm():
 def test_remainder_series_exact_term_hits_floor():
     u0, traj = heat_trajectory()
     term = (1, FieldPolynomial.constant(u0))
-    series = remainder_series(traj, (term,), NormSpec(0.0, 0.0))
+    (series,) = remainder_series(traj, (term,), [NormSpec(0.0, 0.0)])
     assert series.peak() <= 1e-12 * norm(u0)
 
 
@@ -131,8 +131,23 @@ def test_batched_series_equal_per_sample_field_arithmetic(case, terms, alpha, si
     traj, states = case
     spec = NormSpec(alpha, sigma)
     want = [norm(s - levels_at(terms, float(t)), spec) for t, s in zip(traj.times, states)]
-    assert remainder_series(traj, terms, spec).values.tolist() == want
+    assert remainder_series(traj, terms, [spec])[0].values.tolist() == want
     assert norm_series(traj, spec).values.tolist() == [norm(s, spec) for s in states]
+
+
+def test_remainder_series_forms_one_series_per_spec(ladder_run):
+    # verify's call: both norm specs of the ladder scenario from one remainder, each series
+    # the bits of its own single-spec call and of the README's per-sample identity
+    traj, terms = ladder_run["traj"], ladder_run["terms"]
+    specs = ladder_run["scenario"].expansion.norm_specs
+    both = remainder_series(traj, terms, specs)
+    assert len(both) == len(specs) == 2
+    gaps = [traj.state(i) - levels_at(terms, t) for i, t in enumerate(traj.times.tolist())]
+    for spec, series in zip(specs, both):
+        alone = remainder_series(traj, terms, [spec])[0]
+        assert np.array_equal(series.values.view(np.int64), alone.values.view(np.int64))
+        assert np.array_equal(series.times, traj.times)
+        assert series.values.tolist() == [norm(gap, spec) for gap in gaps]
 
 
 def reference_resonant_fit(states, times, terms, n):

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import ladder_phi, ladder_scenario_doc
 from nsexpand import (
-    SpectralField, bilinear, cli, eigenvalue, eigenvalues_up_to, expansion, leray_project,
+    SpectralField, analysis, bilinear, cli, eigenvalue, eigenvalues_up_to, expansion, leray_project,
 )
 from nsexpand.cli import EXIT_ERROR, EXIT_FAILED, EXIT_INCONCLUSIVE, EXIT_OK, main
 from nsexpand.fieldpoly import FieldPolynomial
@@ -314,6 +314,24 @@ def test_verify_rebuilds_levels_short_of_n_max(tmp_path, capsys):
             assert tree_bytes(out / "mini" / sub) == tree_bytes(cold / "mini" / sub), (i, sub)
     rows = json.loads((out / "mini" / "reports" / "verify.json").read_text())["rows"]
     assert [r["level"] for r in rows] == [1, 2]
+
+
+def test_verify_forms_each_remainder_once_per_level(tmp_path, capsys, monkeypatch):
+    # two norm specs cost the assemble calls of one: a level's remainder is formed once for
+    # all its specs, half the calls of one remainder per (level, spec) row
+    assemble, calls = analysis.assemble, []
+    monkeypatch.setattr(analysis, "assemble", lambda *args: calls.append(1) or assemble(*args))
+    counts = []
+    for specs in (((0.5, 0.0),), ((0.5, 0.0), (0.5, 0.1))):
+        doc = mini_ladder_doc(name=f"specs{len(specs)}", norm_specs=specs)
+        doc["expansion"]["resonant"] = {"1": [], "2": []}   # supplied: no fit calls assemble
+        calls.clear()
+        main(["verify", "--scenario", write_doc(tmp_path, doc, doc["name"]), "--out", str(tmp_path)])
+        counts.append(len(calls))
+    capsys.readouterr()
+    one_spec, two_specs = counts
+    per_row = 2 * one_spec   # the calls of one remainder per (level, spec) row, two specs
+    assert one_spec > 0 and 2 * two_specs == per_row
 
 
 def test_expand_then_verify_matches_verify_alone(tmp_path, capsys):

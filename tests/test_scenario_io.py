@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import ladder_phi, ladder_scenario_doc, random_div_free_field
+from conftest import emit_by_value, ladder_phi, ladder_scenario_doc, random_div_free_field
 from nsexpand import (
     FieldPolynomial,
     ForceExpansion,
@@ -71,6 +71,48 @@ def test_dumps_json_numpy_scalars_and_arrays():
     assert "1.5" in dumps_json(np.array([1.5]))
     with pytest.raises(TypeError):
         dumps_json(object())
+
+
+# Lists of floats (doubles and np.float64 alike, any bit pattern), sometimes with ints, bools
+# or non-finite values among them, as lists, tuples or arrays, nested 0-3 levels deep.
+_doubles = st.floats(allow_nan=False, allow_infinity=False)
+_series_item = st.one_of(_doubles, _doubles.map(np.float64))
+_odd_item = st.one_of(st.floats(), st.integers(-3, 3), st.booleans(), st.none())
+_series = st.one_of(
+    st.lists(_series_item, max_size=8),
+    st.lists(_doubles, max_size=8).map(np.array),
+    st.lists(_series_item, max_size=8).map(tuple),
+    st.lists(st.one_of(_series_item, _odd_item), max_size=8),
+)
+
+
+def _wrapped(seq, depth):
+    """`seq` twice in a list, `depth` times over."""
+    for _ in range(depth):
+        seq = [seq, seq]
+    return seq
+
+
+@settings(max_examples=150)
+@given(_series, st.integers(0, 3))
+@example([-0.0, 1.5, 2.0], 0)
+@example([1.5, 2.0, -0.0], 1)
+@example([-0.0], 2)
+@example((-0.0, -0.0), 3)
+@example([5e-324, -5e-324, 2.2250738585072009e-308, -1e-310], 1)
+@example([sys.float_info.max, -sys.float_info.max], 0)
+@example([0.1, 1 / 3, -2 / 3, 1.2345678901234567e-5, 0.1 + 0.2], 2)
+@example([np.float64(-0.0), 0.5, np.float64(1 / 3), -0.0, np.float64(5e-324)], 0)
+@example(np.array([-0.0, 0.25, -1e300]), 3)
+@example([1.0, math.nan, -math.inf, math.inf], 0)
+@example([np.float64(math.nan), -0.0], 1)
+@example([1.0, 2, -0.0], 0)
+@example([True, 0.5, False], 2)
+@example([[0.5, -0.0], [-0.0]], 1)
+@example([], 3)
+def test_float_series_text_is_the_per_value_text(seq, depth):
+    obj = _wrapped(seq, depth)
+    assert dumps_json(obj) == emit_by_value(obj) + "\n"
 
 
 # -- field and polynomial literals -------------------------------------------------
@@ -350,6 +392,30 @@ def test_write_norm_csv(tmp_path):
     assert lines[0] == "t,value"
     assert lines[1] == "0,1"
     assert lines[2] == f"0.5,{_format_float(1 / 3)}"
+
+
+def norm_csv_by_value(series) -> str:
+    """The norm CSV spelled with one `_format_float` call per value."""
+    rows = [f"{_format_float(t)},{_format_float(v)}" for t, v in zip(series.times, series.values)]
+    return "".join(line + "\n" for line in ["t,value", *rows])
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.one_of(_finite, _bit_patterns), st.floats()), max_size=6))
+@example([(-0.0, -0.0)])
+@example([(0.0, 1.0), (-0.0, 2.0), (0.5, -0.0)])
+@example([(5e-324, sys.float_info.max), (0.1, 1 / 3), (-sys.float_info.max, -5e-324)])
+@example([(1.0, math.nan), (2.0, math.inf), (3.0, -math.inf)])
+@example([])
+def test_norm_csv_is_format_float_per_value(pairs):
+    from nsexpand.analysis import NormSeries
+
+    times, values = (np.array([p[i] for p in pairs], dtype=float) for i in (0, 1))
+    series = NormSeries(times, values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "norm.csv")
+        write_norm_csv(path, series)
+        assert path.read_bytes() == norm_csv_by_value(series).encode()
 
 
 # -- scenario documents ----------------------------------------------------------------
