@@ -2,10 +2,16 @@
 decay certificates. Decay levels, the force's included, come from
 `fieldpoly.assemble` as (samples, modes, 3) blocks; nothing here evaluates them.
 
-Rates are fitted by least squares on (t, ln value). Values below a relative
-floor (1e-13 of the series peak) are treated as numerically zero and excluded
-from fits; a series that is entirely at the floor yields a flagged non-fit
-rather than a meaningless slope. The tolerance convention used throughout:
+Rates are fitted by least squares on (t, y = ln value), in closed form. With
+dt and dy the deviations from the means of t and y, slope = sum(dt dy) /
+sum(dt^2), intercept = mean(y) - slope mean(t), and rms is that of the
+residuals dy - slope dt. Every mean and sum is exactly rounded (`math.fsum`
+over the elementwise products), so a fit is IEEE arithmetic plus correctly
+rounded sums and calls no LAPACK or BLAS routine; the resonant fit forms its
+trend denominator sum(dt^2) the same way. Values below a relative floor
+(1e-13 of the series peak) are treated as numerically zero and excluded from
+fits; a series that is entirely at the floor yields a flagged non-fit rather
+than a meaningless slope. The tolerance convention used throughout:
 a claim "slope <= -r" passes when the fitted slope is <= -r + 0.05 with rms
 residual <= 0.1, which absorbs polynomial-in-t corrections on top of clean
 exponentials.
@@ -125,6 +131,12 @@ def remainder_series(traj: Trajectory, terms, specs) -> list[NormSeries]:
     return [NormSeries(traj.times.copy(), _norms(columns, modes, spec, len(traj))) for spec in specs]
 
 
+def _fdot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i b_i of two float arrays: each product rounded once, their sum
+    exactly rounded (`math.fsum`), so no BLAS kernel chooses the bits."""
+    return math.fsum((a * b).tolist())
+
+
 def fit_rate(series: NormSeries, window: tuple[float, float] | None = None) -> RateFit:
     """Least-squares slope of ln(value) over the window, floor-aware.
 
@@ -152,12 +164,13 @@ def fit_rate(series: NormSeries, window: tuple[float, float] | None = None) -> R
         raise FitError(
             f"only {m} usable samples in window [{a:.4g}, {b:.4g}]; need >= 8"
         )
-    x = t[usable]
-    y = np.log(v[usable])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return RateFit(float(slope), float(intercept), rms, (a, b), m)
+    x, y = t[usable], np.log(v[usable])
+    x_mean, y_mean = math.fsum(x.tolist()) / m, math.fsum(y.tolist()) / m
+    dx, dy = x - x_mean, y - y_mean
+    slope = _fdot(dx, dy) / _fdot(dx, dx)
+    resid = dy - slope * dx
+    rms = math.sqrt(_fdot(resid, resid) / m)
+    return RateFit(slope, y_mean - slope * x_mean, rms, (a, b), m)
 
 
 def rate_claim_passes(fit: RateFit, rate: float) -> bool:
@@ -209,7 +222,7 @@ def fit_resonant_constant(
 
     # per-coefficient linear trend; drift = |trend x window length| / |constant|
     tc = t - t.mean()
-    var = float(tc @ tc)
+    var = _fdot(tc, tc)
     drift_norm = 0.0
     if var > 0:
         slopes = np.einsum("s,skc->kc", tc, np.ascontiguousarray(w)) / var

@@ -1,6 +1,7 @@
 """Norm series, rate fits, resonant-constant recovery, decay certificates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from nsexpand import (
     rate_claim_passes,
     remainder_series,
 )
-from nsexpand.analysis import FitError, NormSeries, RateFit, tail_window
+from nsexpand.analysis import FLOOR_FACTOR, FitError, NormSeries, RateFit, _fdot, tail_window
 from nsexpand.expansion import coupling_products, level_source, solve_level
 from nsexpand.galerkin import ModeTable
 from nsexpand.serialize import dumps_json, field_to_literal
@@ -166,7 +167,7 @@ def reference_resonant_fit(states, times, terms, n):
     if support:
         tc = times - times.mean()
         stacked = np.array([w._rows(np.array(support)) for w in samples])
-        slopes = np.einsum("s,skc->kc", tc, stacked) / float(tc @ tc)
+        slopes = np.einsum("s,skc->kc", tc, stacked) / math.fsum((tc * tc).tolist())
         drift_norm = norm(SpectralField(zip(support, slopes * float(times[-1]))))
     base = norm(mean)
     drift = drift_norm / base if base > 0 else (math.inf if drift_norm > 0 else 0.0)
@@ -259,6 +260,95 @@ def test_fit_rate_empty_window_rejected():
     # a window past the horizon holds no sample: unusable, not a series at the floor
     with pytest.raises(FitError, match=r"window \[20, 30\] holds no samples; series ends at 10"):
         fit_rate(NormSeries(t, np.exp(-t)), window=(20.0, 30.0))
+
+
+U = 2.0**-53   # unit roundoff of float64
+
+
+def fit_samples(series, window):
+    """The (t, ln value) samples fit_rate uses: in the window and above the floor."""
+    t, v = series.times, series.values
+    usable = (t >= window[0] - 1e-12) & (t <= window[1] + 1e-12) & (v > FLOOR_FACTOR * series.peak())
+    return t[usable], np.log(v[usable])
+
+
+def exact_line(x, y):
+    """Means, centred sums and least-squares line of (x, y), in exact rational arithmetic
+    on the float inputs: x_mean, y_mean, Sxx, Syy, slope, intercept, mean squared residual."""
+    m = len(x)
+    X, Y = [Fraction(a) for a in x.tolist()], [Fraction(b) for b in y.tolist()]
+    sx, sy = sum(X), sum(Y)
+    sxx = sum(a * a for a in X) - sx * sx / m
+    sxy = sum(a * b for a, b in zip(X, Y)) - sx * sy / m
+    syy = sum(b * b for b in Y) - sy * sy / m
+    slope = sxy / sxx
+    return sx / m, sy / m, sxx, syy, slope, (sy - slope * sx) / m, (syy - slope * sxy) / m
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start=st.integers(1, 1200),
+    m=st.integers(8, 1201),
+    level=st.floats(-10.0, 0.0),
+    rate=st.floats(0.0, 5.0),
+    power=st.floats(0.0, 3.0),
+    wiggle=st.floats(0.0, 1e-2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(start=720, m=421, level=math.log(0.7), rate=0.0, power=0.0, wiggle=0.0, seed=0)  # constant
+@example(start=1100, m=8, level=-3.0, rate=2.0, power=1.0, wiggle=1e-3, seed=1)  # 8 usable samples
+def test_fit_rate_is_the_exact_line_to_rounding(start, m, level, rate, power, wiggle, seed):
+    # ln-values like the ladder's remainders, level + ln(t^power e^{-rate t}) with small
+    # wiggles, every 1e-2 over a window of m samples. Bound: each result lies within
+    # 8 u (u = 2^-53) of its exact rational value, relative to the scale its rounding
+    # errors carry. For the slope that scale is |slope| + sqrt(Syy / Sxx), plus the
+    # second-order term of the two rounded means; for the intercept |y_mean| + |x_mean|
+    # times the slope's scale; for the rms, the rms plus the largest |y - y_mean| and
+    # the intercept's and slope's scales, since each residual is y - y_mean - slope (x - x_mean).
+    t = np.arange(start, start + m) * 1e-2
+    noise = wiggle * np.random.default_rng(seed).standard_normal(m)
+    series = NormSeries(t, np.exp(level - rate * t + power * np.log(t) + noise))
+    fit = fit_rate(series, (t[0], t[-1]))
+    x, y = fit_samples(series, fit.window)
+    assert fit.n_samples == len(x) >= 8
+    x_mean, y_mean, sxx, syy, slope, intercept, msr = map(float, exact_line(x, y))
+    reach = float(np.abs(x - x_mean).max())
+    slope_scale = abs(slope) + math.sqrt(syy / sxx) + U * abs(y_mean) * len(x) * (abs(x_mean) + 2 * reach) / sxx
+    intercept_scale = abs(y_mean) + abs(x_mean) * slope_scale
+    rms = math.sqrt(msr)
+    rms_scale = rms + float(np.abs(y - y_mean).max()) + intercept_scale + reach * slope_scale
+    assert abs(fit.slope - slope) <= 8 * U * slope_scale
+    assert abs(fit.intercept - intercept) <= 8 * U * intercept_scale
+    assert abs(fit.rms_residual - rms) <= 8 * U * rms_scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(start=st.integers(0, 1200), m=st.integers(8, 1201))
+def test_resonant_trend_denominator_is_exactly_rounded(start, m):
+    # the resonant fit's var = sum of its centred times squared: each square is rounded
+    # once (relative error <= u) and the positive sum exactly, so var is within 2 u of
+    # the exact rational sum
+    t = np.arange(start, start + m) * 1e-2
+    tc = t - t.mean()
+    exact = sum(Fraction(c) ** 2 for c in tc.tolist())
+    assert abs(Fraction(_fdot(tc, tc)) - exact) <= 2 * U * exact
+
+
+def test_fit_rate_agrees_with_polyfit_on_the_ladder_rows(ladder_run):
+    traj, terms = ladder_run["traj"], ladder_run["terms"]
+    specs = ladder_run["scenario"].expansion.norm_specs
+    for N, _ in terms:
+        for series in remainder_series(traj, [(n, q) for n, q in terms if n <= N], specs):
+            fit = fit_rate(series)
+            x, y = fit_samples(series, fit.window)
+            slope, intercept = np.polyfit(x, y, 1)
+            rms = math.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+            assert fit.slope == pytest.approx(slope, rel=1e-12, abs=0.0)
+            assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=0.0)
+            # polyfit's residuals y - (slope x + intercept) each round on the scale of |y|
+            # (~25), about 1e6 times the ~2.6e-5 rms of the N = 1 rows, whose polyfit rms is
+            # 2.3e-12 off the exact rational one: rms is compared on the scale of y
+            assert abs(fit.rms_residual - rms) <= 1e-12 * float(np.abs(y).max())
 
 
 def test_rate_claim_tolerances():

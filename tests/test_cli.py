@@ -268,6 +268,20 @@ def test_verify_mini_ladder_passes(tmp_path, capsys):
     assert fits["2"]["contaminated"] is False
 
 
+def test_verify_runs_without_lapack(tmp_path, monkeypatch):
+    # the rate and resonant fits are closed forms over exactly rounded sums: with numpy's
+    # least-squares routines unavailable, verify still reaches the mini ladder's verdicts
+    def unavailable(*args, **kwargs):
+        raise AssertionError("verify called a LAPACK least-squares routine")
+
+    monkeypatch.setattr(np, "polyfit", unavailable)
+    monkeypatch.setattr(np.linalg, "lstsq", unavailable)
+    sp = write_doc(tmp_path, mini_ladder_doc())
+    assert main(["verify", "--scenario", sp, "--out", str(tmp_path / "out")]) == EXIT_OK
+    rep = json.loads((tmp_path / "out" / "mini" / "reports" / "verify.json").read_text())
+    assert [r["verdict"] for r in rep["rows"]] == ["pass", "pass"]
+
+
 def test_verify_inconclusive_on_unusable_window(tmp_path, capsys):
     doc = mini_ladder_doc(name="sparse", step=0.1, n_max=1)
     doc["expansion"]["resonant"] = {"1": []}  # skip trajectory fitting
