@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,7 +214,14 @@ def fit_resonant_constant(
     # w_i = (u_i - sum_k q_k(t_i) e^{-k t_i}) e^{n t_i} on the |k|^2 = n eigenspace
     kn, u = _joined(traj, terms, idx, n)
     u = np.reshape(u, (len(kn), m, 3)).transpose(1, 0, 2)   # (sample, mode, component)
-    w = _plus(u, assemble(terms, kn, t) * -1.0) * _decay(-n, t)[:, None, None]
+    try:
+        growth = _decay(-n, t)
+    except OverflowError:   # e^{n t} past the largest double
+        raise FitError(
+            f"window [{a:.4g}, {b:.4g}] reaches e^({n} t) past the largest double, "
+            f"at t > {math.log(sys.float_info.max) / n:.4g}"
+        ) from None
+    w = _plus(u, assemble(terms, kn, t) * -1.0) * growth[:, None, None]
 
     mean_rows = functools.reduce(_plus, w) * (1.0 / m)   # summed in sample order
     mean = SpectralField(zip(kn.tolist(), mean_rows))

@@ -38,6 +38,7 @@ from .expansion import ExpansionResult, LevelEquationError, build_expansion
 from .galerkin import BlowupError, integrate
 from .scenario import Scenario, ScenarioError, _norm_tag, load_scenario
 from .serialize import (
+    _at,
     _format_float,
     _object,
     level_to_doc,
@@ -48,7 +49,7 @@ from .serialize import (
     write_norm_csv,
     write_trajectory,
 )
-from .spectral import NormSpec, SpectralField, eigenvalues_up_to, leray_project, norm
+from .spectral import NormSpec, NormWeightError, SpectralField, eigenvalues_up_to, leray_project, norm
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -168,8 +169,9 @@ def run_expand(scenario: Scenario, out: str) -> int:
 def run_simulate(scenario: Scenario, out: str) -> int:
     run_dir = run_dir_for(scenario, out)
     traj, fresh = ensure_trajectory(scenario, run_dir)
-    for spec in scenario.expansion.norm_specs:
-        series = norm_series(traj, spec)
+    for i, spec in enumerate(scenario.expansion.norm_specs):
+        with _at(f"expansion.norm_specs[{i}]", NormWeightError):
+            series = norm_series(traj, spec)
         write_norm_csv(run_dir / "norms" / f"norm_{_norm_tag(spec)}.csv", series)
     print(
         f"simulated {len(traj)} samples to t = {_format_float(traj.t_end)} "
@@ -236,7 +238,12 @@ def run_verify(scenario: Scenario, out: str) -> int:
     rows = []
     for N, _ in terms:
         terms_N = [(n, q) for n, q in terms if n <= N]
-        for spec, series in zip(req.norm_specs, remainder_series(traj, terms_N, req.norm_specs)):
+        try:
+            series_N = remainder_series(traj, terms_N, req.norm_specs)
+        except NormWeightError as exc:
+            i = req.norm_specs.index(exc.spec)
+            raise ScenarioError(f"expansion.norm_specs[{i}]", str(exc)) from None
+        for spec, series in zip(req.norm_specs, series_N):
             row = _verify_row(series, N, spec, req.target_epsilon, req.fit_window)
             bad = ", ".join(f"level {n} (drift {d:.3g})" for n, d in tainted if n <= N)
             if bad:
@@ -278,7 +285,10 @@ def run_certify(scenario: Scenario, out: str) -> int:
         return EXIT_OK
 
     traj, _ = ensure_trajectory(scenario, run_dir)
-    reports = [analysis.certificate_check(traj, c, scenario.force) for c in scenario.certificates]
+    reports = []
+    for i, cert in enumerate(scenario.certificates):
+        with _at(f"certificates[{i}]", NormWeightError):
+            reports.append(analysis.certificate_check(traj, cert, scenario.force))
     if any(rep.integral_skipped for rep in reports):
         print(
             f"certify: integral check skipped: sample spacing {traj.spacing:g} does not divide 1",

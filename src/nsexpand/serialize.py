@@ -11,16 +11,20 @@ key; `scenario` holds only the scenario schema on top.
 Every float is printed with 17 significant digits so files round-trip to the
 exact same doubles; writers emit keys and rows in fixed orders and carry no
 wall-clock content, so identical inputs give byte-identical files. Every
-float series is printed from one template formatted once over its values: a
-JSON list of finite floats, a norm CSV, a trajectory CSV row and a
-`SpectralField` inside a document (one per-mode "%d"/"%.17g" template at the
-current indent, over the field's (k, re, im) rows). "%.17g" spells -0.0 "-0",
-which JSON reads as the integer 0, so each such text goes through one
-respelling, `_negative_zeros`, to "-0.0". The text is exactly that of one
-`_format_float` call per value, so a field's text is that of its field
-literal, level documents and the trajectory key's text hold fields
-themselves, and a value has one text on every path. `write_json` writes the
-pieces of `dumps_json`'s text without joining them. Each fact is
+float series is printed piece-wise by `_write_run`: one item template ("%.17g"
+values) repeated over at most `_PIECE` (288) values per `%`, so no writer
+holds more than one piece's text. That covers a JSON list of finite floats, a
+norm CSV (one "%.17g,%.17g" row per item) and a `SpectralField` inside a
+document (one per-mode "%d"/"%.17g" template at the current indent, per
+(k, re, im) row); a trajectory CSV row is one template of its own. "%.17g"
+spells -0.0 "-0", which JSON reads as the integer 0, so each piece goes
+through one respelling, `_negative_zeros`, to "-0.0", after its trailing
+separator is attached. The text is exactly that of one `_format_float` call
+per value, so a field's text is that of its field literal, level documents
+and the trajectory key's text hold fields themselves, and a value has one
+text on every path. `_emit` hands its pieces to a `write` callable: `write_json`
+passes the open file's, so a document's text is never held whole, and
+`dumps_json` joins them. Each fact is
 written once: a series file holds only its samples (its rate fit lives in the
 verify report), and a level document only its level and polynomial. Level
 documents and the trajectory CSV are output only: no program path reads one
@@ -82,77 +86,88 @@ def _negative_zeros(text: str) -> str:
 # -- JSON with controlled float formatting ------------------------------------
 
 
+_PIECE = 288   # values per formatted piece: 32 field modes, 144 norm CSV rows
+
+
+def _write_run(write, item: str, sep: str, end: str, values: list, per: int):
+    """Write `sep.join([item] * n) % values + end`, n = len(values) // per items of `per`
+    values each, in pieces of at most `_PIECE` values. Each piece carries its trailing
+    `sep` (or `end`) before `_negative_zeros` respells it, so a piece's last "-0" is seen."""
+    count, step = len(values) // per, max(1, _PIECE // per)
+    full = (item + sep) * step
+    for i in range(0, count, step):
+        template = full if i + step < count else (item + sep) * (count - i - 1) + item + end
+        write(_negative_zeros(template % tuple(values[i * per:(i + step) * per])))
+
+
 def dumps_json(obj) -> str:
-    return "".join(_json_pieces(obj))
-
-
-def _json_pieces(obj) -> list[str]:
     out: list[str] = []
-    _emit(obj, out, 0)
+    _emit(obj, out.append, 0)
     out.append("\n")
-    return out
+    return "".join(out)
 
 
-def _emit(obj, out: list[str], level: int):
+def _emit(obj, write, level: int):
     pad, closepad = "  " * (level + 1), "  " * level   # two spaces per level
     if isinstance(obj, SpectralField):
-        out.append(_field_text(obj, level))
+        _field_text(obj, write, level)
     elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
+        write(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
+        write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        out.append(_format_float(x) if math.isfinite(x) else "null")
+        write(_format_float(x) if math.isfinite(x) else "null")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        write(json.dumps(obj))
     elif isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            write("{}")
             return
-        out.append("{\n")
+        write("{\n")
         for i, (k, v) in enumerate(obj.items()):
-            out.append(f"{pad}{json.dumps(str(k))}: ")
-            _emit(v, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(closepad + "}")
+            write(f"{pad}{json.dumps(str(k))}: ")
+            _emit(v, write, level + 1)
+            write(",\n" if i < len(obj) - 1 else "\n")
+        write(closepad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
-            out.append("[]")
+            write("[]")
             return
-        if set(map(type, seq)) <= {float, np.float64}:   # a float series: one template for all
-            text = ",\n".join([pad + "%.17g"] * len(seq)) % tuple(seq) + "\n"
-            if "n" not in text:   # "nan" and "inf" take the generic path, which prints null
-                out.append("[\n" + _negative_zeros(text) + closepad + "]")
-                return
-        out.append("[\n")
+        write("[\n")
+        # a float series: one template for all; "nan" and "inf" take the generic path (null)
+        if set(map(type, seq)) <= {float, np.float64} and all(map(math.isfinite, seq)):
+            _write_run(write, pad + "%.17g", ",\n", f"\n{closepad}]", seq, 1)
+            return
         for i, v in enumerate(seq):
-            out.append(pad)
-            _emit(v, out, level + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(closepad + "]")
+            write(pad)
+            _emit(v, write, level + 1)
+            write(",\n" if i < len(seq) - 1 else "\n")
+        write(closepad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _field_text(field: SpectralField, level: int) -> str:
-    """The text of `_emit(field_to_literal(field))` at `level`: one mode template, repeated,
-    formatted once over the rows (k, re, im); a coefficient is never non-finite."""
+def _field_text(field: SpectralField, write, level: int):
+    """Write the text of `_emit(field_to_literal(field))` at `level`: one mode template per
+    (k, re, im) row; a coefficient is never non-finite."""
     if field.is_zero:
-        return "[]"
+        write("[]")
+        return
     p1, p2, p3 = ("  " * (level + i) for i in (1, 2, 3))
     triple = "[\n" + ",\n".join([p3 + "%s"] * 3) + f"\n{p2}]"
     ints, floats = triple % (("%d",) * 3), triple % (("%.17g",) * 3)
     mode = f'{p1}{{\n{p2}"k": {ints},\n{p2}"re": {floats},\n{p2}"im": {floats}\n{p1}}}'
     rows = np.concatenate((field._k, field._c.real, field._c.imag), axis=1)   # k exact as floats
-    text = ",\n".join([mode] * field.n_modes) % tuple(rows.ravel().tolist())
-    return f"[\n{_negative_zeros(text)}\n{'  ' * level}]"
+    write("[\n")
+    _write_run(write, mode, ",\n", f"\n{'  ' * level}]", rows.ravel().tolist(), 9)
 
 
 def write_json(path, obj):
-    with open(path, "w") as fh:
-        fh.writelines(_json_pieces(obj))   # the text of dumps_json, never joined into one string
+    with open(path, "w") as fh:   # the text of dumps_json, written piece by piece
+        _emit(obj, fh.write, 0)
+        fh.write("\n")
 
 
 def load_json(path):
@@ -326,7 +341,8 @@ def write_norm_csv(path, series):
     """Header "t,value", then one "%.17g,%.17g" row per sample, the text of `_format_float`."""
     pairs = np.column_stack((series.times, series.values)).ravel().tolist()
     with open(path, "w") as fh:
-        fh.write("t,value\n" + _negative_zeros(("%.17g,%.17g\n" * len(series.times)) % tuple(pairs)))
+        fh.write("t,value\n")
+        _write_run(fh.write, "%.17g,%.17g\n", "", "", pairs, 2)
 
 
 def level_to_doc(n: int, poly: FieldPolynomial) -> dict:

@@ -119,6 +119,17 @@ class NormSpec:
         return lam**self.alpha * math.exp(self.sigma * math.sqrt(lam))
 
 
+class NormWeightError(ValueError):
+    """`spec`'s squared weight is no finite double at a mode being measured."""
+
+    def __init__(self, spec: NormSpec, lam: float):
+        super().__init__(
+            f"norm weight |k|^(2 alpha) e^(sigma |k|) for [alpha, sigma] = [{spec.alpha:g}, "
+            f"{spec.sigma:g}] overflows a double when squared at |k|^2 = {lam:g}"
+        )
+        self.spec = spec
+
+
 class SpectralField:
     """Immutable zero-average vector field, one coefficient per conjugate pair.
 
@@ -306,8 +317,17 @@ def leray_project(u: SpectralField) -> SpectralField:
 
 
 def _norms(columns, modes: np.ndarray, spec: NormSpec, samples: int) -> np.ndarray:
-    """norm(field_i, spec) per sample of the fields given by (S, 3) columns at the modes."""
-    weights = map(spec.weight, _eigenvalues(modes).tolist())
+    """norm(field_i, spec) per sample of the fields given by (S, 3) columns at the modes,
+    or a NormWeightError if the weight squared overflows at any of them."""
+    lams = _eigenvalues(modes).tolist()
+    top = max(lams, default=1.0)   # the weight grows with lam: the largest bounds them all
+    try:
+        w = spec.weight(top)
+    except OverflowError:   # lam**alpha or the exponential past the largest double
+        w = math.inf
+    if not math.isfinite(w * w):
+        raise NormWeightError(spec, top)
+    weights = map(spec.weight, lams)
     parts = [2.0 * w * w * (np.vecdot(c.real, c.real) + np.vecdot(c.imag, c.imag))
              for w, c in zip(weights, columns)]
     return np.sqrt([math.fsum(r.tolist()) for r in np.reshape(parts, (-1, samples)).T])

@@ -396,6 +396,45 @@ def test_verify_error_when_fit_window_cannot_estimate_constant(tmp_path, capsys)
     )
 
 
+def test_verify_error_when_the_fit_window_overflows_the_growth_factor(tmp_path, capsys):
+    # the level-2 fit rescales by e^{2 t}, which passes the largest double beyond
+    # t = ln(DBL_MAX) / 2 = 354.9, and the default window of a t_end = 500 run is [400, 475]
+    sp = write_doc(tmp_path, mini_ladder_doc(name="long", step=0.5, t_end=500.0))
+    assert main(["verify", "--scenario", sp, "--out", str(tmp_path / "o")]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: expansion.resonant_fit_window: default window [400, 475] reaches e^(2 t) "
+        "past the largest double, at t > 354.9\n"
+    )
+
+
+def _norm_spec_doc(spec):
+    return mini_ladder_doc(name="weights", norm_specs=((0.5, 0.0), spec))
+
+
+def _certificate_doc(sigma):
+    doc = mini_ladder_doc(name="weights", certificates=True)
+    doc["certificates"][0]["sigma"] = sigma
+    return doc
+
+
+# Each weight squared overflows on the mini ladder's modes (|k|^2 <= 6): lam**alpha itself
+# at [400, 0], the exponential at [0.5, 800] and sigma 300, and only the square at [200, 0],
+# which used to give inf norms that every verify row read as "at numerical floor".
+@pytest.mark.parametrize("command, doc, key", [
+    ("verify", _norm_spec_doc((400, 0)), "expansion.norm_specs[1]"),
+    ("simulate", _norm_spec_doc((400, 0)), "expansion.norm_specs[1]"),
+    ("verify", _norm_spec_doc((0.5, 800)), "expansion.norm_specs[1]"),
+    ("verify", _norm_spec_doc((200, 0)), "expansion.norm_specs[1]"),
+    ("certify", _certificate_doc(300), "certificates[0]"),
+], ids=["alpha-400", "simulate-alpha-400", "sigma-800", "square-200", "certificate-sigma-300"])
+def test_norm_weight_past_the_largest_double_is_an_input_error(tmp_path, capsys, command, doc, key):
+    sp = write_doc(tmp_path, doc)
+    assert main([command, "--scenario", sp, "--out", str(tmp_path / "o")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: norm weight ") and err.count("\n") == 1, err
+    assert "overflows a double when squared" in err
+
+
 @pytest.mark.parametrize("command", ["expand", "verify"])
 def test_level_equation_gate_exits_failed(tmp_path, capsys, monkeypatch, command):
     # This ladder's levels solve their equations with residual exactly 0, so

@@ -1,6 +1,7 @@
 """Literal formats, deterministic writers, and scenario-document parsing."""
 
 import copy
+import itertools
 import json
 import math
 import sys
@@ -25,7 +26,9 @@ from nsexpand import (
 )
 from nsexpand.scenario import load_scenario, scenario_from_doc
 from nsexpand.serialize import (
+    _PIECE,
     ScenarioError,
+    _emit,
     _format_float,
     dumps_json,
     field_from_literal,
@@ -34,6 +37,7 @@ from nsexpand.serialize import (
     poly_from_literal,
     poly_to_literal,
     read_trajectory,
+    write_json,
     write_norm_csv,
     write_trajectory,
 )
@@ -93,6 +97,19 @@ def _wrapped(seq, depth):
     return seq
 
 
+def _written_json(obj) -> bytes:
+    """The bytes `write_json` puts in a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "doc.json")
+        write_json(path, obj)
+        return path.read_bytes()
+
+
+# Series longer than one `_PIECE`-value piece, with -0.0 last in one piece and first in the
+# next, and a last piece that is full and ends in -0.0.
+_EDGE = [0.5] * (_PIECE - 1) + [-0.0, -0.0] + [1 / 3] * 5
+
+
 @settings(max_examples=150)
 @given(_series, st.integers(0, 3))
 @example([-0.0, 1.5, 2.0], 0)
@@ -110,9 +127,15 @@ def _wrapped(seq, depth):
 @example([True, 0.5, False], 2)
 @example([[0.5, -0.0], [-0.0]], 1)
 @example([], 3)
+@example(_EDGE, 0)
+@example(np.array(_EDGE), 2)
+@example(tuple(_EDGE[1:]), 1)
+@example([-0.0] * (2 * _PIECE), 1)
 def test_float_series_text_is_the_per_value_text(seq, depth):
     obj = _wrapped(seq, depth)
-    assert dumps_json(obj) == emit_by_value(obj) + "\n"
+    text = emit_by_value(obj) + "\n"
+    assert dumps_json(obj) == text
+    assert _written_json(obj) == text.encode()
 
 
 # -- field and polynomial literals -------------------------------------------------
@@ -213,6 +236,18 @@ def _one_mode(re, im, k=(0, 1, -1)):
     return SpectralField({k: _complex(re, im)})
 
 
+def _piece_edge_field(n_modes=40):
+    """A field past one piece of `_PIECE` values (9 per mode) whose -0.0s sit last in the
+    first piece (the last mode's last imaginary part) and first among the floats of the
+    next (the next mode's first real part; a mode starts with its wavevector)."""
+    reps = [k for k in itertools.product(range(-2, 3), repeat=3) if is_representative(k)]
+    coeffs = {k: _complex([i + 0.5, -i / 7, 1 / 3], [0.25, i / 3, -1.5]) for i, k in enumerate(reps[:n_modes])}
+    last = reps[_PIECE // 9 - 1]
+    coeffs[last][2] = complex(1 / 3, -0.0)
+    coeffs[reps[_PIECE // 9]][0] = complex(-0.0, 0.25)
+    return SpectralField(coeffs)
+
+
 @settings(max_examples=100)
 @given(_fields, st.integers(0, 4))
 @example(SpectralField.zero(), 0)
@@ -223,8 +258,27 @@ def _one_mode(re, im, k=(0, 1, -1)):
 @example(_one_mode([_TINY, -_TINY, 2.2250738585072014e-308], [-1e-310, 0.0, _TINY]), 1)
 @example(_one_mode([_DBL_MAX, -_DBL_MAX, 1.0], [-_DBL_MAX, 0.0, _DBL_MAX]), 2)
 @example(_one_mode([0.1, 1 / 3, -2 / 3], [1.2345678901234567e-5, -9.876543210987654e21, 0.1 + 0.2]), 3)
+@example(_piece_edge_field(), 0)
+@example(_piece_edge_field(), 3)
+@example(_piece_edge_field(2 * _PIECE // 9), 1)
 def test_field_text_is_the_text_of_its_literal(field, depth):
-    assert dumps_json(_nested(field, depth)) == dumps_json(_nested(field_to_literal(field), depth))
+    text = dumps_json(_nested(field_to_literal(field), depth))
+    assert dumps_json(_nested(field, depth)) == text
+    assert _written_json(_nested(field, depth)) == text.encode()
+
+
+def test_level_document_is_written_in_bounded_pieces():
+    """`_emit` hands a 283-mode level document to its writer in pieces of at most 16 KiB,
+    `_PIECE` values (32 modes) at most each, where one field's text alone is over 70 kB."""
+    reps = [k for k in itertools.product(range(-4, 5), repeat=3) if is_representative(k)][:283]
+    rng = np.random.default_rng(4)
+    field = SpectralField({k: rng.standard_normal(3) + 1j * rng.standard_normal(3) for k in reps})
+    doc = level_to_doc(4, FieldPolynomial([field, field * 0.5, field * -0.25]))
+    pieces = []
+    _emit(doc, pieces.append, 0)
+    assert "".join(pieces) + "\n" == dumps_json(doc)
+    assert len(dumps_json(field)) > 70_000
+    assert max(map(len, pieces)) <= 16 * 1024
 
 
 @settings(max_examples=50)
@@ -407,6 +461,8 @@ def norm_csv_by_value(series) -> str:
 @example([(5e-324, sys.float_info.max), (0.1, 1 / 3), (-sys.float_info.max, -5e-324)])
 @example([(1.0, math.nan), (2.0, math.inf), (3.0, -math.inf)])
 @example([])
+@example([(i / 2, 1 / (i + 1)) for i in range(_PIECE // 2 - 1)] + [(71.5, -0.0), (-0.0, 2.0), (72.5, 0.5)])
+@example([(-0.0, -0.0)] * _PIECE)
 def test_norm_csv_is_format_float_per_value(pairs):
     from nsexpand.analysis import NormSeries
 
