@@ -7,8 +7,9 @@ dt and dy the deviations from the means of t and y, slope = sum(dt dy) /
 sum(dt^2), intercept = mean(y) - slope mean(t), and rms is that of the
 residuals dy - slope dt. Every mean and sum is exactly rounded (`math.fsum`
 over the elementwise products), so a fit is IEEE arithmetic plus correctly
-rounded sums and calls no LAPACK or BLAS routine; the resonant fit forms its
-trend denominator sum(dt^2) the same way. Values below a relative floor
+rounded sums and calls no LAPACK or BLAS routine; the logs are `math.log`'s, not
+a SIMD loop numpy picks for the CPU. The resonant fit forms its trend
+denominator sum(dt^2) the same way. Values below a relative floor
 (1e-13 of the series peak) are treated as numerically zero and excluded from
 fits; a series that is entirely at the floor yields a flagged non-fit rather
 than a meaningless slope. The tolerance convention used throughout:
@@ -165,7 +166,7 @@ def fit_rate(series: NormSeries, window: tuple[float, float] | None = None) -> R
         raise FitError(
             f"only {m} usable samples in window [{a:.4g}, {b:.4g}]; need >= 8"
         )
-    x, y = t[usable], np.log(v[usable])
+    x, y = t[usable], np.array(list(map(math.log, v[usable].tolist())))   # no SIMD log loop
     x_mean, y_mean = math.fsum(x.tolist()) / m, math.fsum(y.tolist()) / m
     dx, dy = x - x_mean, y - y_mean
     slope = _fdot(dx, dy) / _fdot(dx, dx)
@@ -271,6 +272,10 @@ class DecayCertificate:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if not (self.K > 1):
             raise ValueError(f"K must exceed 1, got {self.K}")
+        try:
+            self.C0
+        except OverflowError:   # K**alpha past the largest double
+            raise ValueError(f"K^alpha = {self.K:g}^{self.alpha:g} overflows a double") from None
 
     @property
     def C0(self) -> float:

@@ -92,16 +92,11 @@ def ensure_trajectory(scenario: Scenario, run_dir: Path):
     return traj, True
 
 
-def write_expansion(scenario: Scenario, run_dir: Path, resonant) -> ExpansionResult:
-    """Build levels 1..N_max with the given free constants and write them with residuals.json.
-
-    `resonant` is anything `build_expansion` accepts: the scenario's mapping
-    (expand) or the provider from `fitted_constants` (verify). An earlier build's
-    documents, its fit log too, are deleted first: expansion/ holds one build.
-    """
+def write_expansion(run_dir: Path, result: ExpansionResult):
+    """Write the built levels with residuals.json. An earlier build's documents, its fit log
+    too, are deleted first: expansion/ holds one build."""
     for stale in (run_dir / "expansion").glob("*.json"):
         stale.unlink()
-    result = build_expansion(scenario.force, scenario.expansion.n_max, resonant)
     for n, poly in result.terms:
         write_json(run_dir / "expansion" / f"level_{n:02d}.json", level_to_doc(n, poly))
     write_json(
@@ -112,7 +107,6 @@ def write_expansion(scenario: Scenario, run_dir: Path, resonant) -> ExpansionRes
             "max_residual": result.max_residual(),
         },
     )
-    return result
 
 
 def fitted_constants(scenario: Scenario, traj, fit_log: dict):
@@ -154,7 +148,8 @@ def fitted_constants(scenario: Scenario, traj, fit_log: dict):
 
 def run_expand(scenario: Scenario, out: str) -> int:
     run_dir = run_dir_for(scenario, out)
-    result = write_expansion(scenario, run_dir, scenario.expansion.resonant)
+    result = build_expansion(scenario.force, scenario.expansion.n_max, scenario.expansion.resonant)
+    write_expansion(run_dir, result)
     hits = {n for n, _ in result.resonance_log}
     for n, poly in result.terms:
         marker = " (resonant)" if n in hits else ""
@@ -227,15 +222,12 @@ def run_verify(scenario: Scenario, out: str) -> int:
     traj, fresh = ensure_trajectory(scenario, run_dir)
     req = scenario.expansion
     fits: dict = {}
-    terms = write_expansion(scenario, run_dir, fitted_constants(scenario, traj, fits)).terms
-    if fits:  # filled level by level, so in level order
-        write_json(run_dir / "expansion" / "resonant_fits.json", {str(n): f for n, f in fits.items()})
+    result = build_expansion(scenario.force, req.n_max, fitted_constants(scenario, traj, fits))
+    terms = result.terms
     # a contaminated fit at level n (drift > 0.1) leaves every row with N >= n undecided
     tainted = [(n, f["drift"]) for n, f in fits.items() if f["contaminated"]]
 
-    for stale in (run_dir / "norms").glob("remainder_*.csv"):
-        stale.unlink()  # an earlier run's rows, maybe for levels past this N_max
-    rows = []
+    rows, series_files = [], []
     for N, _ in terms:
         terms_N = [(n, q) for n, q in terms if n <= N]
         try:
@@ -248,8 +240,17 @@ def run_verify(scenario: Scenario, out: str) -> int:
             bad = ", ".join(f"level {n} (drift {d:.3g})" for n, d in tainted if n <= N)
             if bad:
                 row.update(verdict="inconclusive", annotation=f"contaminated resonant fit: {bad}")
-            write_norm_csv(run_dir / "norms" / f"remainder_N{N}_{_norm_tag(spec)}.csv", series)
             rows.append(row)
+            series_files.append((run_dir / "norms" / f"remainder_N{N}_{_norm_tag(spec)}.csv", series))
+
+    # the tree changes only once every row is formed: bad input leaves the last run's files
+    write_expansion(run_dir, result)
+    if fits:  # filled level by level, so in level order
+        write_json(run_dir / "expansion" / "resonant_fits.json", {str(n): f for n, f in fits.items()})
+    for stale in (run_dir / "norms").glob("remainder_*.csv"):
+        stale.unlink()  # an earlier run's rows, maybe for levels past this N_max
+    for path, series in series_files:
+        write_norm_csv(path, series)
 
     code = _exit_code([r["verdict"] for r in rows], "fail", "inconclusive")
     report = {

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .expansion import ForceExpansion
-from .fieldpoly import assemble, level_support
+from .fieldpoly import _decay, assemble, level_support
 from .spectral import MAX_CUTOFF, SpectralField, _ball, _mode_rows, _mode_union, _pair_sums, eigenvalue
 
 __all__ = [
@@ -248,7 +248,7 @@ class ModeTable:
         self._scatter_src = np.nonzero(full[:, 2] >= 0)[0]
         self._scatter_dst = cube_at(full[self._scatter_src])
         # e^{2 pi i j k / n} for grid points j and frequencies k, from the roots of
-        # unity (np.exp on complex pulls in resident code); z weighs 2 off k_z = 0
+        # unity (numpy's complex exp pulls in resident code); z weighs 2 off k_z = 0
         grid = np.arange(n)
         root = np.array([complex(math.cos(a), math.sin(a)) for a in 2 * math.pi * grid / n])
         self._inv = root[np.outer(grid, np.arange(-r, r + 1)) % n]
@@ -272,6 +272,8 @@ class ModeTable:
     def to_field(self, coeffs: np.ndarray) -> SpectralField:
         return self._basis._reweighted(np.array(coeffs, dtype=np.complex128))
 
+    # The grid product's DFTs are BLAS matmuls: a flow on a table past PAIR_CROSSOVER has
+    # bits that follow the BLAS kernel. The pair sum below the crossover calls no BLAS routine.
     def _to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Physical values of the (C, R) representative coefficients, C <= 3, in a table buffer."""
         c, n, w = len(coeffs), self._n, len(self._fwd)
@@ -360,8 +362,9 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
     u = table.densify(u0)
 
     h = config.step
-    # complex (R, 3) factors: each product runs numpy's complex loop with no cast or broadcast
-    half, full = (np.broadcast_to(np.exp(-s * table.lam)[:, None], u.shape).astype(np.complex128)
+    # complex (R, 3) factors: each product runs numpy's complex loop with no cast or broadcast;
+    # `math.exp` rounds them, not a SIMD loop that numpy picks for the CPU
+    half, full = (np.broadcast_to(_decay(s, table.lam)[:, None], u.shape).astype(np.complex128)
                   for s in (h / 2.0, h))
 
     states = [table.to_field(u)]
@@ -384,7 +387,7 @@ def integrate(u0: SpectralField, force: ForceExpansion, config: SolverConfig) ->
             n4 = f_end - table.convolve(a4)
             f_start = f_end   # each force time is evaluated once
             u = full * u + (h / 6.0) * (full * n1 + 2.0 * (half * (n2 + n3)) + n4)
-            value = math.sqrt(2.0 * float(np.vdot(u, u).real))
+            value = math.sqrt(2.0 * float(np.vdot(u, u).real))   # a BLAS dot: it reaches no output
             if not (value <= BLOWUP_NORM):
                 raise BlowupError(step * h, value)
             if step % config.sample_stride == 0:

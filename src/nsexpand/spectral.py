@@ -16,6 +16,10 @@ calls these.
 
 Norms follow the Parseval convention without the volume factor: |u|^2 is the
 plain sum of |c(k)|^2 over all modes, conjugate halves included.
+
+No LAPACK or BLAS routine runs here: each per-mode dot product adds its three
+components in order (`_dot3`) and `bilinear` forms its products in einsum's own
+loop, so no BLAS kernel chooses the bits of a norm, a pairing or a product.
 """
 
 from __future__ import annotations
@@ -47,13 +51,13 @@ _ZERO = (0, 0, 0)
 DIVERGENCE_TOL = 1e-10  # relative to max_abs(), the scale that cannot overflow
 _K_BOUND = 2**20  # |k_i| < _K_BOUND: a component offset by it fits 21 bits of a packed key
 _PACK = np.array([1 << 42, 1 << 21, 1])  # 21 bits per component, derived from the bound
-_KEY0 = _K_BOUND * int(_PACK.sum())  # the key of k = 0; packing is linear: key(k) = k @ _PACK + _KEY0
+_KEY0 = _K_BOUND * int(_PACK.sum())  # the key of k = 0; packing is linear: key(k) = k . _PACK + _KEY0
 _NO_K, _NO_KEY, _NO_C = np.empty((0, 3), np.int64), np.empty(0, np.int64), np.empty((0, 3), complex)
 
 
 def _pack(k: np.ndarray) -> np.ndarray:
     """One int64 per wavevector (last axis of k), ordered like the tuples."""
-    return k @ _PACK + _KEY0
+    return k @ _PACK + _KEY0   # an integer product: exact, whatever kernel runs it
 
 
 def _mode_union(*modes: np.ndarray) -> np.ndarray:
@@ -89,6 +93,12 @@ def _wavevectors(keys) -> np.ndarray:
 
 def _eigenvalues(k: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", k, k)
+
+
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a0 b0 + a1 b1 + a2 b2 over the last axis, summed in component order, so no BLAS
+    kernel chooses the bits."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def eigenvalue(k: Wavevector) -> int:
@@ -286,7 +296,7 @@ class SpectralField:
 
     def divergence_defect(self) -> float:
         """max_k |c(k).k| / |k|; zero exactly when the field is divergence-free."""
-        dots = np.matmul(self._c[:, None, :], self._k.astype(float)[:, :, None])[:, 0, 0]
+        dots = _dot3(self._c, self._k.astype(float))
         defects = np.hypot(dots.real, dots.imag) / np.sqrt(_eigenvalues(self._k))
         return float(defects.max(initial=0.0))
 
@@ -312,7 +322,7 @@ def leray_project(u: SpectralField) -> SpectralField:
     Idempotent; annihilates gradient fields and fixes divergence-free ones.
     """
     kf = u._k.astype(float)
-    dots = np.matmul(u._c[:, None, :], kf[:, :, None])[:, 0, 0]  # each row rounded as np.dot
+    dots = _dot3(u._c, kf)
     return u._reweighted(u._c - (dots / _eigenvalues(u._k))[:, None] * kf)
 
 
@@ -328,7 +338,7 @@ def _norms(columns, modes: np.ndarray, spec: NormSpec, samples: int) -> np.ndarr
     if not math.isfinite(w * w):
         raise NormWeightError(spec, top)
     weights = map(spec.weight, lams)
-    parts = [2.0 * w * w * (np.vecdot(c.real, c.real) + np.vecdot(c.imag, c.imag))
+    parts = [2.0 * w * w * (_dot3(c.real, c.real) + _dot3(c.imag, c.imag))
              for w, c in zip(weights, columns)]
     return np.sqrt([math.fsum(r.tolist()) for r in np.reshape(parts, (-1, samples)).T])
 
@@ -340,8 +350,8 @@ def norm(u: SpectralField, spec: NormSpec = _H0) -> float:
 
 def inner(u: SpectralField, v: SpectralField) -> float:
     """L2 pairing of two real fields: 2 sum_k Re(c_u(k) . conj(c_v(k))) over representatives."""
-    # rounded as np.dot rounds one row; modes u has and v lacks add exact zeros
-    dots = np.matmul(u._c[:, None, :], np.conj(v._rows(u._k))[:, :, None])[:, 0, 0].real
+    # modes u has and v lacks add exact zeros
+    dots = _dot3(u._c, np.conj(v._rows(u._k))).real
     return math.fsum((2.0 * dots).tolist())
 
 
@@ -392,7 +402,9 @@ def bilinear(u: SpectralField, v: SpectralField, *, check: bool = True,
     lvT, pair, cols, starts, uniq, key, kf, kfc, lam = geometry or _pair_geometry(u._k, v._k)
     cu = np.concatenate((u._c, np.conj(u._c)))
     cv = np.concatenate((v._c, np.conj(v._c)))
-    dots = np.multiply(1j, (cu @ lvT).reshape(-1)[pair])
+    # einsum's own loop, not a BLAS kernel: every (m, l) product, then the pairs' entries.
+    # A complex lvT spares einsum a cast per call and rounds as a real one would.
+    dots = np.multiply(1j, np.einsum("ic,cj->ij", cu, lvT).reshape(-1)[pair])
     contrib = cv[cols]
     acc = np.add.reduceat(np.multiply(dots[:, None], contrib, out=contrib), starts, axis=0)
     shear = np.einsum("ij,ij->i", acc, kfc)

@@ -20,13 +20,14 @@ from nsexpand import (
     SolverConfig,
     SpectralField,
     Trajectory,
+    build_expansion,
     eigenvalue,
     integrate,
     leray_project,
     norm,
     norm_series,
 )
-from nsexpand.cli import fitted_constants, write_expansion
+from nsexpand.cli import fitted_constants
 from nsexpand.galerkin import evaluate_force
 from nsexpand.scenario import scenario_from_doc
 from nsexpand.serialize import dumps_json, field_to_literal, poly_to_literal
@@ -257,7 +258,7 @@ def ladder_scenario_doc(
 
 
 @pytest.fixture(scope="session")
-def ladder_run(tmp_path_factory):
+def ladder_run():
     """One full criterion-3 run shared by the analysis and acceptance tests.
 
     Integrates the M=12 ladder scenario (T=12, h=1e-3), then builds the
@@ -268,15 +269,13 @@ def ladder_run(tmp_path_factory):
     t0 = time.perf_counter()
     traj = integrate(scenario.initial, scenario.force, scenario.solver)
     integrate_seconds = time.perf_counter() - t0
-    run_dir = tmp_path_factory.mktemp("ladder")
-    (run_dir / "expansion").mkdir()
-    terms = write_expansion(scenario, run_dir, fitted_constants(scenario, traj, {})).terms
+    terms = build_expansion(scenario.force, scenario.expansion.n_max,
+                            fitted_constants(scenario, traj, {})).terms
     return {
         "scenario": scenario,
         "traj": traj,
         "terms": terms,
         "integrate_seconds": integrate_seconds,
-        "run_dir": run_dir,
     }
 
 
@@ -312,8 +311,10 @@ def energy_ledger(traj: Trajectory, force: ForceExpansion) -> np.ndarray:
     t = traj.times
     energy = 0.5 * norm_series(traj, NormSpec(0.0, 0.0)).values ** 2
     enstrophy = norm_series(traj, NormSpec(0.5, 0.0)).values ** 2
-    # <F, u> = 2 sum_k Re(F(k) . conj(u(k))) over the flow's modes; the force is zero off its own
-    parts = 2.0 * np.vecdot(traj.coeffs, evaluate_force(force, traj.modes, t)).real
+    # <F, u> = 2 sum_k Re(F(k) . conj(u(k))) over the flow's modes, the components added in
+    # order as the program's dot products add them; the force is zero off its own
+    u, f = np.conj(traj.coeffs), evaluate_force(force, traj.modes, t)
+    parts = 2.0 * (u[..., 0] * f[..., 0] + u[..., 1] * f[..., 1] + u[..., 2] * f[..., 2]).real
     work = sum(parts.T, np.zeros(len(traj)))
     dt = np.diff(t)
     return (

@@ -41,7 +41,7 @@ from nsexpand import (
     rate_claim_passes,
     remainder_series,
 )
-from nsexpand.cli import fitted_constants, write_expansion
+from nsexpand.cli import fitted_constants
 from nsexpand.fieldpoly import resolvent_solve
 from nsexpand.scenario import scenario_from_doc
 from nsexpand.spectral import eigenspace_project
@@ -54,13 +54,12 @@ def report(capsys, num, ok, detail):
 
 
 @pytest.fixture(scope="session")
-def ladder_m24_run(tmp_path_factory):
+def ladder_m24_run():
     """Criterion-3 scenario rerun at doubled cutoff, for the robustness check."""
     scenario = scenario_from_doc(ladder_scenario_doc(name="rate-ladder-m24", mode_cutoff=24))
     traj = integrate(scenario.initial, scenario.force, scenario.solver)
-    run_dir = tmp_path_factory.mktemp("ladder24")
-    (run_dir / "expansion").mkdir()
-    terms = write_expansion(scenario, run_dir, fitted_constants(scenario, traj, {})).terms
+    terms = build_expansion(scenario.force, scenario.expansion.n_max,
+                            fitted_constants(scenario, traj, {})).terms
     return {"traj": traj, "terms": terms}
 
 

@@ -4,8 +4,11 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -167,12 +170,15 @@ def deep_expand_doc(seed):
 
 
 # sha256 of each expansion document of deep_expand_doc(0), recorded before the levels were
-# solved in one pass over their rows: the exact arithmetic keeps every byte
+# solved in one pass over their rows: the exact arithmetic keeps every byte. level_04.json was
+# recorded again when bilinear's per-mode dot products left the BLAS kernel for einsum's own
+# loop, which moved the last bits of one of its coefficients; the other digests did not move.
+# No step depends on the BLAS kernel or on numpy's v3/v4 dispatch, so such hosts read these.
 DEEP_EXPAND_DIGESTS = {
     "level_01.json": "f5daafa726a7aba652c06179e5214901908517be6aac9a94ffbda0cde1ca2165",
     "level_02.json": "cd6d5ad749124731546e8bf3f29e1b677249545c13c03c8d4b791a573487bd54",
     "level_03.json": "27884e8eb5b95a9ddab07af71322c2f0ae88ff7e5d0e1179c902dfa5bca9e4fc",
-    "level_04.json": "00f2685271ebc458461566e7c8157cca048806371e8400cb7c0ca68c3dba0ab3",
+    "level_04.json": "2dd17b981f7bc94add103491ceee330705a3092ac8a0aa72884b3852dba5f1ff",
     "residuals.json": "cce78467b5795e429f7f988cf12aa3afaa1bc36da313f605f4d85a15fba8c549",
 }
 
@@ -184,6 +190,44 @@ def test_expand_deep_documents_keep_their_bytes(tmp_path, capsys):
     files = sorted((tmp_path / "o" / "deep" / "expansion").glob("*.json"))
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
     assert got == DEEP_EXPAND_DIGESTS
+
+
+def _numpy_v4_features() -> str:
+    """Those of numpy's x86-64-v4 (AVX-512) dispatch targets that this host runs: disabled
+    through NPY_DISABLE_CPU_FEATURES they leave numpy at v3. Empty on a host without them."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    return " ".join(f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(f))
+
+
+_RUN_IN_CHILD = """
+import json, sys
+from nsexpand.cli import main
+sys.exit(max(main([command, "--scenario", path, "--out", sys.argv[1]])
+             for command, path in json.loads(sys.argv[2])))
+"""
+
+
+@pytest.mark.parametrize("setting", [
+    {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": _numpy_v4_features()},
+    {"OPENBLAS_CORETYPE": "SandyBridge"},
+], ids=["prescott-numpy-v3", "sandybridge"])
+def test_trees_keep_their_bytes_under_other_blas_kernels_and_simd_levels(tmp_path, capsys, setting):
+    # No output goes through a BLAS kernel or a SIMD exp/log loop, so a process that runs
+    # another OpenBLAS kernel, or numpy's v3 loops in place of v4, writes the same bytes.
+    # Each scenario is written once here: the child reads the parent's file.
+    runs = [("expand", write_doc(tmp_path, deep_expand_doc(0), "deep")),
+            *[(c, write_doc(tmp_path, mini_ladder_doc(certificates=True))) for c in ("verify", "certify")]]
+    for command, path in runs:
+        assert main([command, "--scenario", path, "--out", str(tmp_path / "default")]) == EXIT_OK
+    capsys.readouterr()
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env.update(setting, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
+    child = subprocess.run([sys.executable, "-c", _RUN_IN_CHILD, str(tmp_path / "child"), json.dumps(runs)],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == EXIT_OK, child.stderr
+    assert tree_bytes(tmp_path / "child") == tree_bytes(tmp_path / "default")
 
 
 # -- simulate -----------------------------------------------------------------------
@@ -269,13 +313,17 @@ def test_verify_mini_ladder_passes(tmp_path, capsys):
 
 
 def test_verify_runs_without_lapack(tmp_path, monkeypatch):
-    # the rate and resonant fits are closed forms over exactly rounded sums: with numpy's
-    # least-squares routines unavailable, verify still reaches the mini ladder's verdicts
+    # the rate and resonant fits are closed forms over exactly rounded sums, and every other
+    # value is rounded by elementwise arithmetic, einsum's loops, math.exp and math.log, none
+    # of which the CPU's BLAS kernel or SIMD level chooses: with numpy's least-squares routines,
+    # dot products and exp/log loops unavailable, verify still reaches the mini ladder's
+    # verdicts (the blow-up guard's np.vdot stays: its value reaches no output)
     def unavailable(*args, **kwargs):
-        raise AssertionError("verify called a LAPACK least-squares routine")
+        raise AssertionError("verify called a LAPACK or BLAS routine or numpy's exp/log loop")
 
-    monkeypatch.setattr(np, "polyfit", unavailable)
     monkeypatch.setattr(np.linalg, "lstsq", unavailable)
+    for name in ("polyfit", "dot", "vecdot", "inner", "matmul", "exp", "log"):
+        monkeypatch.setattr(np, name, unavailable)
     sp = write_doc(tmp_path, mini_ladder_doc())
     assert main(["verify", "--scenario", sp, "--out", str(tmp_path / "out")]) == EXIT_OK
     rep = json.loads((tmp_path / "out" / "mini" / "reports" / "verify.json").read_text())
@@ -433,6 +481,31 @@ def test_norm_weight_past_the_largest_double_is_an_input_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: norm weight ") and err.count("\n") == 1, err
     assert "overflows a double when squared" in err
+
+
+def test_bad_norm_spec_leaves_the_last_verify_tree(tmp_path, capsys):
+    # the spec is refused before verify deletes or rewrites a file: the last run's levels,
+    # remainder series and report stay as they were, and stay consistent with each other
+    out = tmp_path / "o"
+    assert main(["verify", "--scenario", write_doc(tmp_path, _norm_spec_doc((0.5, 0.1))),
+                 "--out", str(out)]) == EXIT_OK
+    first = tree_bytes(out / "weights")
+    capsys.readouterr()
+    doc = _norm_spec_doc((0.5, 0.1))
+    doc["expansion"]["norm_specs"] = [[400, 0]]
+    assert main(["verify", "--scenario", write_doc(tmp_path, doc), "--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: expansion.norm_specs[0]: norm weight ") and err.count("\n") == 1
+    assert tree_bytes(out / "weights") == first
+
+
+def test_certificate_constant_past_the_largest_double_is_an_input_error(tmp_path, capsys):
+    # C0 = delta / (4 K^alpha): 2^1100 is no double, so the certificate is refused as input
+    doc = _certificate_doc(0.0)
+    doc["certificates"][0]["alpha"] = 1100
+    sp = write_doc(tmp_path, doc)
+    assert main(["certify", "--scenario", sp, "--out", str(tmp_path / "o")]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", "error: certificates[0]: K^alpha = 2^1100 overflows a double\n")
 
 
 @pytest.mark.parametrize("command", ["expand", "verify"])

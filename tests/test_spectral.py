@@ -350,7 +350,12 @@ def test_eigenvalues_up_to_matches_three_square_oracle():
 #
 # Reference implementations over plain dicts {k: complex 3-vector}, as the field
 # operations were written before the store became arrays. Results must match them
-# exactly, bit for bit, wherever the store only changes how rows are kept.
+# exactly, bit for bit, wherever the store only changes how rows are kept. Their
+# per-mode dot products add the three components in order, as the program does.
+
+
+def dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def ref_add(a: dict, b: dict) -> dict:
@@ -368,25 +373,25 @@ def ref_norm(a: dict, spec: NormSpec) -> float:
     terms = []
     for k, c in sorted(a.items()):
         w = spec.weight(eigenvalue(k))
-        terms.append(2.0 * w * w * float(c.real @ c.real + c.imag @ c.imag))
+        terms.append(2.0 * w * w * float(dot3(c.real, c.real) + dot3(c.imag, c.imag)))
     return math.sqrt(math.fsum(terms))
 
 
 def ref_inner(a: dict, b: dict) -> float:
-    return math.fsum(2.0 * float(np.real(np.dot(c, np.conj(b[k])))) for k, c in a.items() if k in b)
+    return math.fsum(2.0 * float(np.real(dot3(c, np.conj(b[k])))) for k, c in a.items() if k in b)
 
 
 def ref_leray(a: dict) -> dict:
     out = {}
     for k, c in sorted(a.items()):
         kv = np.array(k, dtype=float)
-        out[k] = c - (np.dot(c, kv) / eigenvalue(k)) * kv
+        out[k] = c - (dot3(c, kv) / eigenvalue(k)) * kv
     return {k: c for k, c in out.items() if c.any()}
 
 
 def ref_divergence_defect(a: dict) -> float:
     return max(
-        (abs(np.dot(c, np.array(k, dtype=float))) / math.sqrt(eigenvalue(k)) for k, c in a.items()),
+        (abs(dot3(c, np.array(k, dtype=float))) / math.sqrt(eigenvalue(k)) for k, c in a.items()),
         default=0.0,
     )
 
@@ -405,7 +410,7 @@ def ref_bilinear(a: dict, b: dict) -> dict:
         (ks[:, 0] > 0) | ((ks[:, 0] == 0) & ((ks[:, 1] > 0) | ((ks[:, 1] == 0) & (ks[:, 2] > 0))))
     )
     ks = ks[keep]
-    dots = (cu @ lv.T.astype(np.complex128)).reshape(n * m)[keep]
+    dots = np.einsum("ic,cj->ij", cu, lv.T.astype(float)).reshape(n * m)[keep]
     contrib = (1j * dots)[:, None] * cv[keep % m]
     lo = ks.min()
     span = ks.max() - lo + 1
